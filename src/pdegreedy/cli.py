@@ -119,12 +119,15 @@ def _select_samples(snapshot, args):
     return qdeim_sample(snapshot, QdeimConfig(t_div=args.t_div, eps_thr=args.eps))
 
 
-def _train_config(args, pde_name: str) -> tuple[TrainConfig, dict]:
+def _train_config(args, pde_name: str, **command_defaults) -> tuple[TrainConfig, dict]:
+    """Training settings shared by train, sweep and baseline, plus the
+    command's own keys; flags > --config file > defaults."""
     defaults = {
         "learning_rate": 1e-5, "step_size_up": 1000, "lr_mode": "exp_range",
         "gamma": 1.0, "mu1": 1.0, "mu2": 1.0, "seed": 0,
         "max_iter": MAX_ITER_DEFAULTS.get(pde_name, 1000),
         "solve_p": True, "omega0": 30.0, "widths": "2,128,128,128,1",
+        **command_defaults,
     }
     merged = _merge_config(defaults, args, defaults.keys())
     widths = tuple(int(w) for w in str(merged["widths"]).split(","))
@@ -210,18 +213,12 @@ def cmd_sweep(args) -> int:
     spec = _resolve_spec(args)
     lo, hi = SweepConfig.for_pde(spec.name).eps_values[0], \
         SweepConfig.for_pde(spec.name).eps_values[-1]
-    defaults = {"t_divs": "1,2,3,4", "eps_min": lo, "eps_max": hi, "eps_count": 20,
-                "max_iter": MAX_ITER_DEFAULTS.get(spec.name, 1000), "seed": 0,
-                "jobs": 1, "widths": "2,128,128,128,1", "omega0": 30.0,
-                "learning_rate": 1e-5}
-    merged = _merge_config(defaults, args, defaults.keys())
+    train_cfg, merged = _train_config(args, spec.name, t_divs="1,2,3,4", eps_min=lo,
+                                      eps_max=hi, eps_count=20, jobs=1)
     sweep_cfg = SweepConfig(
         t_divs=tuple(int(v) for v in str(merged["t_divs"]).split(",")),
         eps_values=eps_grid(merged["eps_min"], merged["eps_max"], merged["eps_count"]),
-        widths=tuple(int(w) for w in str(merged["widths"]).split(",")),
-        omega0=merged["omega0"])
-    train_cfg = TrainConfig(learning_rate=merged["learning_rate"],
-                            max_iter=merged["max_iter"], seed=merged["seed"])
+        widths=tuple(merged["widths"]), omega0=merged["omega0"])
 
     records = sweep_greedy(snapshot, spec, sweep_cfg, train_cfg, jobs=merged["jobs"])
     out_dir = _out_dir(args)
@@ -238,21 +235,14 @@ def cmd_baseline(args) -> int:
     started = time.time()
     snapshot, src = _resolve_snapshot(args)
     spec = _resolve_spec(args)
-    defaults = {"min_n": None, "max_n": None, "reps": 5, "base_seed": 0,
-                "max_iter": MAX_ITER_DEFAULTS.get(spec.name, 1000), "jobs": 1,
-                "widths": "2,128,128,128,1", "omega0": 30.0, "learning_rate": 1e-5,
-                "seed": 0}
-    merged = _merge_config(defaults, args, defaults.keys())
+    train_cfg, merged = _train_config(args, spec.name, min_n=None, max_n=None, reps=5,
+                                      base_seed=0, jobs=1)
     if merged["min_n"] is None or merged["max_n"] is None:
         raise SystemExit("baseline needs --min-n and --max-n")
-    train_cfg = TrainConfig(learning_rate=merged["learning_rate"],
-                            max_iter=merged["max_iter"], seed=merged["seed"])
     records = sweep_random(
         snapshot, spec, merged["min_n"], merged["max_n"], train_cfg,
         repetitions=merged["reps"], base_seed=merged["base_seed"],
-        jobs=merged["jobs"],
-        widths=tuple(int(w) for w in str(merged["widths"]).split(",")),
-        omega0=merged["omega0"])
+        jobs=merged["jobs"], widths=tuple(merged["widths"]), omega0=merged["omega0"])
     out_dir = _out_dir(args)
     export_results(records, out_dir / "records.csv", format="csv")
     export_results(records, out_dir / "records.json", format="json")
@@ -316,6 +306,20 @@ def _add_snapshot_opts(sub):
                                         "(default $PDEGREEDY_DATA or data)")
 
 
+def _add_train_opts(sub):
+    sub.add_argument("--max-iter", type=int, dest="max_iter")
+    sub.add_argument("--lr", type=float, dest="learning_rate")
+    sub.add_argument("--mu1", type=float)
+    sub.add_argument("--mu2", type=float)
+    sub.add_argument("--step-size-up", type=int, dest="step_size_up")
+    sub.add_argument("--gamma", type=float)
+    sub.add_argument("--lr-mode", choices=("triangular", "exp_range"), dest="lr_mode")
+    sub.add_argument("--widths", help="comma-separated layer widths")
+    sub.add_argument("--omega0", type=float)
+    sub.add_argument("--grad-p", action="store_false", dest="solve_p", default=None,
+                     help="train p by gradient instead of the per-iteration solve")
+
+
 def _add_sampler_opts(sub):
     sub.add_argument("--t-div", type=int, help="time divisions for greedy sampling")
     sub.add_argument("--eps", type=float, help="rank threshold for greedy sampling")
@@ -355,17 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_snapshot_opts(p)
     _add_sampler_opts(p)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--mu1", type=float)
-    p.add_argument("--mu2", type=float)
-    p.add_argument("--step-size-up", type=int, dest="step_size_up")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lr-mode", choices=("triangular", "exp_range"), dest="lr_mode")
-    p.add_argument("--widths", help="comma-separated layer widths")
-    p.add_argument("--omega0", type=float)
-    p.add_argument("--grad-p", action="store_false", dest="solve_p", default=None,
-                   help="train p by gradient instead of the per-iteration solve")
+    _add_train_opts(p)
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("sweep", help="greedy (t_div, eps) sweep")
@@ -375,10 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-min", type=float, dest="eps_min")
     p.add_argument("--eps-max", type=float, dest="eps_max")
     p.add_argument("--eps-count", type=int, dest="eps_count")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--widths")
-    p.add_argument("--omega0", type=float)
+    _add_train_opts(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, help="worker pool size (default 1)")
     p.set_defaults(func=cmd_sweep)
@@ -390,10 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, dest="max_n")
     p.add_argument("--reps", type=int)
     p.add_argument("--base-seed", type=int, dest="base_seed")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--widths")
-    p.add_argument("--omega0", type=float)
+    _add_train_opts(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int)
     p.set_defaults(func=cmd_baseline)

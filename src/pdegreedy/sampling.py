@@ -113,27 +113,20 @@ def qdeim_window(u_window, eps_thr: float, squared_energy: bool = False):
 
 
 def qdeim_sample(s: SnapshotMatrix, cfg: QdeimConfig) -> SampleSet:
-    """Greedy sample set: per window, the spatial x temporal pivot grid."""
-    t_norm, x_norm, u_vals = [], [], []
-    window_id, x_idx, t_idx = [], [], []
+    """Greedy sample set: per window, the spatial x temporal pivot grid,
+    spatial-major (each spatial pivot runs over every temporal pivot)."""
     spatial_pivots, temporal_pivots = [], []
-    for wid, window in enumerate(subdivide_time(s, cfg.t_div)):
+    for window in subdivide_time(s, cfg.t_div):
         spatial, temporal_local = qdeim_window(window.u, cfg.eps_thr, cfg.squared_energy)
-        temporal = [window.col_start + j for j in temporal_local]
         spatial_pivots.append(spatial)
-        temporal_pivots.append(temporal)
-        for i in spatial:
-            for j in temporal:
-                t_norm.append(s.t_norm[j])
-                x_norm.append(s.x_norm[i])
-                u_vals.append(s.u[i, j])
-                window_id.append(wid)
-                x_idx.append(i)
-                t_idx.append(j)
+        temporal_pivots.append([window.col_start + j for j in temporal_local])
+    pivots = list(zip(spatial_pivots, temporal_pivots))
+    x_idx = np.concatenate([np.repeat(sp, len(tp)) for sp, tp in pivots])
+    t_idx = np.concatenate([np.tile(tp, len(sp)) for sp, tp in pivots])
+    window_id = np.repeat(np.arange(len(pivots)), [len(sp) * len(tp) for sp, tp in pivots])
     return SampleSet(
-        t_norm=np.array(t_norm), x_norm=np.array(x_norm), u=np.array(u_vals),
-        window_id=np.array(window_id, dtype=int),
-        x_idx=np.array(x_idx, dtype=int), t_idx=np.array(t_idx, dtype=int),
+        t_norm=s.t_norm[t_idx], x_norm=s.x_norm[x_idx], u=s.u[x_idx, t_idx],
+        window_id=window_id, x_idx=x_idx, t_idx=t_idx,
         spatial_pivots=spatial_pivots, temporal_pivots=temporal_pivots,
         source="greedy")
 

@@ -2,11 +2,23 @@
 
 The network maps (t, x) to a scalar. Derivatives with respect to the
 inputs are obtained by propagating truncated power-series coefficients
-in x (orders 0..3) together with a first-order t tangent through every
-layer; sine derivatives are closed-form, so the resulting jet is exact
-to machine precision. Parameter gradients of any scalar loss over a
-batch of jets come from reverse accumulation over the recorded
-series computation.
+in x (orders 0..K, K = max_x_order <= 3) together with a first-order t
+tangent through every layer; sine derivatives are closed-form, so the
+resulting jet is exact to machine precision.
+
+Each layer works on one stacked ``(K + 2, n, width)`` array: slots
+0..K hold the x-Taylor streams, the last slot the t tangent. A layer is
+one GEMM over all streams, then sin and cos of the value stream once,
+then the Taylor coefficients of sin(a) by the product recurrence
+s_k = sum_j (j/k) a_j cos_{k-j}.
+
+Parameter gradients of any scalar loss over a batch of jets come from
+reverse accumulation over the same streams. The cache of
+``forward_jet_with_cache`` is a list of ndarrays: per hidden layer its
+input streams and its pre-activation streams, with cos(a_0) stored in
+the value slot; the sine streams are the next layer's input. A cache
+serves one ``jet_backward`` call, which pops its entries as it goes and
+updates the cotangent block in place.
 """
 
 from __future__ import annotations
@@ -110,7 +122,8 @@ def forward_jet(net: SirenNet, t, x, max_x_order: int = 3) -> Jet:
 
 
 def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3):
-    """Jet plus the recorded intermediates needed by jet_backward."""
+    """Jet plus the recorded intermediates needed by jet_backward, which
+    consumes them: a cache serves one jet_backward call."""
     return _jet_pass(net, t, x, max_x_order, keep_cache=True)
 
 
@@ -139,15 +152,65 @@ def _broadcast_inputs(t, x):
     return t_arr, x_arr, scalar
 
 
-def _sine_coeffs(omega0, z0, order):
-    """Scaled derivatives of sin(omega0 * z) at z0, up to what backward needs."""
-    s = np.sin(omega0 * z0)
-    cz = np.cos(omega0 * z0)
-    d1 = omega0 * cz
-    d2 = -(omega0 ** 2) * s
-    d3 = -(omega0 ** 3) * cz if order >= 2 else None
-    d4 = (omega0 ** 4) * s if order >= 3 else None
-    return s, d1, d2, d3, d4
+def _affine(c, w, b):
+    """One GEMM for every stream: (S, n, fan_in) -> (S, n, fan_out); the
+    bias enters the value stream only."""
+    z = (c.reshape(-1, c.shape[-1]) @ w.T).reshape(c.shape[:-1] + (w.shape[0],))
+    z[0] += b
+    return z
+
+
+def _neg_cos_coeff(a, s, m, tmp, out):
+    """P_m = -(m-th x-Taylor coefficient of cos a) = (1/m) sum_j j a_j s_{m-j},
+    from the pre-activation streams ``a`` and the sine streams ``s``.
+    ``out`` may be a[m]: only a[1..m-1] are read after it is written."""
+    np.multiply(a[m], s[0], out=out)
+    for j in range(1, m):
+        np.multiply(a[j], s[m - j], out=tmp)
+        tmp *= j / m
+        out += tmp
+    return out
+
+
+def _sine_streams(a, order):
+    """Taylor streams of sin(a): s_k = sum_j (j/k) a_j cos_{k-j}, with
+    cos_m = -P_m. Overwrites the value slot a[0] with cos(a_0)."""
+    s = np.empty_like(a)
+    np.sin(a[0], out=s[0])
+    np.cos(a[0], out=a[0])
+    np.multiply(a[1:], a[0], out=s[1:])  # the j = k terms, t tangent included
+    tmp = np.empty_like(a[0])
+    neg_cos = []
+    for k in range(2, order + 1):
+        neg_cos.append(_neg_cos_coeff(a, s, k - 1, tmp, np.empty_like(tmp)))
+        for j in range(1, k):
+            np.multiply(a[j], neg_cos[k - j - 1], out=tmp)
+            tmp *= j / k
+            s[k] -= tmp
+    return s
+
+
+def _sine_cotangents(bs, a, s, order):
+    """Turn cotangents of the sine streams ``s`` into cotangents of the
+    pre-activation streams ``a`` (cos(a_0) in slot 0), in place.
+
+    bar_a_j = cos bar_s_j - sum_{k>j} P_{k-j} bar_s_k, and bar_a_0 also
+    gets -sin(a_0) a_t bar_s_t. P_m overwrites a[m], highest m first.
+    Slots of ``bs`` update in stream order 0..K, then t, so every update
+    reads only higher slots, still unmodified.
+    """
+    cos, tmp = a[0], np.empty_like(a[0])
+    for m in range(order, 0, -1):
+        _neg_cos_coeff(a, s, m, tmp, out=a[m])
+    for j in range(order + 1):
+        bs[j] *= cos
+        for k in range(j + 1, order + 1):
+            np.multiply(a[k - j], bs[k], out=tmp)
+            bs[j] -= tmp
+    np.multiply(s[0], a[-1], out=tmp)
+    tmp *= bs[-1]
+    bs[0] -= tmp
+    bs[-1] *= cos
 
 
 def _jet_pass(net: SirenNet, t, x, order: int, keep_cache: bool):
@@ -156,41 +219,27 @@ def _jet_pass(net: SirenNet, t, x, order: int, keep_cache: bool):
     t_arr, x_arr, scalar = _broadcast_inputs(t, x)
     n = t_arr.shape[0]
 
-    # c[k]: k-th Taylor coefficient in x; ct: first-order t tangent.
-    c = [np.column_stack([t_arr, x_arr]),
-         np.tile([0.0, 1.0], (n, 1))]
-    for _ in range(2, order + 1):
-        c.append(np.zeros((n, 2)))
-    ct = np.tile([1.0, 0.0], (n, 1))
+    # c[k], k <= order: k-th Taylor coefficient in x; c[-1]: t tangent.
+    c = np.zeros((order + 2, n, 2))
+    c[0, :, 0], c[0, :, 1] = t_arr, x_arr
+    c[1, :, 1] = 1.0
+    c[-1, :, 0] = 1.0
 
     cache = [] if keep_cache else None
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = [ck @ w.T for ck in c]
-        z[0] = z[0] + b
-        zt = ct @ w.T
-        s, d1, d2, d3, d4 = _sine_coeffs(net.omega0, z[0], order)
-
-        out = [s, d1 * z[1]]
-        if order >= 2:
-            out.append(d1 * z[2] + 0.5 * d2 * z[1] ** 2)
-        if order >= 3:
-            out.append(d1 * z[3] + d2 * z[1] * z[2] + (d3 / 6.0) * z[1] ** 3)
-        outt = d1 * zt
+        a = _affine(c, net.omega0 * w, net.omega0 * b)  # a = omega0 (W c + b)
+        s = _sine_streams(a, order)
         if keep_cache:
-            cache.append((c, ct, z, zt, s, np.cos(net.omega0 * z[0])))
-        c, ct = out, outt
-
+            cache += [c, a]
+        c = s
     if keep_cache:
-        cache.append((c, ct))  # inputs to the linear output layer
-    w, b = net.weights[-1], net.biases[-1]
-    o = [(ck @ w.T)[:, 0] for ck in c]
-    o[0] = o[0] + b[0]
-    ot = (ct @ w.T)[:, 0]
+        cache.append(c)  # input to the linear output layer
+    o = _affine(c, net.weights[-1], net.biases[-1])[..., 0]
 
     zeros = np.zeros(n)
     jet = Jet(
         u=o[0],
-        du_dt=ot,
+        du_dt=o[-1],
         du_dx=o[1],
         d2u_dx2=2.0 * o[2] if order >= 2 else zeros,
         d3u_dx3=6.0 * o[3] if order >= 3 else zeros.copy(),
@@ -204,65 +253,41 @@ def _jet_pass(net: SirenNet, t, x, order: int, keep_cache: bool):
 
 
 def jet_backward(net: SirenNet, cache, bar: Jet) -> ParamGrad:
-    """Reverse accumulation from jet cotangents to parameter gradients."""
+    """Reverse accumulation from jet cotangents to parameter gradients.
+
+    Consumes ``cache``: each layer's entries are popped as the pass
+    reaches them, so one cache serves a single call.
+    """
     order = bar.max_x_order
-    n = np.atleast_1d(np.asarray(bar.u, dtype=float)).shape[0]
+    if not cache:
+        raise ValueError("empty cache: a forward_jet_with_cache cache serves "
+                         "one jet_backward call")
+    if cache[-1].shape[0] != order + 2:
+        raise ValueError(f"bar has max_x_order {order}, but the cache was "
+                         f"recorded at order {cache[-1].shape[0] - 2}")
+    n = cache[-1].shape[1]
 
     def col(v):
         return np.atleast_1d(np.asarray(v, dtype=float)).reshape(n, 1)
 
     # Jet fields carry factorial factors relative to Taylor coefficients.
-    bo = [col(bar.u), col(bar.du_dx)]
-    if order >= 2:
-        bo.append(2.0 * col(bar.d2u_dx2))
-    if order >= 3:
-        bo.append(6.0 * col(bar.d3u_dx3))
-    bot = col(bar.du_dt)
+    bs = np.stack([factorial * col(bar.by_order(k)) for k, factorial in
+                   zip(range(order + 1), (1.0, 1.0, 2.0, 6.0))] + [col(bar.du_dt)])
 
-    d_weights = [np.zeros_like(w) for w in net.weights]
-    d_biases = [np.zeros_like(b) for b in net.biases]
-
-    # Linear output layer.
-    c, ct = cache[-1]
-    w = net.weights[-1]
-    for k, bk in enumerate(bo):
-        d_weights[-1] += bk.T @ c[k]
-    d_weights[-1] += bot.T @ ct
-    d_biases[-1] += bo[0].sum(axis=0)
-    bs = [bk @ w for bk in bo]
-    bst = bot @ w
-
-    for layer in range(len(net.weights) - 2, -1, -1):
-        c, ct, z, zt, s, cz = cache[layer]
+    layers = len(net.weights)
+    d_weights, d_biases = [None] * layers, [None] * layers
+    c, scale = cache.pop(), 1.0  # input of the linear output layer
+    for layer in range(layers - 1, -1, -1):
+        # bs: cotangents of this layer's pre-activation streams, c: its input
+        flat = bs.reshape(-1, bs.shape[-1])
+        d_weights[layer] = scale * (flat.T @ c.reshape(-1, c.shape[-1]))
+        d_biases[layer] = scale * bs[0].sum(axis=0)
+        if layer == 0:
+            break
         w = net.weights[layer]
-        omega0 = net.omega0
-        d1 = omega0 * cz
-        d2 = -(omega0 ** 2) * s
-        d3 = -(omega0 ** 3) * cz
-        d4 = (omega0 ** 4) * s
-
-        bz = [None] * len(z)
-        bz[0] = d1 * bs[0] + (d2 * z[1]) * bs[1] + d2 * zt * bst
-        bz[1] = d1 * bs[1]
-        if order >= 2:
-            q2 = d2 * z[2] + 0.5 * d3 * z[1] ** 2
-            bz[0] += q2 * bs[2]
-            bz[1] += (d2 * z[1]) * bs[2]
-            bz[2] = d1 * bs[2]
-        if order >= 3:
-            q3 = d2 * z[3] + d3 * z[1] * z[2] + (d4 / 6.0) * z[1] ** 3
-            bz[0] += q3 * bs[3]
-            bz[1] += (d2 * z[2] + 0.5 * d3 * z[1] ** 2) * bs[3]
-            bz[2] += (d2 * z[1]) * bs[3]
-            bz[3] = d1 * bs[3]
-        bzt = d1 * bst
-
-        for k, bk in enumerate(bz):
-            d_weights[layer] += bk.T @ c[k]
-        d_weights[layer] += bzt.T @ ct
-        d_biases[layer] += bz[0].sum(axis=0)
-        bs = [bk @ w for bk in bz]
-        bst = bzt @ w
+        bs = (flat @ (scale * w)).reshape(bs.shape[:-1] + (w.shape[1],))
+        _sine_cotangents(bs, cache.pop(), c, order)
+        c, scale = cache.pop(), net.omega0  # hidden layers: a = omega0 (W c + b)
 
     return ParamGrad(d_weights=d_weights, d_biases=d_biases)
 

@@ -32,7 +32,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     solve_p: bool = True               # False: p trained by gradient alongside the net
-    batch_size: int | None = None      # None: full batch
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -132,8 +131,7 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
     if len(samples) == 0:
         raise ValueError("empty sample set")
     order = spec.max_x_order
-    t_all, x_all, u_all = samples.t_norm, samples.x_norm, samples.u
-    rng = np.random.default_rng(cfg.seed)
+    t, x, u_data = samples.t_norm, samples.x_norm, samples.u
 
     params = _net_params(net)
     state = AdamState.like(params)
@@ -144,12 +142,6 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
     diverged = False
     started = time.perf_counter()
     for it in range(cfg.max_iter):
-        if cfg.batch_size is not None and cfg.batch_size < len(samples):
-            idx = rng.choice(len(samples), cfg.batch_size, replace=False)
-            t, x, u_data = t_all[idx], x_all[idx], u_all[idx]
-        else:
-            t, x, u_data = t_all, x_all, u_all
-
         jets, cache = forward_jet_with_cache(net, t, x, max_x_order=order)
         theta = build_theta(jets, spec, scales)
         u_t = physical_u_t(jets, scales)
@@ -167,7 +159,7 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
             diverged = True
             break
 
-        grads = jet_backward(net, cache, bar)
+        grads = jet_backward(net, cache, bar)  # consumes the cache
         adam_step(params, _grad_list(grads), state, lr,
                   cfg.beta1, cfg.beta2, cfg.adam_eps)
         if not cfg.solve_p:

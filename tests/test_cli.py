@@ -135,6 +135,33 @@ class TestSweepBaselineCluster:
         lines = (tmp_path / "centroids.csv").read_text().splitlines()
         assert len(lines) == 6
 
+    def test_sweep_and_baseline_honour_train_config(self, tmp_path, data_dir):
+        # train settings in --config: each record must equal the matching train run
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "mu1": 0.5, "mu2": 0.25, "lr_mode": "triangular", "step_size_up": 5,
+            "gamma": 0.9, "max_iter": 2, "widths": "2,6,1", "learning_rate": 1e-3}))
+        snap = data_dir / "burgers.txt"
+        common = ("--snapshot", snap, "--pde", "burgers", "--config", cfg_path)
+        assert run("sweep", *common, "--t-divs", "2", "--eps-min", "1e-3",
+                   "--eps-max", "1e-2", "--eps-count", "2",
+                   "--out-dir", tmp_path / "sweep") == 0
+        assert run("baseline", *common, "--min-n", "10", "--max-n", "12",
+                   "--reps", "1", "--out-dir", tmp_path / "baseline") == 0
+        greedy = json.loads((tmp_path / "sweep" / "records.json").read_text())
+        random = json.loads((tmp_path / "baseline" / "records.json").read_text())
+        assert len(greedy) == 2 and len(random) == 3
+        manifest = json.loads((tmp_path / "sweep" / "sweep_manifest.json").read_text())
+        assert manifest["config"]["mu2"] == 0.25
+
+        assert run("train", *common, "--t-div", "2", "--eps", repr(greedy[0]["eps_thr"]),
+                   "--out-dir", tmp_path / "g") == 0
+        assert run("train", *common, "--random", "--size", "10", "--seed", "0",
+                   "--out-dir", tmp_path / "r") == 0
+        for record, out in ((greedy[0], "g"), (random[0], "r")):
+            summary = json.loads((tmp_path / out / "summary.json").read_text())
+            assert record["final_p"] == summary["final_p"]
+
     def test_cluster_json_format(self, tmp_path, data_dir):
         run("baseline", "--snapshot", data_dir / "burgers.txt",
             "--pde", "burgers", "--min-n", "5", "--max-n", "16", "--reps", "1",

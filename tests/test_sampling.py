@@ -76,6 +76,14 @@ class TestQdeimSample:
             ss.u, small_snapshot.u[ss.x_idx, ss.t_idx])
         np.testing.assert_array_equal(
             ss.t_norm, small_snapshot.t_norm[ss.t_idx])
+        np.testing.assert_array_equal(
+            ss.x_norm, small_snapshot.x_norm[ss.x_idx])
+        # loop reference: per window, each spatial pivot over every temporal one
+        expected = [(w, i, j) for w, (sp, tp) in
+                    enumerate(zip(ss.spatial_pivots, ss.temporal_pivots))
+                    for i in sp for j in tp]
+        assert list(zip(ss.window_id.tolist(), ss.x_idx.tolist(),
+                        ss.t_idx.tolist())) == expected
 
     def test_temporal_pivots_stay_in_window(self, small_snapshot):
         cfg = QdeimConfig(t_div=3, eps_thr=1e-4)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pdegreedy.siren import (Jet, SirenNet, forward, forward_jet, init_siren,
-                             load_checkpoint, loss_gradients, save_checkpoint)
+from pdegreedy.siren import (Jet, SirenNet, forward, forward_jet, forward_jet_with_cache,
+                             init_siren, jet_backward, load_checkpoint, loss_gradients,
+                             save_checkpoint)
 
 
 def richardson(diff, h):
@@ -205,7 +206,8 @@ class TestLossGradients:
         assert grad.d_weights[0][0, 1] == pytest.approx(cos_chain * x0, rel=1e-12)
         assert grad.d_biases[0][0] == pytest.approx(cos_chain, rel=1e-12)
 
-    def test_jet_field_gradients_vs_finite_differences(self, rng):
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_jet_field_gradients_vs_finite_differences(self, rng, order):
         # weight a mix of every jet output and check all parameter gradients
         net = init_siren((2, 7, 6, 1), seed=8)
         t = rng.uniform(0, 1, 9)
@@ -215,12 +217,12 @@ class TestLossGradients:
         def mixed_loss(jet):
             fields = (jet.u, jet.du_dt, jet.du_dx, jet.d2u_dx2, jet.d3u_dx3)
             value = sum(float(c @ np.atleast_1d(f)) for c, f in zip(cw, fields))
-            return value, Jet(*(c.copy() for c in cw), max_x_order=3)
+            return value, Jet(*(c.copy() for c in cw), max_x_order=order)
 
-        value, grad = loss_gradients(net, t, x, mixed_loss)
+        value, grad = loss_gradients(net, t, x, mixed_loss, max_x_order=order)
 
         def loss_at(net):
-            jet = forward_jet(net, t, x, 3)
+            jet = forward_jet(net, t, x, order)
             return mixed_loss(jet)[0]
 
         h = 1e-6
@@ -241,6 +243,25 @@ class TestLossGradients:
                     rel = abs(gflat[idx] - fd) / (abs(gflat[idx]) + abs(fd) + 1e-8)
                     worst = max(worst, rel)
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("cache_order, bar_order", [(2, 3), (3, 2), (1, 3)])
+    def test_bar_order_must_match_cache(self, rng, cache_order, bar_order):
+        net = init_siren((2, 5, 4, 1), seed=2)
+        _, cache = forward_jet_with_cache(net, rng.uniform(0, 1, 3),
+                                          rng.uniform(-1, 1, 3), max_x_order=cache_order)
+        ones = np.ones(3)
+        with pytest.raises(ValueError, match="order"):
+            jet_backward(net, cache, Jet(ones, ones, ones, ones, ones, bar_order))
+
+    def test_cache_is_single_use(self, rng):
+        net = init_siren((2, 5, 4, 1), seed=2)
+        _, cache = forward_jet_with_cache(net, rng.uniform(0, 1, 3),
+                                          rng.uniform(-1, 1, 3), max_x_order=2)
+        ones = np.ones(3)
+        bar = Jet(ones, ones, ones, ones, ones, 2)
+        jet_backward(net, cache, bar)
+        with pytest.raises(ValueError, match="one jet_backward call"):
+            jet_backward(net, cache, bar)
 
 
 class TestCheckpoint:

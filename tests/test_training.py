@@ -151,13 +151,6 @@ class TestTrain:
         assert result.diverged
         assert result.iterations < 50
 
-    def test_minibatch_option(self, toy_problem):
-        snapshot, spec, samples = toy_problem
-        net = init_siren((2, 10, 1), seed=5)
-        cfg = TrainConfig(max_iter=4, batch_size=8, seed=9)
-        result = train(net, samples, spec, snapshot.scales, cfg)
-        assert result.iterations == 4
-
     def test_empty_samples_rejected(self, toy_problem):
         snapshot, spec, samples = toy_problem
         empty = random_sample(snapshot, 1, seed=0)
