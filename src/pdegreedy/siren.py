@@ -14,11 +14,13 @@ s_k = sum_j (j/k) a_j cos_{k-j}.
 
 Parameter gradients of any scalar loss over a batch of jets come from
 reverse accumulation over the same streams. The cache of
-``forward_jet_with_cache`` is a list of ndarrays: per hidden layer its
-input streams and its pre-activation streams, with cos(a_0) stored in
-the value slot; the sine streams are the next layer's input. A cache
-serves one ``jet_backward`` call, which pops its entries as it goes and
-updates the cotangent block in place.
+``forward_jet_with_cache`` is a list of ndarrays: the input streams, per
+hidden layer its pre-activation streams (cos(a_0) in the value slot) and
+its sine streams, the output streams and one scratch buffer. A cache
+serves one ``jet_backward`` call per forward pass; that call works in the
+cache's own buffers, turning each sine stack into its cotangents once the
+stack has been read. Passing the cache back as ``out=`` lets the next
+forward pass reuse its buffers, so a training loop allocates them once.
 """
 
 from __future__ import annotations
@@ -117,14 +119,18 @@ def forward(net: SirenNet, t, x):
 
 def forward_jet(net: SirenNet, t, x, max_x_order: int = 3) -> Jet:
     """Exact jet (u, u_t, u_x, u_xx, u_xxx) at the given points."""
-    jet, _ = _jet_pass(net, t, x, max_x_order, keep_cache=False)
+    jet, _ = _jet_pass(net, t, x, max_x_order)
     return jet
 
 
-def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3):
-    """Jet plus the recorded intermediates needed by jet_backward, which
-    consumes them: a cache serves one jet_backward call."""
-    return _jet_pass(net, t, x, max_x_order, keep_cache=True)
+def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None):
+    """Jet plus the recorded intermediates needed by jet_backward.
+
+    Returns ``(Jet, cache)``. A cache serves one jet_backward call. Passing
+    an earlier cache as ``out`` reuses its buffers when the network widths,
+    the number of points and the order match; otherwise a new cache is made.
+    """
+    return _jet_pass(net, t, x, max_x_order, out)
 
 
 def loss_gradients(net: SirenNet, t, x, loss, max_x_order: int = 3):
@@ -135,13 +141,36 @@ def loss_gradients(net: SirenNet, t, x, loss, max_x_order: int = 3):
     field. Returns ``(value, ParamGrad)``; paths through the derivative
     outputs (derivatives-of-derivatives w.r.t. weights) are included.
     """
-    jet, cache = _jet_pass(net, t, x, max_x_order, keep_cache=True)
+    jet, cache = _jet_pass(net, t, x, max_x_order)
     value, bar = loss(jet)
     return value, jet_backward(net, cache, bar)
 
 
 # ---------------------------------------------------------------------------
 # forward/backward internals
+
+class _JetCache(list):
+    """Buffers of one jet pass: [input stack, then per hidden layer its
+    pre-activation stack A and sine stack S, output stack, flat scratch].
+    ``armed`` is set by a forward pass and cleared by the jet_backward
+    call that uses it."""
+
+    armed = False
+
+
+def _cache_shapes(widths, n: int, order: int) -> list[tuple[int, ...]]:
+    streams, hidden = order + 2, widths[1:-1]
+    shapes = [(streams, n, widths[0])]
+    for width in hidden:
+        shapes += [(streams, n, width)] * 2
+    # scratch: the forward pass needs a temporary and P_1..P_{K-1}
+    return shapes + [(streams, n, widths[-1]), (order * n * max(hidden, default=0),)]
+
+
+def _scratch(cache, count: int, n: int, width: int) -> np.ndarray:
+    """``count`` (n, width) views of the flat scratch, shared by layers of any width."""
+    return cache[-1][:count * n * width].reshape(count, n, width)
+
 
 def _broadcast_inputs(t, x):
     scalar = np.isscalar(t) and np.isscalar(x)
@@ -152,95 +181,111 @@ def _broadcast_inputs(t, x):
     return t_arr, x_arr, scalar
 
 
-def _affine(c, w, b):
-    """One GEMM for every stream: (S, n, fan_in) -> (S, n, fan_out); the
-    bias enters the value stream only."""
-    z = (c.reshape(-1, c.shape[-1]) @ w.T).reshape(c.shape[:-1] + (w.shape[0],))
-    z[0] += b
-    return z
+def _affine(c, w, b, out):
+    """One GEMM for every stream: (S, n, fan_in) -> (S, n, fan_out) into
+    ``out``; the bias enters the value stream only."""
+    np.matmul(c.reshape(-1, c.shape[-1]), w.T, out=out.reshape(-1, out.shape[-1]))
+    out[0] += b
+    return out
 
 
-def _neg_cos_coeff(a, s, m, tmp, out):
+def _neg_cos_coeff(a, s, m, top, tmp, out):
     """P_m = -(m-th x-Taylor coefficient of cos a) = (1/m) sum_j j a_j s_{m-j},
-    from the pre-activation streams ``a`` and the sine streams ``s``.
-    ``out`` may be a[m]: only a[1..m-1] are read after it is written."""
+    from the pre-activation streams ``a`` and the sine streams ``s``; the
+    sum skips a_j, j > top, which are zero. ``out`` may be a[m]: only
+    a[1..m-1] are read after it is written."""
     np.multiply(a[m], s[0], out=out)
-    for j in range(1, m):
+    for j in range(1, min(m, top + 1)):
         np.multiply(a[j], s[m - j], out=tmp)
         tmp *= j / m
         out += tmp
     return out
 
 
-def _sine_streams(a, order):
-    """Taylor streams of sin(a): s_k = sum_j (j/k) a_j cos_{k-j}, with
-    cos_m = -P_m. Overwrites the value slot a[0] with cos(a_0)."""
-    s = np.empty_like(a)
+def _sine_streams(a, s, scratch, order, top):
+    """Taylor streams of sin(a) into ``s``: s_k = sum_j (j/k) a_j cos_{k-j},
+    with cos_m = -P_m and a_j = 0 for j > top. Overwrites the value slot
+    a[0] with cos(a_0); ``scratch`` holds ``order`` (n, width) buffers."""
     np.sin(a[0], out=s[0])
     np.cos(a[0], out=a[0])
     np.multiply(a[1:], a[0], out=s[1:])  # the j = k terms, t tangent included
-    tmp = np.empty_like(a[0])
-    neg_cos = []
+    tmp, neg_cos = scratch[0], scratch[1:]
     for k in range(2, order + 1):
-        neg_cos.append(_neg_cos_coeff(a, s, k - 1, tmp, np.empty_like(tmp)))
-        for j in range(1, k):
+        _neg_cos_coeff(a, s, k - 1, top, tmp, out=neg_cos[k - 2])
+        for j in range(1, min(k, top + 1)):
             np.multiply(a[j], neg_cos[k - j - 1], out=tmp)
             tmp *= j / k
             s[k] -= tmp
-    return s
 
 
-def _sine_cotangents(bs, a, s, order):
-    """Turn cotangents of the sine streams ``s`` into cotangents of the
-    pre-activation streams ``a`` (cos(a_0) in slot 0), in place.
+def _sine_reverse_coeffs(a, s, order, top, tmp):
+    """Last reads of the sine streams ``s``: P_m overwrites a[m], highest m
+    first, and sin(a_0) a_t the t slot. Slot 0 keeps cos(a_0)."""
+    for m in range(order, 0, -1):
+        _neg_cos_coeff(a, s, m, top, tmp, out=a[m])
+    np.multiply(s[0], a[-1], out=a[-1])
+
+
+def _sine_cotangents(bs, a, order, tmp):
+    """Turn cotangents of the sine streams into cotangents of the
+    pre-activation streams, in place in ``bs``; ``a`` as left by
+    _sine_reverse_coeffs.
 
     bar_a_j = cos bar_s_j - sum_{k>j} P_{k-j} bar_s_k, and bar_a_0 also
-    gets -sin(a_0) a_t bar_s_t. P_m overwrites a[m], highest m first.
-    Slots of ``bs`` update in stream order 0..K, then t, so every update
-    reads only higher slots, still unmodified.
+    gets -sin(a_0) a_t bar_s_t. Slots of ``bs`` update in stream order
+    0..K, then t, so every update reads only higher slots, still unmodified.
     """
-    cos, tmp = a[0], np.empty_like(a[0])
-    for m in range(order, 0, -1):
-        _neg_cos_coeff(a, s, m, tmp, out=a[m])
+    cos = a[0]
     for j in range(order + 1):
         bs[j] *= cos
         for k in range(j + 1, order + 1):
             np.multiply(a[k - j], bs[k], out=tmp)
             bs[j] -= tmp
-    np.multiply(s[0], a[-1], out=tmp)
-    tmp *= bs[-1]
+    np.multiply(a[-1], bs[-1], out=tmp)
     bs[0] -= tmp
     bs[-1] *= cos
 
 
-def _jet_pass(net: SirenNet, t, x, order: int, keep_cache: bool):
+def _top_stream(hidden_layer: int, order: int) -> int:
+    """Highest nonzero x-stream of a hidden layer's pre-activation: the
+    network input is linear in x, so layer 0 has streams 0, 1 only."""
+    return 1 if hidden_layer == 0 else order
+
+
+def _jet_pass(net: SirenNet, t, x, order: int, out=None):
     if order not in (1, 2, 3):
         raise ValueError(f"max_x_order must be 1, 2 or 3, got {order}")
     t_arr, x_arr, scalar = _broadcast_inputs(t, x)
     n = t_arr.shape[0]
 
+    shapes = _cache_shapes(net.widths, n, order)
+    if isinstance(out, _JetCache) and [b.shape for b in out] == shapes:
+        cache = out
+    else:
+        cache = _JetCache(np.empty(shape) for shape in shapes)
+    cache.armed = True
+
     # c[k], k <= order: k-th Taylor coefficient in x; c[-1]: t tangent.
-    c = np.zeros((order + 2, n, 2))
+    c = cache[0]
+    c[...] = 0.0
     c[0, :, 0], c[0, :, 1] = t_arr, x_arr
     c[1, :, 1] = 1.0
     c[-1, :, 0] = 1.0
 
-    cache = [] if keep_cache else None
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = _affine(c, net.omega0 * w, net.omega0 * b)  # a = omega0 (W c + b)
-        s = _sine_streams(a, order)
-        if keep_cache:
-            cache += [c, a]
+    for layer, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
+        a, s = cache[1 + 2 * layer], cache[2 + 2 * layer]
+        _affine(c, net.omega0 * w, net.omega0 * b, out=a)  # a = omega0 (W c + b)
+        _sine_streams(a, s, _scratch(cache, order, n, w.shape[0]), order,
+                      _top_stream(layer, order))
         c = s
-    if keep_cache:
-        cache.append(c)  # input to the linear output layer
-    o = _affine(c, net.weights[-1], net.biases[-1])[..., 0]
+    o = _affine(c, net.weights[-1], net.biases[-1], out=cache[-2])[..., 0]
 
+    # copies: the next pass through this cache overwrites o
     zeros = np.zeros(n)
     jet = Jet(
-        u=o[0],
-        du_dt=o[-1],
-        du_dx=o[1],
+        u=o[0].copy(),
+        du_dt=o[-1].copy(),
+        du_dx=o[1].copy(),
         d2u_dx2=2.0 * o[2] if order >= 2 else zeros,
         d3u_dx3=6.0 * o[3] if order >= 3 else zeros.copy(),
         max_x_order=order,
@@ -255,39 +300,46 @@ def _jet_pass(net: SirenNet, t, x, order: int, keep_cache: bool):
 def jet_backward(net: SirenNet, cache, bar: Jet) -> ParamGrad:
     """Reverse accumulation from jet cotangents to parameter gradients.
 
-    Consumes ``cache``: each layer's entries are popped as the pass
-    reaches them, so one cache serves a single call.
+    Works in the cache's own buffers: layer by layer, a sine stack is read
+    for the weight gradient and the P_m coefficients, then overwritten by
+    its cotangents. One call per forward pass.
     """
     order = bar.max_x_order
-    if not cache:
-        raise ValueError("empty cache: a forward_jet_with_cache cache serves "
+    if not getattr(cache, "armed", False):
+        raise ValueError("spent cache: a forward_jet_with_cache cache serves "
                          "one jet_backward call")
-    if cache[-1].shape[0] != order + 2:
+    if cache[0].shape[0] != order + 2:
         raise ValueError(f"bar has max_x_order {order}, but the cache was "
-                         f"recorded at order {cache[-1].shape[0] - 2}")
-    n = cache[-1].shape[1]
+                         f"recorded at order {cache[0].shape[0] - 2}")
+    cache.armed = False
+    n = cache[0].shape[1]
 
     def col(v):
         return np.atleast_1d(np.asarray(v, dtype=float)).reshape(n, 1)
 
     # Jet fields carry factorial factors relative to Taylor coefficients.
-    bs = np.stack([factorial * col(bar.by_order(k)) for k, factorial in
-                   zip(range(order + 1), (1.0, 1.0, 2.0, 6.0))] + [col(bar.du_dt)])
+    bs = cache[-2]  # the output stack turns into its cotangents
+    for k, factorial in zip(range(order + 1), (1.0, 1.0, 2.0, 6.0)):
+        bs[k] = factorial * col(bar.by_order(k))
+    bs[-1] = col(bar.du_dt)
 
     layers = len(net.weights)
     d_weights, d_biases = [None] * layers, [None] * layers
-    c, scale = cache.pop(), 1.0  # input of the linear output layer
+    scale = 1.0  # the linear output layer
     for layer in range(layers - 1, -1, -1):
         # bs: cotangents of this layer's pre-activation streams, c: its input
+        c = cache[2 * layer]
         flat = bs.reshape(-1, bs.shape[-1])
         d_weights[layer] = scale * (flat.T @ c.reshape(-1, c.shape[-1]))
         d_biases[layer] = scale * bs[0].sum(axis=0)
         if layer == 0:
             break
-        w = net.weights[layer]
-        bs = (flat @ (scale * w)).reshape(bs.shape[:-1] + (w.shape[1],))
-        _sine_cotangents(bs, cache.pop(), c, order)
-        c, scale = cache.pop(), net.omega0  # hidden layers: a = omega0 (W c + b)
+        a, w = cache[2 * layer - 1], net.weights[layer]
+        tmp = _scratch(cache, 1, n, w.shape[1])[0]
+        _sine_reverse_coeffs(a, c, order, _top_stream(layer - 1, order), tmp)
+        np.matmul(flat, scale * w, out=c.reshape(-1, c.shape[-1]))
+        _sine_cotangents(c, a, order, tmp)
+        bs, scale = c, net.omega0  # hidden layers: a = omega0 (W c + b)
 
     return ParamGrad(d_weights=d_weights, d_biases=d_biases)
 

@@ -42,6 +42,9 @@ class TrainConfig:
             raise ValueError("base_lr must be below max_lr")
         if not 0.0 < self.gamma <= 1.0:  # keeps the schedule within [base, max]
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
+        for name in ("mu1", "mu2"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
 
     @property
     def resolved_base_lr(self) -> float:
@@ -79,29 +82,43 @@ def cyclic_lr(iteration: int, cfg: TrainConfig) -> float:
 class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
+    scratch: list[tuple[np.ndarray, np.ndarray]]  # two buffers per parameter
     step: int = 0
 
     @classmethod
     def like(cls, params: list[np.ndarray]) -> "AdamState":
         return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+                   v=[np.zeros_like(p) for p in params],
+                   scratch=[(np.empty_like(p), np.empty_like(p)) for p in params])
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place, with the state's
+    scratch buffers for the intermediate terms."""
     state.step += 1
     correction1 = 1.0 - beta1 ** state.step
     correction2 = 1.0 - beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if not np.all(np.isfinite(g)):
+    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
+        # min and max propagate NaN
+        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise FloatingPointError(f"non-finite gradient at adam step {state.step}")
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(1.0 - beta1, g, out=step)
+        m += step
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+        np.multiply(1.0 - beta2, g, out=step)
+        step *= g
+        v += step
+        # p -= lr * (m / correction1) / (sqrt(v / correction2) + eps)
+        np.divide(m, correction1, out=step)
+        step *= lr
+        np.divide(v, correction2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p -= step
 
 
 def _net_params(net: SirenNet) -> list[np.ndarray]:
@@ -140,9 +157,10 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
 
     p_rows, loss_rows, lrs = [], [], []
     diverged = False
+    cache = None  # one jet workspace, reused by every iteration
     started = time.perf_counter()
     for it in range(cfg.max_iter):
-        jets, cache = forward_jet_with_cache(net, t, x, max_x_order=order)
+        jets, cache = forward_jet_with_cache(net, t, x, max_x_order=order, out=cache)
         theta = build_theta(jets, spec, scales)
         u_t = physical_u_t(jets, scales)
         if cfg.solve_p:
@@ -159,7 +177,7 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
             diverged = True
             break
 
-        grads = jet_backward(net, cache, bar)  # consumes the cache
+        grads = jet_backward(net, cache, bar)
         adam_step(params, _grad_list(grads), state, lr,
                   cfg.beta1, cfg.beta2, cfg.adam_eps)
         if not cfg.solve_p:

@@ -162,6 +162,18 @@ class TestSweepBaselineCluster:
             summary = json.loads((tmp_path / out / "summary.json").read_text())
             assert record["final_p"] == summary["final_p"]
 
+    def test_sweep_rejects_bad_loss_weight_before_training(self, tmp_path, data_dir,
+                                                           capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mu2": 2.0, "max_iter": 1, "widths": "2,6,1"}))
+        out = tmp_path / "sweep"
+        assert run("sweep", "--snapshot", data_dir / "burgers.txt", "--pde", "burgers",
+                   "--config", cfg_path, "--t-divs", "2", "--eps-min", "1e-3",
+                   "--eps-max", "1e-2", "--eps-count", "2", "--out-dir", out) == 1
+        assert "mu2 must lie in (0, 1]" in capsys.readouterr().err
+        assert not (out / "records.json").exists()
+        assert not (out / "records.csv").exists()
+
     def test_cluster_json_format(self, tmp_path, data_dir):
         run("baseline", "--snapshot", data_dir / "burgers.txt",
             "--pde", "burgers", "--min-n", "5", "--max-n", "16", "--reps", "1",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,76 @@ class TestLossGradients:
         jet_backward(net, cache, bar)
         with pytest.raises(ValueError, match="one jet_backward call"):
             jet_backward(net, cache, bar)
+
+
+
+def mixed_bar(rng, n, order):
+    fields = rng.standard_normal((5, n))
+    return Jet(*fields, max_x_order=order)
+
+
+def jet_and_grad(net, t, x, bar, out=None):
+    jet, cache = forward_jet_with_cache(net, t, x, max_x_order=bar.max_x_order, out=out)
+    return jet, jet_backward(net, cache, bar), cache
+
+
+def assert_same_pass(first, second):
+    (jet_a, grad_a), (jet_b, grad_b) = first, second
+    for name in ("u", "du_dt", "du_dx", "d2u_dx2", "d3u_dx3"):
+        assert np.array_equal(getattr(jet_a, name), getattr(jet_b, name)), name
+    for a, b in zip(grad_a.d_weights + grad_a.d_biases, grad_b.d_weights + grad_b.d_biases):
+        assert np.array_equal(a, b)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_reused_cache_equals_fresh_cache(self, rng, order):
+        net = init_siren((2, 9, 7, 8, 1), seed=4)
+        t, x = rng.uniform(0, 1, 11), rng.uniform(-1, 1, 11)
+        bar = mixed_bar(rng, 11, order)
+        jet0, _, cache = jet_and_grad(net, t, x, bar)
+        kept = {name: getattr(jet0, name).copy() for name in ("u", "du_dt", "du_dx")}
+        for w in net.weights:
+            w *= 1.1
+        jet, grad, reused = jet_and_grad(net, t, x, bar, out=cache)
+        assert reused is cache
+        fresh_jet, fresh_grad, fresh = jet_and_grad(net, t, x, bar)
+        assert fresh is not cache
+        assert_same_pass((jet, grad), (fresh_jet, fresh_grad))
+        # the second pass did not write through the first pass's jet
+        for name, value in kept.items():
+            assert np.array_equal(getattr(jet0, name), value)
+
+    @pytest.mark.parametrize("change", ["n", "order", "widths"])
+    def test_mismatched_cache_is_replaced(self, rng, change):
+        net = init_siren((2, 9, 7, 1), seed=5)
+        t, x = rng.uniform(0, 1, 10), rng.uniform(-1, 1, 10)
+        _, _, cache = jet_and_grad(net, t, x, mixed_bar(rng, 10, 2))
+        order = 3 if change == "order" else 2
+        if change == "n":
+            t, x = t[:6], x[:6]
+        if change == "widths":
+            net = init_siren((2, 9, 6, 1), seed=5)
+        bar = mixed_bar(rng, len(t), order)
+        jet, grad, new = jet_and_grad(net, t, x, bar, out=cache)
+        assert new is not cache
+        fresh_jet, fresh_grad, _ = jet_and_grad(net, t, x, bar)
+        assert_same_pass((jet, grad), (fresh_jet, fresh_grad))
+
+    def test_reused_pass_allocates_under_half_a_stack(self, rng):
+        n, order, width = 200, 3, 64
+        net = init_siren((2, width, width, 1), seed=6)
+        t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
+        bar = mixed_bar(rng, n, order)
+        _, _, cache = jet_and_grad(net, t, x, bar)
+        stack_bytes = (order + 2) * n * width * 8
+        tracemalloc.start()
+        try:
+            jet_and_grad(net, t, x, bar, out=cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * stack_bytes, f"{peak / stack_bytes:.2f} stacks"
 
 
 class TestCheckpoint:

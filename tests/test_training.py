@@ -44,6 +44,13 @@ class TestCyclicLr:
         with pytest.raises(ValueError):
             TrainConfig(max_iter=0)
 
+    @pytest.mark.parametrize("name", ["mu1", "mu2"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, 2.0, float("nan")])
+    def test_loss_weights_validated_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must lie in \\(0, 1\\]"):
+            TrainConfig(**{name: value})
+        assert getattr(TrainConfig(**{name: 0.5}), name) == 0.5
+
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
@@ -68,6 +75,36 @@ class TestAdam:
         state = AdamState.like(p)
         with pytest.raises(FloatingPointError, match="step 1"):
             adam_step(p, [np.array([np.nan])], state, lr=0.1)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_gradient_aborts_before_update(self, bad):
+        p = [np.zeros(3)]
+        state = AdamState.like(p)
+        with pytest.raises(FloatingPointError, match="step 1"):
+            adam_step(p, [np.array([0.5, bad, -1.0])], state, lr=0.1)
+        np.testing.assert_array_equal(p[0], 0.0)
+
+    def test_in_place_update_matches_formula_exactly(self, rng):
+        shapes = [(7, 5), (5,), (1, 7), (1,)]
+        params = [rng.standard_normal(s) for s in shapes]
+        ref = [p.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        state = AdamState.like(params)
+        b1, b2, eps = 0.8, 0.99, 1e-6
+        for step in range(1, 7):
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-4, 3) for s in shapes]
+            lr = 10.0 ** rng.uniform(-4, -1)
+            adam_step(params, grads, state, lr, b1, b2, eps)
+            c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for p, g, mi, vi in zip(ref, grads, m, v):
+                mi *= b1
+                mi += (1.0 - b1) * g
+                vi *= b2
+                vi += (1.0 - b2) * g * g
+                p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+            for got, want in zip(params + state.m + state.v, ref + m + v):
+                assert np.array_equal(got, want)
 
 
 @pytest.fixture(scope="module")
