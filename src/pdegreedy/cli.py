@@ -211,8 +211,8 @@ def cmd_sweep(args) -> int:
     started = time.time()
     snapshot, src = _resolve_snapshot(args)
     spec = _resolve_spec(args)
-    lo, hi = SweepConfig.for_pde(spec.name).eps_values[0], \
-        SweepConfig.for_pde(spec.name).eps_values[-1]
+    eps_values = SweepConfig.for_pde(spec.name).eps_values
+    lo, hi = eps_values[0], eps_values[-1]
     train_cfg, merged = _train_config(args, spec.name, t_divs="1,2,3,4", eps_min=lo,
                                       eps_max=hi, eps_count=20, jobs=1)
     sweep_cfg = SweepConfig(

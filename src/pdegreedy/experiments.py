@@ -70,55 +70,49 @@ class ExperimentRecord:
     error: str | None = None
 
 
-def _run_one(s: SnapshotMatrix, spec: PdeSpec, samples, train_cfg: TrainConfig,
-             widths, omega0) -> tuple[np.ndarray, np.ndarray, float, str | None]:
+def _record(sampler: str, draw, s: SnapshotMatrix, spec: PdeSpec,
+            train_cfg: TrainConfig, widths, omega0, **keys) -> ExperimentRecord:
+    """One run: select samples with ``draw()``, train a fresh net on them
+    and record the outcome under the sampler settings ``keys``. A failure
+    becomes the record's error, so the sweep goes on."""
+    nan = tuple(np.full(len(spec.terms), np.nan))
+    try:
+        samples = draw()
+    except Exception as exc:
+        return ExperimentRecord(sampler=sampler, pde=spec.name, n_samples=0,
+                                rel_errors=nan, final_p=nan, wall_time_s=0.0,
+                                error=f"{type(exc).__name__}: {exc}", **keys)
     started = time.perf_counter()
     net = init_siren(widths, omega0=omega0, seed=train_cfg.seed)
     try:
         result = train(net, samples, spec, s.scales, train_cfg)
-    except Exception as exc:  # record the failure, keep sweeping
-        nan = np.full(len(spec.terms), np.nan)
-        return nan, nan, time.perf_counter() - started, f"{type(exc).__name__}: {exc}"
-    errs = (relative_error(spec.true_p, result.final_p)
-            if spec.true_p is not None else np.full(len(spec.terms), np.nan))
-    detail = "diverged" if result.diverged else None
-    return errs, result.final_p, time.perf_counter() - started, detail
+    except Exception as exc:
+        errs = final_p = nan
+        detail = f"{type(exc).__name__}: {exc}"
+    else:
+        errs = (relative_error(spec.true_p, result.final_p)
+                if spec.true_p is not None else nan)
+        final_p, detail = result.final_p, "diverged" if result.diverged else None
+    return ExperimentRecord(
+        sampler=sampler, pde=spec.name, n_samples=len(samples),
+        rel_errors=tuple(float(e) for e in errs),
+        final_p=tuple(float(v) for v in final_p),
+        wall_time_s=time.perf_counter() - started, error=detail, **keys)
 
+
+# A task is a tuple of plain data so that it pickles; the sampler call is
+# built in the worker.
 
 def _greedy_task(args):
     s, spec, t_div, eps, train_cfg, widths, omega0 = args
-    try:
-        samples = qdeim_sample(s, QdeimConfig(t_div=t_div, eps_thr=eps))
-    except Exception as exc:
-        nan = tuple(np.full(len(spec.terms), np.nan))
-        return ExperimentRecord(sampler="greedy", pde=spec.name, n_samples=0,
-                                rel_errors=nan, final_p=nan, wall_time_s=0.0,
-                                t_div=t_div, eps_thr=eps,
-                                error=f"{type(exc).__name__}: {exc}")
-    errs, final_p, wall, detail = _run_one(s, spec, samples, train_cfg, widths, omega0)
-    return ExperimentRecord(
-        sampler="greedy", pde=spec.name, n_samples=len(samples),
-        rel_errors=tuple(float(e) for e in errs),
-        final_p=tuple(float(v) for v in final_p),
-        wall_time_s=wall, t_div=t_div, eps_thr=eps, error=detail)
+    return _record("greedy", lambda: qdeim_sample(s, QdeimConfig(t_div=t_div, eps_thr=eps)),
+                   s, spec, train_cfg, widths, omega0, t_div=t_div, eps_thr=eps)
 
 
 def _random_task(args):
     s, spec, size, seed, train_cfg, widths, omega0 = args
-    try:
-        samples = random_sample(s, size, seed)
-    except Exception as exc:
-        nan = tuple(np.full(len(spec.terms), np.nan))
-        return ExperimentRecord(sampler="random", pde=spec.name, n_samples=0,
-                                rel_errors=nan, final_p=nan, wall_time_s=0.0,
-                                size=size, seed=seed,
-                                error=f"{type(exc).__name__}: {exc}")
-    errs, final_p, wall, detail = _run_one(s, spec, samples, train_cfg, widths, omega0)
-    return ExperimentRecord(
-        sampler="random", pde=spec.name, n_samples=len(samples),
-        rel_errors=tuple(float(e) for e in errs),
-        final_p=tuple(float(v) for v in final_p),
-        wall_time_s=wall, size=size, seed=seed, error=detail)
+    return _record("random", lambda: random_sample(s, size, seed),
+                   s, spec, train_cfg, widths, omega0, size=size, seed=seed)
 
 
 def _map_tasks(fn, tasks, jobs: int):

@@ -34,8 +34,8 @@ class FeatureTerm:
         if not self.factors:
             raise ValueError("a feature term needs at least one factor")
         for order, power in self.factors:
-            if not 0 <= order <= 3:
-                raise ValueError(f"derivative order {order} outside 0..3")
+            if order < 0:
+                raise ValueError(f"derivative order {order} must be >= 0")
             if power < 1:
                 raise ValueError(f"power {power} must be >= 1")
 
@@ -128,26 +128,26 @@ def _scaled_derivatives(jets: Jet, spec: PdeSpec, scales: DomainScales):
         )
     cols = {}
     for order in {o for t in spec.terms for o, _ in t.factors}:
-        cols[order] = np.asarray(jets.by_order(order), dtype=float) / scales.s_x ** order
+        cols[order] = jets.by_order(order) / scales.s_x ** order
     return cols
 
 
 def build_theta(jets: Jet, spec: PdeSpec, scales: DomainScales) -> np.ndarray:
     """Row per sample, column per term, chain-rule corrected to physical x."""
     derivs = _scaled_derivatives(jets, spec, scales)
-    n = np.atleast_1d(np.asarray(jets.u)).shape[0]
+    n = jets.u.shape[0]
     theta = np.empty((n, len(spec.terms)))
     for j, t in enumerate(spec.terms):
         col = np.ones(n)
         for order, power in t.factors:
-            col = col * np.atleast_1d(derivs[order]) ** power
+            col = col * derivs[order] ** power
         theta[:, j] = col
     return theta
 
 
 def physical_u_t(jets: Jet, scales: DomainScales) -> np.ndarray:
     """Chain-rule corrected time derivative du/dt = jet.du_dt / s_t."""
-    return np.atleast_1d(np.asarray(jets.du_dt, dtype=float)) / scales.s_t
+    return jets.du_dt / scales.s_t
 
 
 def solve_parameters(theta: np.ndarray, u_t: np.ndarray) -> np.ndarray:
@@ -203,7 +203,7 @@ def relative_error(p_truth, p_est) -> np.ndarray:
 def composite_loss_and_bar(jets: Jet, u_data, theta, u_t, spec: PdeSpec,
                            scales: DomainScales, p: np.ndarray,
                            mu1: float, mu2: float):
-    """Losses plus d(loss)/d(jet fields) for reverse accumulation.
+    """Losses plus d(loss)/d(jet rows) for reverse accumulation.
 
     ``theta`` and ``u_t`` must come from the same jets (build_theta /
     physical_u_t). The coefficient vector p is treated as a constant;
@@ -211,38 +211,29 @@ def composite_loss_and_bar(jets: Jet, u_data, theta, u_t, spec: PdeSpec,
     and every library column.
     """
     u_data = np.asarray(u_data, dtype=float).reshape(-1)
-    u = np.atleast_1d(np.asarray(jets.u, dtype=float))
+    u = jets.u
     n = u.shape[0]
 
     mse = mse_loss(u_data, u)
     resid = u_t - theta @ p
     deri = float(np.mean(resid ** 2))
 
-    bar_orders = {k: np.zeros(n) for k in range(4)}
-    bar_orders[0] += mu1 * (2.0 / n) * (u - u_data)
+    bar = np.zeros_like(jets.data)
+    bar[0] += mu1 * (2.0 / n) * (u - u_data)
 
     # derivative loss: d/d(u_t) and d/d(theta columns)
     e_bar = mu2 * (2.0 / n) * resid
-    bar_du_dt = e_bar / scales.s_t
+    bar[-1] = e_bar / scales.s_t
     derivs = _scaled_derivatives(jets, spec, scales)
     for j, t in enumerate(spec.terms):
         col_bar = -e_bar * p[j]
         for fi, (order, power) in enumerate(t.factors):
             partial = np.ones(n)
             for fj, (other_order, other_power) in enumerate(t.factors):
-                d = np.atleast_1d(derivs[other_order])
+                d = derivs[other_order]
                 if fj == fi:
                     partial = partial * power * d ** (power - 1)
                 else:
                     partial = partial * d ** other_power
-            bar_orders[order] += col_bar * partial / scales.s_x ** order
-
-    bar = Jet(
-        u=bar_orders[0],
-        du_dt=bar_du_dt,
-        du_dx=bar_orders[1],
-        d2u_dx2=bar_orders[2],
-        d3u_dx3=bar_orders[3],
-        max_x_order=jets.max_x_order,
-    )
-    return mse, deri, bar
+            bar[order] += col_bar * partial / scales.s_x ** order
+    return mse, deri, Jet(bar)

@@ -13,15 +13,10 @@ from .snapshots import SnapshotMatrix, subdivide_time
 
 @dataclass(frozen=True)
 class QdeimConfig:
-    """Greedy sampling knobs: time divisions and the rank threshold.
-
-    ``squared_energy`` switches the rank criterion to sums of squared
-    singular values; the default follows the plain-sum convention.
-    """
+    """Greedy sampling knobs: time divisions and the rank threshold."""
 
     t_div: int = 1
     eps_thr: float = 1e-6
-    squared_energy: bool = False
 
     def __post_init__(self):
         if self.t_div < 1:
@@ -72,7 +67,7 @@ class SampleSet:
                                  "%.17g" % self.x_norm[i], "%.17g" % self.u[i]])
 
 
-def select_rank(sigma, eps_thr: float, squared_energy: bool = False) -> int:
+def select_rank(sigma, eps_thr: float) -> int:
     """Smallest r whose retained-energy deficit drops below eps_thr.
 
     The deficit is 1 - sum(sigma[:r]) / sum(sigma); r = len(sigma) always
@@ -83,8 +78,6 @@ def select_rank(sigma, eps_thr: float, squared_energy: bool = False) -> int:
         raise ValueError("sigma must be a non-empty 1-d array")
     if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
         raise ValueError("singular values must be non-negative and non-increasing")
-    if squared_energy:
-        sigma = sigma ** 2
     total = sigma.sum()
     if total == 0.0:
         raise ValueError("all-zero spectrum has no meaningful rank")
@@ -93,7 +86,7 @@ def select_rank(sigma, eps_thr: float, squared_energy: bool = False) -> int:
     return int(np.argmax(deficit < eps_thr)) + 1
 
 
-def qdeim_window(u_window, eps_thr: float, squared_energy: bool = False):
+def qdeim_window(u_window, eps_thr: float):
     """Spatial and temporal pivot indices for one snapshot block.
 
     Ranks the block by its singular values, then pivots the transposed
@@ -104,7 +97,7 @@ def qdeim_window(u_window, eps_thr: float, squared_energy: bool = False):
     if u_window.size == 0:
         raise ValueError("empty window")
     factors = svd(u_window)
-    r = select_rank(factors.singular_values, eps_thr, squared_energy)
+    r = select_rank(factors.singular_values, eps_thr)
     z_r = factors.left[:, :r]      # (n, r)
     y_r_t = factors.right_t[:r, :]  # (r, m)
     spatial = pivoted_qr(z_r.T).pivots[:r]
@@ -117,7 +110,7 @@ def qdeim_sample(s: SnapshotMatrix, cfg: QdeimConfig) -> SampleSet:
     spatial-major (each spatial pivot runs over every temporal pivot)."""
     spatial_pivots, temporal_pivots = [], []
     for window in subdivide_time(s, cfg.t_div):
-        spatial, temporal_local = qdeim_window(window.u, cfg.eps_thr, cfg.squared_energy)
+        spatial, temporal_local = qdeim_window(window.u, cfg.eps_thr)
         spatial_pivots.append(spatial)
         temporal_pivots.append([window.col_start + j for j in temporal_local])
     pivots = list(zip(spatial_pivots, temporal_pivots))

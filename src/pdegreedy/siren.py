@@ -2,7 +2,7 @@
 
 The network maps (t, x) to a scalar. Derivatives with respect to the
 inputs are obtained by propagating truncated power-series coefficients
-in x (orders 0..K, K = max_x_order <= 3) together with a first-order t
+in x (orders 0..K, K = max_x_order >= 1) together with a first-order t
 tangent through every layer; sine derivatives are closed-form, so the
 resulting jet is exact to machine precision.
 
@@ -25,6 +25,7 @@ forward pass reuse its buffers, so a training loop allocates them once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,22 +65,32 @@ class ParamGrad:
 
 @dataclass
 class Jet:
-    """Value and input derivatives of the network at one point (or batch).
+    """Value and input derivatives of the network over a batch of n points.
 
-    Derivatives refer to the network's own (normalized) inputs; orders
-    above ``max_x_order`` are reported as zero.
+    ``data`` has shape ``(K + 2, n)``: row k <= K holds d^k u / dx^k with
+    the factorial applied, the last row du/dt. Derivatives refer to the
+    network's own (normalized) inputs.
     """
 
-    u: np.ndarray
-    du_dt: np.ndarray
-    du_dx: np.ndarray
-    d2u_dx2: np.ndarray
-    d3u_dx3: np.ndarray
-    max_x_order: int = 3
+    data: np.ndarray
+
+    @property
+    def max_x_order(self) -> int:
+        return self.data.shape[0] - 2
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.data[0]
+
+    @property
+    def du_dt(self) -> np.ndarray:
+        return self.data[-1]
 
     def by_order(self, k: int) -> np.ndarray:
         """Spatial derivative of order k (order 0 is the value itself)."""
-        return (self.u, self.du_dx, self.d2u_dx2, self.d3u_dx3)[k]
+        if not 0 <= k <= self.max_x_order:
+            raise ValueError(f"x-derivative order {k} outside 0..{self.max_x_order}")
+        return self.data[k]
 
 
 def init_siren(widths, omega0: float = 30.0, seed: int = 0) -> SirenNet:
@@ -118,9 +129,9 @@ def forward(net: SirenNet, t, x):
 
 
 def forward_jet(net: SirenNet, t, x, max_x_order: int = 3) -> Jet:
-    """Exact jet (u, u_t, u_x, u_xx, u_xxx) at the given points."""
-    jet, _ = _jet_pass(net, t, x, max_x_order)
-    return jet
+    """Exact jet (u, u_x, ..., d^K u/dx^K, u_t) at the given points; a
+    scalar (t, x) gives a one-point jet."""
+    return forward_jet_with_cache(net, t, x, max_x_order)[0]
 
 
 def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None):
@@ -130,18 +141,47 @@ def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None):
     an earlier cache as ``out`` reuses its buffers when the network widths,
     the number of points and the order match; otherwise a new cache is made.
     """
-    return _jet_pass(net, t, x, max_x_order, out)
+    order = max_x_order
+    if order < 1:  # the input stack needs an x-stream slot
+        raise ValueError(f"max_x_order must be >= 1, got {order}")
+    t_arr, x_arr, _ = _broadcast_inputs(t, x)
+    n = t_arr.shape[0]
+
+    shapes = _cache_shapes(net.widths, n, order)
+    if isinstance(out, _JetCache) and [b.shape for b in out] == shapes:
+        cache = out
+    else:
+        cache = _JetCache(np.empty(shape) for shape in shapes)
+    cache.armed = True
+
+    # c[k], k <= order: k-th Taylor coefficient in x; c[-1]: t tangent.
+    c = cache[0]
+    c[...] = 0.0
+    c[0, :, 0], c[0, :, 1] = t_arr, x_arr
+    c[1, :, 1] = 1.0
+    c[-1, :, 0] = 1.0
+
+    for layer, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
+        a, s = cache[1 + 2 * layer], cache[2 + 2 * layer]
+        _affine(c, net.omega0 * w, net.omega0 * b, out=a)  # a = omega0 (W c + b)
+        _sine_streams(a, s, _scratch(cache, order, n, w.shape[0]), order,
+                      _top_stream(layer, order))
+        c = s
+    o = _affine(c, net.weights[-1], net.biases[-1], out=cache[-2])[..., 0]
+    # a new array: the next pass through this cache overwrites o
+    return Jet(o * _factorials(order)), cache
 
 
 def loss_gradients(net: SirenNet, t, x, loss, max_x_order: int = 3):
     """Gradient of a scalar loss over the batch jets w.r.t. every parameter.
 
     ``loss`` maps the batch Jet to ``(value, bar)`` where ``bar`` is a Jet
-    holding the partial derivatives of the value with respect to each jet
-    field. Returns ``(value, ParamGrad)``; paths through the derivative
-    outputs (derivatives-of-derivatives w.r.t. weights) are included.
+    of the same shape holding the partial derivatives of the value with
+    respect to each jet entry. Returns ``(value, ParamGrad)``; paths through
+    the derivative outputs (derivatives-of-derivatives w.r.t. weights) are
+    included.
     """
-    jet, cache = _jet_pass(net, t, x, max_x_order)
+    jet, cache = forward_jet_with_cache(net, t, x, max_x_order)
     value, bar = loss(jet)
     return value, jet_backward(net, cache, bar)
 
@@ -246,55 +286,17 @@ def _sine_cotangents(bs, a, order, tmp):
     bs[-1] *= cos
 
 
+def _factorials(order: int) -> np.ndarray:
+    """Column that scales the output Taylor stack into Jet rows: k! on
+    x-order k, 1 on the t tangent. Jet cotangents scale back by the same."""
+    return np.array([math.factorial(k) for k in range(order + 1)] + [1],
+                    dtype=float)[:, None]
+
+
 def _top_stream(hidden_layer: int, order: int) -> int:
     """Highest nonzero x-stream of a hidden layer's pre-activation: the
     network input is linear in x, so layer 0 has streams 0, 1 only."""
     return 1 if hidden_layer == 0 else order
-
-
-def _jet_pass(net: SirenNet, t, x, order: int, out=None):
-    if order not in (1, 2, 3):
-        raise ValueError(f"max_x_order must be 1, 2 or 3, got {order}")
-    t_arr, x_arr, scalar = _broadcast_inputs(t, x)
-    n = t_arr.shape[0]
-
-    shapes = _cache_shapes(net.widths, n, order)
-    if isinstance(out, _JetCache) and [b.shape for b in out] == shapes:
-        cache = out
-    else:
-        cache = _JetCache(np.empty(shape) for shape in shapes)
-    cache.armed = True
-
-    # c[k], k <= order: k-th Taylor coefficient in x; c[-1]: t tangent.
-    c = cache[0]
-    c[...] = 0.0
-    c[0, :, 0], c[0, :, 1] = t_arr, x_arr
-    c[1, :, 1] = 1.0
-    c[-1, :, 0] = 1.0
-
-    for layer, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
-        a, s = cache[1 + 2 * layer], cache[2 + 2 * layer]
-        _affine(c, net.omega0 * w, net.omega0 * b, out=a)  # a = omega0 (W c + b)
-        _sine_streams(a, s, _scratch(cache, order, n, w.shape[0]), order,
-                      _top_stream(layer, order))
-        c = s
-    o = _affine(c, net.weights[-1], net.biases[-1], out=cache[-2])[..., 0]
-
-    # copies: the next pass through this cache overwrites o
-    zeros = np.zeros(n)
-    jet = Jet(
-        u=o[0].copy(),
-        du_dt=o[-1].copy(),
-        du_dx=o[1].copy(),
-        d2u_dx2=2.0 * o[2] if order >= 2 else zeros,
-        d3u_dx3=6.0 * o[3] if order >= 3 else zeros.copy(),
-        max_x_order=order,
-    )
-    if scalar:
-        jet = Jet(*(float(getattr(jet, f)[0]) for f in
-                    ("u", "du_dt", "du_dx", "d2u_dx2", "d3u_dx3")),
-                  max_x_order=order)
-    return jet, cache
 
 
 def jet_backward(net: SirenNet, cache, bar: Jet) -> ParamGrad:
@@ -304,24 +306,17 @@ def jet_backward(net: SirenNet, cache, bar: Jet) -> ParamGrad:
     for the weight gradient and the P_m coefficients, then overwritten by
     its cotangents. One call per forward pass.
     """
-    order = bar.max_x_order
     if not getattr(cache, "armed", False):
         raise ValueError("spent cache: a forward_jet_with_cache cache serves "
                          "one jet_backward call")
-    if cache[0].shape[0] != order + 2:
-        raise ValueError(f"bar has max_x_order {order}, but the cache was "
-                         f"recorded at order {cache[0].shape[0] - 2}")
+    order, n = cache[0].shape[0] - 2, cache[0].shape[1]
+    if bar.data.shape != (order + 2, n):
+        raise ValueError(f"bar has shape {bar.data.shape}, but the cache was "
+                         f"recorded at order {order} over {n} points")
     cache.armed = False
-    n = cache[0].shape[1]
 
-    def col(v):
-        return np.atleast_1d(np.asarray(v, dtype=float)).reshape(n, 1)
-
-    # Jet fields carry factorial factors relative to Taylor coefficients.
     bs = cache[-2]  # the output stack turns into its cotangents
-    for k, factorial in zip(range(order + 1), (1.0, 1.0, 2.0, 6.0)):
-        bs[k] = factorial * col(bar.by_order(k))
-    bs[-1] = col(bar.du_dt)
+    np.multiply(bar.data, _factorials(order), out=bs[..., 0])
 
     layers = len(net.weights)
     d_weights, d_biases = [None] * layers, [None] * layers

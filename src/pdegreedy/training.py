@@ -18,9 +18,7 @@ DIVERGENCE_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-5
-    base_lr: float | None = None       # defaults to 0.1 * learning_rate
-    max_lr: float | None = None        # defaults to 10 * learning_rate
+    learning_rate: float = 1e-5        # the schedule spans 0.1x to 10x of it
     step_size_up: int = 1000
     lr_mode: str = "exp_range"
     gamma: float = 1.0
@@ -38,8 +36,8 @@ class TrainConfig:
             raise ValueError("max_iter must be >= 1")
         if self.lr_mode not in ("triangular", "exp_range"):
             raise ValueError(f"unknown lr_mode {self.lr_mode!r}")
-        if self.resolved_base_lr >= self.resolved_max_lr:
-            raise ValueError("base_lr must be below max_lr")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 < self.gamma <= 1.0:  # keeps the schedule within [base, max]
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
         for name in ("mu1", "mu2"):
@@ -47,12 +45,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
 
     @property
-    def resolved_base_lr(self) -> float:
-        return 0.1 * self.learning_rate if self.base_lr is None else self.base_lr
-
-    @property
-    def resolved_max_lr(self) -> float:
-        return 10.0 * self.learning_rate if self.max_lr is None else self.max_lr
+    def lr_bounds(self) -> tuple[float, float]:
+        """Lower and upper end of the cyclic schedule."""
+        return 0.1 * self.learning_rate, 10.0 * self.learning_rate
 
 
 @dataclass
@@ -67,11 +62,11 @@ class TrainResult:
 
 
 def cyclic_lr(iteration: int, cfg: TrainConfig) -> float:
-    """Triangular wave between base_lr and max_lr, half-period step_size_up;
+    """Triangular wave between the cfg.lr_bounds, half-period step_size_up;
     exp_range mode shrinks the amplitude by gamma**iteration."""
     if iteration < 0:
         raise ValueError("iteration must be >= 0")
-    base, top = cfg.resolved_base_lr, cfg.resolved_max_lr
+    base, top = cfg.lr_bounds
     cycle = np.floor(1.0 + iteration / (2.0 * cfg.step_size_up))
     pos = np.abs(iteration / cfg.step_size_up - 2.0 * cycle + 1.0)
     scale = cfg.gamma ** iteration if cfg.lr_mode == "exp_range" else 1.0

@@ -20,11 +20,6 @@ class TestSelectRank:
         assert select_rank([3.0, 1.0], 0.3) == 1   # deficit 0.25 < 0.3
         assert select_rank([3.0, 1.0], 0.2) == 2
 
-    def test_squared_variant(self):
-        # squared energies 9, 1: deficit after r=1 is 0.1
-        assert select_rank([3.0, 1.0], 0.15, squared_energy=True) == 1
-        assert select_rank([3.0, 1.0], 0.05, squared_energy=True) == 2
-
     def test_never_exceeds_length(self):
         assert select_rank([1.0, 1.0, 1.0], 1e-12) == 3
 

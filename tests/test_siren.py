@@ -94,12 +94,16 @@ class TestJets:
         net = single_neuron(w_t, w_x, 0.1, 1.0, 0.0, omega0)
         t0, x0 = 0.2, 0.5
         z = omega0 * (w_t * t0 + w_x * x0 + 0.1)
-        jet = forward_jet(net, t0, x0, 3)
-        assert jet.u == pytest.approx(math.sin(z), rel=1e-13)
-        assert jet.du_dx == pytest.approx(omega0 * w_x * math.cos(z), rel=1e-13)
-        assert jet.d2u_dx2 == pytest.approx(-(omega0 * w_x) ** 2 * math.sin(z), rel=1e-12)
-        assert jet.d3u_dx3 == pytest.approx(-(omega0 * w_x) ** 3 * math.cos(z), rel=1e-12)
-        assert jet.du_dt == pytest.approx(omega0 * w_t * math.cos(z), rel=1e-13)
+        c = omega0 * w_x
+        closed_form = [(math.sin(z), 1e-13), (c * math.cos(z), 1e-13),
+                       (-c ** 2 * math.sin(z), 1e-12), (-c ** 3 * math.cos(z), 1e-12),
+                       (c ** 4 * math.sin(z), 1e-12)]
+        for order in (3, 4):
+            jet = forward_jet(net, t0, x0, order)
+            assert jet.data.shape == (order + 2, 1)
+            for k, (expected, rel) in enumerate(closed_form[:order + 1]):
+                assert jet.by_order(k)[0] == pytest.approx(expected, rel=rel), k
+            assert jet.du_dt[0] == pytest.approx(omega0 * w_t * math.cos(z), rel=1e-13)
 
     def test_finite_difference_oracle_all_orders(self, rng):
         # >= 100 random (net, point) cases per order
@@ -107,39 +111,49 @@ class TestJets:
         # the third-difference quotient amplifies rounding by eps/(2h^3), so
         # its step must sit at the double-precision optimum instead
         h3 = 2e-4
-        worst = {1: 0.0, 2: 0.0, 3: 0.0, "t": 0.0}
+        worst = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0, "t": 0.0}
         for trial in range(5):
             net = init_siren((2, 128, 128, 128, 1), seed=trial)
             t = rng.uniform(0, 1, 25)
             x = rng.uniform(-1, 1, 25)
-            jet = forward_jet(net, t, x, 3)
+            jet = forward_jet(net, t, x, 4)
 
             def f(dt=0.0, dx=0.0):
                 return forward(net, t + dt, x + dx)
+
+            def u_xxx(dx):
+                return forward_jet(net, t, x + dx, 3).by_order(3)
 
             fd = {
                 1: richardson(lambda s: (f(dx=s) - f(dx=-s)) / (2 * s), h),
                 2: richardson(lambda s: (f(dx=s) - 2 * f() + f(dx=-s)) / s ** 2, h),
                 3: richardson(lambda s: (f(dx=2 * s) - 2 * f(dx=s) + 2 * f(dx=-s)
                                          - f(dx=-2 * s)) / (2 * s ** 3), h3),
+                # order 4: first difference of the order-3 jet
+                4: richardson(lambda s: (u_xxx(s) - u_xxx(-s)) / (2 * s), h),
                 "t": richardson(lambda s: (f(dt=s) - f(dt=-s)) / (2 * s), h),
             }
-            for key, ad in ((1, jet.du_dx), (2, jet.d2u_dx2),
-                            (3, jet.d3u_dx3), ("t", jet.du_dt)):
+            for key in worst:
+                ad = jet.du_dt if key == "t" else jet.by_order(key)
                 rel = np.abs(ad - fd[key]) / (np.abs(ad) + np.abs(fd[key]) + 1e-8)
                 worst[key] = max(worst[key], float(rel.max()))
         for key, value in worst.items():
             assert value < 1e-5, f"order {key}: worst relative error {value}"
 
-    def test_truncated_orders_report_zero(self, rng):
+    def test_truncated_orders_raise(self, rng):
         net = init_siren((2, 12, 1), seed=1)
         t = rng.uniform(0, 1, 4)
         x = rng.uniform(-1, 1, 4)
         jet = forward_jet(net, t, x, max_x_order=1)
-        assert np.all(jet.d2u_dx2 == 0.0) and np.all(jet.d3u_dx3 == 0.0)
+        for k in (2, -1):
+            with pytest.raises(ValueError, match="outside 0..1"):
+                jet.by_order(k)
         full = forward_jet(net, t, x, max_x_order=3)
-        np.testing.assert_allclose(jet.du_dx, full.du_dx)
+        np.testing.assert_allclose(jet.by_order(1), full.by_order(1))
         np.testing.assert_allclose(jet.u, full.u)
+        np.testing.assert_allclose(jet.du_dt, full.du_dt)
+        with pytest.raises(ValueError, match="max_x_order"):
+            forward_jet(net, t, x, max_x_order=0)
 
     def test_linearity_of_parallel_sum(self, rng):
         # block-diagonal combination realizes a*G1 + b*G2 as one network
@@ -166,11 +180,8 @@ class TestJets:
         j1 = forward_jet(n1, t, x, 3)
         j2 = forward_jet(n2, t, x, 3)
         jc = forward_jet(combined, t, x, 3)
-        for name in ("u", "du_dt", "du_dx", "d2u_dx2", "d3u_dx3"):
-            np.testing.assert_allclose(
-                getattr(jc, name),
-                a * getattr(j1, name) + b * getattr(j2, name),
-                rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(jc.data, a * j1.data + b * j2.data,
+                                   rtol=1e-10, atol=1e-10)
 
 
 class TestLossGradients:
@@ -178,9 +189,7 @@ class TestLossGradients:
         net = init_siren((2, 6, 1), seed=0)
 
         def const_loss(jet):
-            n = np.atleast_1d(jet.u).shape[0]
-            zero = np.zeros(n)
-            return 1.0, Jet(zero, zero, zero, zero, zero, jet.max_x_order)
+            return 1.0, Jet(np.zeros_like(jet.data))
 
         _, grad = loss_gradients(net, rng.uniform(0, 1, 3),
                                  rng.uniform(-1, 1, 3), const_loss)
@@ -194,9 +203,9 @@ class TestLossGradients:
         t0, x0 = 0.4, -0.8
 
         def value_loss(jet):
-            one = np.ones(1)
-            zero = np.zeros(1)
-            return float(np.atleast_1d(jet.u)[0]), Jet(one, zero, zero, zero, zero, 3)
+            bar = np.zeros_like(jet.data)
+            bar[0] = 1.0
+            return float(jet.u[0]), Jet(bar)
 
         _, grad = loss_gradients(net, np.array([t0]), np.array([x0]), value_loss)
         z = omega0 * (w_t * t0 + w_x * x0 + b)
@@ -207,18 +216,16 @@ class TestLossGradients:
         assert grad.d_weights[0][0, 1] == pytest.approx(cos_chain * x0, rel=1e-12)
         assert grad.d_biases[0][0] == pytest.approx(cos_chain, rel=1e-12)
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_jet_field_gradients_vs_finite_differences(self, rng, order):
         # weight a mix of every jet output and check all parameter gradients
         net = init_siren((2, 7, 6, 1), seed=8)
         t = rng.uniform(0, 1, 9)
         x = rng.uniform(-1, 1, 9)
-        cw = rng.standard_normal((5, 9))
+        cw = rng.standard_normal((order + 2, 9))
 
         def mixed_loss(jet):
-            fields = (jet.u, jet.du_dt, jet.du_dx, jet.d2u_dx2, jet.d3u_dx3)
-            value = sum(float(c @ np.atleast_1d(f)) for c, f in zip(cw, fields))
-            return value, Jet(*(c.copy() for c in cw), max_x_order=order)
+            return float(np.sum(cw * jet.data)), Jet(cw.copy())
 
         value, grad = loss_gradients(net, t, x, mixed_loss, max_x_order=order)
 
@@ -250,16 +257,14 @@ class TestLossGradients:
         net = init_siren((2, 5, 4, 1), seed=2)
         _, cache = forward_jet_with_cache(net, rng.uniform(0, 1, 3),
                                           rng.uniform(-1, 1, 3), max_x_order=cache_order)
-        ones = np.ones(3)
         with pytest.raises(ValueError, match="order"):
-            jet_backward(net, cache, Jet(ones, ones, ones, ones, ones, bar_order))
+            jet_backward(net, cache, Jet(np.ones((bar_order + 2, 3))))
 
     def test_cache_is_single_use(self, rng):
         net = init_siren((2, 5, 4, 1), seed=2)
         _, cache = forward_jet_with_cache(net, rng.uniform(0, 1, 3),
                                           rng.uniform(-1, 1, 3), max_x_order=2)
-        ones = np.ones(3)
-        bar = Jet(ones, ones, ones, ones, ones, 2)
+        bar = Jet(np.ones((4, 3)))
         jet_backward(net, cache, bar)
         with pytest.raises(ValueError, match="one jet_backward call"):
             jet_backward(net, cache, bar)
@@ -267,8 +272,7 @@ class TestLossGradients:
 
 
 def mixed_bar(rng, n, order):
-    fields = rng.standard_normal((5, n))
-    return Jet(*fields, max_x_order=order)
+    return Jet(rng.standard_normal((order + 2, n)))
 
 
 def jet_and_grad(net, t, x, bar, out=None):
@@ -278,20 +282,19 @@ def jet_and_grad(net, t, x, bar, out=None):
 
 def assert_same_pass(first, second):
     (jet_a, grad_a), (jet_b, grad_b) = first, second
-    for name in ("u", "du_dt", "du_dx", "d2u_dx2", "d3u_dx3"):
-        assert np.array_equal(getattr(jet_a, name), getattr(jet_b, name)), name
+    assert np.array_equal(jet_a.data, jet_b.data)
     for a, b in zip(grad_a.d_weights + grad_a.d_biases, grad_b.d_weights + grad_b.d_biases):
         assert np.array_equal(a, b)
 
 
 class TestWorkspace:
-    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_reused_cache_equals_fresh_cache(self, rng, order):
         net = init_siren((2, 9, 7, 8, 1), seed=4)
         t, x = rng.uniform(0, 1, 11), rng.uniform(-1, 1, 11)
         bar = mixed_bar(rng, 11, order)
         jet0, _, cache = jet_and_grad(net, t, x, bar)
-        kept = {name: getattr(jet0, name).copy() for name in ("u", "du_dt", "du_dx")}
+        kept = jet0.data.copy()
         for w in net.weights:
             w *= 1.1
         jet, grad, reused = jet_and_grad(net, t, x, bar, out=cache)
@@ -300,8 +303,7 @@ class TestWorkspace:
         assert fresh is not cache
         assert_same_pass((jet, grad), (fresh_jet, fresh_grad))
         # the second pass did not write through the first pass's jet
-        for name, value in kept.items():
-            assert np.array_equal(getattr(jet0, name), value)
+        assert np.array_equal(jet0.data, kept)
 
     @pytest.mark.parametrize("change", ["n", "order", "widths"])
     def test_mismatched_cache_is_replaced(self, rng, change):

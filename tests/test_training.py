@@ -1,9 +1,10 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
-from pdegreedy.features import get_pde_spec
+from pdegreedy.features import get_pde_spec, load_pde_spec
 from pdegreedy.sampling import QdeimConfig, qdeim_sample, random_sample
 from pdegreedy.siren import forward_jet, init_siren
 from pdegreedy.training import (AdamState, TrainConfig, adam_step, cyclic_lr,
@@ -21,24 +22,19 @@ class TestCyclicLr:
     def test_bounds_property(self):
         cfg = TrainConfig()
         values = [cyclic_lr(i, cfg) for i in range(0, 5000, 13)]
-        assert min(values) >= cfg.resolved_base_lr - 1e-18
-        assert max(values) <= cfg.resolved_max_lr + 1e-18
+        base, top = cfg.lr_bounds
+        assert min(values) >= base - 1e-18
+        assert max(values) <= top + 1e-18
 
     def test_exp_range_decay(self):
         cfg = TrainConfig(gamma=0.999)
         # amplitude at the second peak is damped by gamma^3000
-        first = cyclic_lr(1000, cfg) - cfg.resolved_base_lr
-        second = cyclic_lr(3000, cfg) - cfg.resolved_base_lr
+        base = cfg.lr_bounds[0]
+        first = cyclic_lr(1000, cfg) - base
+        second = cyclic_lr(3000, cfg) - base
         assert second == pytest.approx(first * 0.999 ** 2000, rel=1e-9)
 
-    def test_explicit_bounds_override(self):
-        cfg = TrainConfig(base_lr=1e-3, max_lr=1e-2, lr_mode="triangular")
-        assert cyclic_lr(0, cfg) == pytest.approx(1e-3)
-        assert cyclic_lr(1000, cfg) == pytest.approx(1e-2)
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(base_lr=1.0, max_lr=0.1)
         with pytest.raises(ValueError):
             TrainConfig(lr_mode="cosine")
         with pytest.raises(ValueError):
@@ -50,6 +46,11 @@ class TestCyclicLr:
         with pytest.raises(ValueError, match=f"{name} must lie in \\(0, 1\\]"):
             TrainConfig(**{name: value})
         assert getattr(TrainConfig(**{name: 0.5}), name) == 0.5
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-5])
+    def test_learning_rate_validated_at_construction(self, value):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            TrainConfig(learning_rate=value)
 
 
 class TestAdam:
@@ -143,8 +144,9 @@ class TestTrain:
         assert result.iterations == 6
         assert result.p_trajectory.shape == (6, len(spec.terms))
         np.testing.assert_array_equal(result.final_p, result.p_trajectory[-1])
-        assert np.all(result.lr_history >= cfg.resolved_base_lr)
-        assert np.all(result.lr_history <= cfg.resolved_max_lr)
+        base, top = cfg.lr_bounds
+        assert np.all(result.lr_history >= base)
+        assert np.all(result.lr_history <= top)
         assert result.wall_time > 0.0
 
     def test_single_iteration(self, toy_problem):
@@ -187,6 +189,19 @@ class TestTrain:
         result = train(net, samples, spec, snapshot.scales, cfg)
         assert result.diverged
         assert result.iterations < 50
+
+    def test_fourth_order_custom_spec(self, toy_problem, tmp_path):
+        snapshot, _, samples = toy_problem
+        path = tmp_path / "ks.json"
+        path.write_text(json.dumps({
+            "name": "kuramoto-sivashinsky",
+            "terms": [[[0, 1], [1, 1]], [[2, 1]], [[4, 1]]]}))
+        spec = load_pde_spec(path)
+        assert spec.labels[-1] == "u_xxxx" and spec.max_x_order == 4
+        net = init_siren((2, 10, 10, 1), seed=0)
+        result = train(net, samples, spec, snapshot.scales, TrainConfig(max_iter=3))
+        assert result.iterations == 3 and not result.diverged
+        assert np.all(np.isfinite(result.final_p))
 
     def test_empty_samples_rejected(self, toy_problem):
         snapshot, spec, samples = toy_problem
