@@ -3,10 +3,10 @@ coefficient recovery."""
 
 __version__ = "0.1.0"
 
-from .features import (DomainScales, FeatureTerm, PdeSpec, PRESETS, build_theta,
-                       derivative_loss, get_pde_spec, load_pde_spec, mse_loss,
-                       physical_u_t, relative_error, solve_parameters, term,
-                       total_loss)
+from .features import (DomainScales, FeatureTerm, PdeSpec, PRESETS, Preset,
+                       build_theta, derivative_loss, get_pde_spec, load_pde_spec,
+                       mse_loss, physical_u_t, preset, relative_error,
+                       solve_parameters, term, total_loss)
 from .linalg import (PivotedQr, RankDeficiencyError, SvdConvergenceError,
                      SvdFactors, pivoted_qr, qr_least_squares, svd, truncate)
 from .sampling import (QdeimConfig, SampleSet, qdeim_sample, qdeim_window,

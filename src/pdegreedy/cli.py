@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,18 +17,15 @@ import numpy as np
 from . import __version__
 from .experiments import (SweepConfig, cluster_records, eps_grid, export_plot_data,
                           export_results, read_results, sweep_greedy, sweep_random)
-from .features import PRESETS, get_pde_spec, load_pde_spec
+from .features import PRESETS, get_pde_spec, load_pde_spec, preset
 from .sampling import QdeimConfig, qdeim_sample, random_sample
-from .siren import init_siren, save_checkpoint
+from .siren import DEFAULT_OMEGA0, DEFAULT_WIDTHS, init_siren, save_checkpoint
 from .snapshots import generate_synthetic, load_snapshot, save_snapshot
 from .training import TrainConfig, summary_dict, train, write_trajectory_csv
 
-GENERATE_DEFAULTS = {
-    "allen-cahn": dict(n=512, m=201, domain=(-1.0, 1.0, 1.0), init="cosine-bump"),
-    "burgers": dict(n=256, m=101, domain=(-8.0, 8.0, 10.0), init="gaussian"),
-    "kdv": dict(n=512, m=201, domain=(-30.0, 30.0, 20.0), init="two-soliton"),
-}
-MAX_ITER_DEFAULTS = {"allen-cahn": 1500, "burgers": 1500, "kdv": 1000}
+# A view of PRESETS under the name benchmarks/bench_workloads.py imports.
+GENERATE_DEFAULTS = {name: dict(n=p.n, m=p.m, domain=p.domain, init=p.init)
+                     for name, p in PRESETS.items()}
 
 
 def _out_dir(args) -> Path:
@@ -122,20 +120,12 @@ def _select_samples(snapshot, args):
 def _train_config(args, pde_name: str, **command_defaults) -> tuple[TrainConfig, dict]:
     """Training settings shared by train, sweep and baseline, plus the
     command's own keys; flags > --config file > defaults."""
-    defaults = {
-        "learning_rate": 1e-5, "step_size_up": 1000, "lr_mode": "exp_range",
-        "gamma": 1.0, "mu1": 1.0, "mu2": 1.0, "seed": 0,
-        "max_iter": MAX_ITER_DEFAULTS.get(pde_name, 1000),
-        "solve_p": True, "omega0": 30.0, "widths": "2,128,128,128,1",
-        **command_defaults,
-    }
+    train_defaults = dataclasses.asdict(TrainConfig(max_iter=preset(pde_name).max_iter))
+    defaults = {**train_defaults, "omega0": DEFAULT_OMEGA0,
+                "widths": ",".join(map(str, DEFAULT_WIDTHS)), **command_defaults}
     merged = _merge_config(defaults, args, defaults.keys())
     widths = tuple(int(w) for w in str(merged["widths"]).split(","))
-    cfg = TrainConfig(
-        learning_rate=merged["learning_rate"], step_size_up=merged["step_size_up"],
-        lr_mode=merged["lr_mode"], gamma=merged["gamma"], mu1=merged["mu1"],
-        mu2=merged["mu2"], max_iter=merged["max_iter"], seed=merged["seed"],
-        solve_p=merged["solve_p"])
+    cfg = TrainConfig(**{key: merged[key] for key in train_defaults})
     return cfg, {**merged, "widths": list(widths)}
 
 
@@ -144,9 +134,9 @@ def _train_config(args, pde_name: str, **command_defaults) -> tuple[TrainConfig,
 
 def cmd_generate(args) -> int:
     spec = _resolve_spec(args)
-    defaults = {"n": 256, "m": 101, "domain": (-8.0, 8.0, 10.0),
-                "init": "gaussian", "seed": 0, "rtol": 1e-8, "name": spec.name}
-    defaults.update(GENERATE_DEFAULTS.get(spec.name, {}))
+    grid = preset(spec.name)
+    defaults = {"n": grid.n, "m": grid.m, "domain": grid.domain, "init": grid.init,
+                "seed": 0, "rtol": 1e-8, "name": spec.name}
     merged = _merge_config(defaults, args, defaults.keys())
     merged["domain"] = tuple(float(v) for v in merged["domain"])
 
@@ -211,8 +201,7 @@ def cmd_sweep(args) -> int:
     started = time.time()
     snapshot, src = _resolve_snapshot(args)
     spec = _resolve_spec(args)
-    eps_values = SweepConfig.for_pde(spec.name).eps_values
-    lo, hi = eps_values[0], eps_values[-1]
+    lo, hi = preset(spec.name).eps_range
     train_cfg, merged = _train_config(args, spec.name, t_divs="1,2,3,4", eps_min=lo,
                                       eps_max=hi, eps_count=20, jobs=1)
     sweep_cfg = SweepConfig(
@@ -259,15 +248,16 @@ def cmd_cluster(args) -> int:
     if not results_path.exists():
         raise SystemExit(f"results file not found: {results_path}")
     records = read_results(results_path)
+    if not records:
+        raise ValueError(f"no records in {results_path}")
     defaults = {"k": 20, "n_init": 100, "seed": 0}
     merged = _merge_config(defaults, args, defaults.keys())
-    n_coefs = len(records[0].rel_errors)
-    coefs = range(n_coefs) if args.coef is None else [args.coef]
+    coefs = range(len(records[0].rel_errors)) if args.coef is None else [args.coef]
     summaries = {ci: cluster_records(records, ci, k=merged["k"],
                                      n_init=merged["n_init"], seed=merged["seed"])
                  for ci in coefs}
     out_dir = _out_dir(args)
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         payload = {str(ci): {"centroids": s.centroids.tolist(),
                              "inertia": s.inertia, "k": s.k, "n_init": s.n_init}
                    for ci, s in summaries.items()}
@@ -295,7 +285,6 @@ def cmd_cluster(args) -> int:
 def _add_common(sub):
     sub.add_argument("--out-dir", help="output directory (default $PDEGREEDY_OUT or .)")
     sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
 
 
 def _add_snapshot_opts(sub):
@@ -313,7 +302,6 @@ def _add_train_opts(sub):
     sub.add_argument("--mu2", type=float)
     sub.add_argument("--step-size-up", type=int, dest="step_size_up")
     sub.add_argument("--gamma", type=float)
-    sub.add_argument("--lr-mode", choices=("triangular", "exp_range"), dest="lr_mode")
     sub.add_argument("--widths", help="comma-separated layer widths")
     sub.add_argument("--omega0", type=float)
     sub.add_argument("--grad-p", action="store_false", dest="solve_p", default=None,
@@ -393,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-init", type=int, dest="n_init")
     p.add_argument("--seed", type=int)
     p.add_argument("--coef", type=int, help="coefficient index (default: all)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_cluster)
 
     return parser

@@ -11,19 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import PdeSpec, relative_error
+from .features import PRESETS, PdeSpec, Preset, preset, relative_error
 from .sampling import QdeimConfig, qdeim_sample, random_sample, sample_size_grid
-from .siren import init_siren
+from .siren import DEFAULT_OMEGA0, DEFAULT_WIDTHS, init_siren
 from .snapshots import SnapshotMatrix
 from .training import TrainConfig, train
 
-DEFAULT_EPS_RANGES = {
-    "allen-cahn": (1e-13, 1e-4),
-    "burgers": (1e-10, 1e-2),
-    "kdv": (1e-10, 1e-2),
-}
-DEFAULT_WIDTHS = (2, 128, 128, 128, 1)
-DEFAULT_OMEGA0 = 30.0
+# A view of PRESETS under the name benchmarks/bench_workloads.py imports.
+DEFAULT_EPS_RANGES = {name: p.eps_range for name, p in PRESETS.items()}
 
 
 def eps_grid(eps_min: float, eps_max: float, count: int = 20) -> tuple[float, ...]:
@@ -36,9 +31,8 @@ def eps_grid(eps_min: float, eps_max: float, count: int = 20) -> tuple[float, ..
 @dataclass(frozen=True)
 class SweepConfig:
     t_divs: tuple[int, ...] = (1, 2, 3, 4)
-    eps_values: tuple[float, ...] = eps_grid(1e-10, 1e-2)
+    eps_values: tuple[float, ...] = eps_grid(*Preset().eps_range)
     repetitions: int = 5
-    base_seed: int = 0
     widths: tuple[int, ...] = DEFAULT_WIDTHS
     omega0: float = DEFAULT_OMEGA0
 
@@ -50,8 +44,7 @@ class SweepConfig:
 
     @classmethod
     def for_pde(cls, name: str, **overrides) -> "SweepConfig":
-        lo, hi = DEFAULT_EPS_RANGES.get(name, (1e-10, 1e-2))
-        overrides.setdefault("eps_values", eps_grid(lo, hi))
+        overrides.setdefault("eps_values", eps_grid(*preset(name).eps_range))
         return cls(**overrides)
 
 
@@ -139,6 +132,8 @@ def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
     Seeds are not chosen by the caller per run but derived from base_seed
     and recorded, so the whole baseline replays exactly.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     sizes = sample_size_grid(min_n, max_n)
     tasks = []
     run = 0
@@ -219,6 +214,11 @@ def kmeans(points, k: int, n_init: int = 100, seed: int = 0) -> ClusterSummary:
 def cluster_records(records: list[ExperimentRecord], coef_index: int, k: int = 20,
                     n_init: int = 100, seed: int = 0) -> ClusterSummary:
     """Cluster the (sample count, relative error) pairs of one coefficient."""
+    if not records:
+        raise ValueError("no records to cluster")
+    n_coefs = len(records[0].rel_errors)
+    if not 0 <= coef_index < n_coefs:
+        raise ValueError(f"coefficient index {coef_index} outside 0..{n_coefs - 1}")
     rows = [(rec.n_samples, rec.rel_errors[coef_index]) for rec in records
             if rec.error is None and np.isfinite(rec.rel_errors[coef_index])]
     if not rows:

@@ -78,28 +78,43 @@ class PdeSpec:
         return tuple(t.label for t in self.terms)
 
 
-PRESETS = {
-    "allen-cahn": PdeSpec(
-        name="allen-cahn",
-        terms=(term((0, 1)), term((0, 3)), term((2, 1))),
-        true_p=(5.0, -5.0, 0.0001),
-    ),
-    "burgers": PdeSpec(
-        name="burgers",
-        terms=(term((0, 1), (1, 1)), term((2, 1))),
-        true_p=(-1.0, 0.1),
-    ),
-    "kdv": PdeSpec(
-        name="kdv",
-        terms=(term((0, 1), (1, 1)), term((3, 1))),
-        true_p=(-6.0, -1.0),
-    ),
-}
+@dataclass(frozen=True)
+class Preset:
+    """One PDE's settings for every stage: term library and truth, generator
+    grid (n x m over x_min, x_max, t_max) and initial condition, the sweep's
+    eps range and the training budget. The defaults run a custom spec."""
+
+    spec: PdeSpec | None = None
+    n: int = 256
+    m: int = 101
+    domain: tuple[float, float, float] = (-8.0, 8.0, 10.0)
+    init: str = "gaussian"
+    eps_range: tuple[float, float] = (1e-10, 1e-2)
+    max_iter: int = 1000
+
+
+PRESETS = {p.spec.name: p for p in (
+    Preset(PdeSpec(name="allen-cahn", terms=(term((0, 1)), term((0, 3)), term((2, 1))),
+                   true_p=(5.0, -5.0, 0.0001)),
+           n=512, m=201, domain=(-1.0, 1.0, 1.0), init="cosine-bump",
+           eps_range=(1e-13, 1e-4), max_iter=1500),
+    Preset(PdeSpec(name="burgers", terms=(term((0, 1), (1, 1)), term((2, 1))),
+                   true_p=(-1.0, 0.1)),
+           max_iter=1500),  # grid, initial condition and eps range: the defaults
+    Preset(PdeSpec(name="kdv", terms=(term((0, 1), (1, 1)), term((3, 1))),
+                   true_p=(-6.0, -1.0)),
+           n=512, m=201, domain=(-30.0, 30.0, 20.0), init="two-soliton"),
+)}
+
+
+def preset(name: str) -> Preset:
+    """The named preset, or the defaults a custom spec runs with."""
+    return PRESETS.get(name, Preset())
 
 
 def get_pde_spec(name: str) -> PdeSpec:
     try:
-        return PRESETS[name]
+        return PRESETS[name].spec
     except KeyError:
         raise KeyError(
             f"unknown PDE spec {name!r}; presets: {', '.join(sorted(PRESETS))}"

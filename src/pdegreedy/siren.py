@@ -30,6 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+DEFAULT_WIDTHS = (2, 128, 128, 128, 1)
+DEFAULT_OMEGA0 = 30.0
+
 
 @dataclass
 class SirenNet:
@@ -93,7 +96,7 @@ class Jet:
         return self.data[k]
 
 
-def init_siren(widths, omega0: float = 30.0, seed: int = 0) -> SirenNet:
+def init_siren(widths, omega0: float = DEFAULT_OMEGA0, seed: int = 0) -> SirenNet:
     """Initialize with the standard sine-network weight ranges.
 
     First layer weights are uniform on +-1/fan_in, deeper layers on

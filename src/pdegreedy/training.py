@@ -20,22 +20,16 @@ DIVERGENCE_LIMIT = 1e8
 class TrainConfig:
     learning_rate: float = 1e-5        # the schedule spans 0.1x to 10x of it
     step_size_up: int = 1000
-    lr_mode: str = "exp_range"
-    gamma: float = 1.0
+    gamma: float = 1.0                 # amplitude decays by gamma**iteration
     mu1: float = 1.0
     mu2: float = 1.0
     max_iter: int = 1000
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     solve_p: bool = True               # False: p trained by gradient alongside the net
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.lr_mode not in ("triangular", "exp_range"):
-            raise ValueError(f"unknown lr_mode {self.lr_mode!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 < self.gamma <= 1.0:  # keeps the schedule within [base, max]
@@ -62,15 +56,14 @@ class TrainResult:
 
 
 def cyclic_lr(iteration: int, cfg: TrainConfig) -> float:
-    """Triangular wave between the cfg.lr_bounds, half-period step_size_up;
-    exp_range mode shrinks the amplitude by gamma**iteration."""
+    """Triangular wave between the cfg.lr_bounds, half-period step_size_up,
+    its amplitude shrunk by gamma**iteration (exp_range)."""
     if iteration < 0:
         raise ValueError("iteration must be >= 0")
     base, top = cfg.lr_bounds
     cycle = np.floor(1.0 + iteration / (2.0 * cfg.step_size_up))
     pos = np.abs(iteration / cfg.step_size_up - 2.0 * cycle + 1.0)
-    scale = cfg.gamma ** iteration if cfg.lr_mode == "exp_range" else 1.0
-    return float(base + (top - base) * max(0.0, 1.0 - pos) * scale)
+    return float(base + (top - base) * max(0.0, 1.0 - pos) * cfg.gamma ** iteration)
 
 
 @dataclass
@@ -173,12 +166,10 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
             break
 
         grads = jet_backward(net, cache, bar)
-        adam_step(params, _grad_list(grads), state, lr,
-                  cfg.beta1, cfg.beta2, cfg.adam_eps)
+        adam_step(params, _grad_list(grads), state, lr)
         if not cfg.solve_p:
             p_grad = -(2.0 * cfg.mu2 / len(u_t)) * theta.T @ (u_t - theta @ p_vec)
-            adam_step([p_vec], [p_grad], p_state, lr,
-                      cfg.beta1, cfg.beta2, cfg.adam_eps)
+            adam_step([p_vec], [p_grad], p_state, lr)
 
     wall = time.perf_counter() - started
     trajectory = np.array(p_rows)

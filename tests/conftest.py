@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdegreedy import generate_synthetic, get_pde_spec
+from pdegreedy import PRESETS, generate_synthetic, get_pde_spec
 
 
 @pytest.fixture(scope="session")
@@ -12,22 +12,24 @@ def small_snapshot():
                               init="random-fourier", seed=11)
 
 
+def _preset_snapshot(name):
+    p = PRESETS[name]
+    return generate_synthetic(p.spec, p.n, p.m, p.domain, init=p.init)
+
+
 @pytest.fixture(scope="session")
 def allen_cahn_snapshot():
-    return generate_synthetic(get_pde_spec("allen-cahn"), 512, 201,
-                              (-1.0, 1.0, 1.0), init="cosine-bump")
+    return _preset_snapshot("allen-cahn")
 
 
 @pytest.fixture(scope="session")
 def burgers_snapshot():
-    return generate_synthetic(get_pde_spec("burgers"), 256, 101,
-                              (-8.0, 8.0, 10.0), init="gaussian")
+    return _preset_snapshot("burgers")
 
 
 @pytest.fixture(scope="session")
 def kdv_snapshot():
-    return generate_synthetic(get_pde_spec("kdv"), 512, 201,
-                              (-30.0, 30.0, 20.0), init="two-soliton")
+    return _preset_snapshot("kdv")
 
 
 @pytest.fixture

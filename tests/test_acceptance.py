@@ -16,13 +16,13 @@ import pytest
 from pdegreedy.cli import main as cli_main
 from pdegreedy.experiments import (SweepConfig, cluster_records, lloyd,
                                    sweep_greedy, sweep_random)
-from pdegreedy.features import (DomainScales, build_theta, composite_loss_and_bar,
-                                get_pde_spec, physical_u_t, relative_error,
-                                solve_parameters)
+from pdegreedy.features import (PRESETS, DomainScales, build_theta,
+                                composite_loss_and_bar, get_pde_spec, physical_u_t,
+                                relative_error, solve_parameters)
 from pdegreedy.linalg import pivoted_qr, qr_least_squares, svd, truncate
 from pdegreedy.sampling import QdeimConfig, qdeim_sample, random_sample
-from pdegreedy.siren import (forward, forward_jet, forward_jet_with_cache,
-                             init_siren, jet_backward)
+from pdegreedy.siren import (DEFAULT_WIDTHS, forward, forward_jet,
+                             forward_jet_with_cache, init_siren, jet_backward)
 from pdegreedy.snapshots import load_snapshot, save_snapshot
 from pdegreedy.training import TrainConfig, train
 
@@ -35,7 +35,6 @@ OPERATING_POINTS = {
     "burgers": QdeimConfig(t_div=5, eps_thr=1e-6),
     "kdv": QdeimConfig(t_div=2, eps_thr=1e-3),
 }
-WIDTHS = (2, 128, 128, 128, 1)
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> bool:
@@ -44,11 +43,11 @@ def report(criterion: str, passed: bool, detail: str = "") -> bool:
     return passed
 
 
-def run_recovery(snapshot, pde: str, max_iter: int):
+def run_recovery(snapshot, pde: str):
     spec = get_pde_spec(pde)
     samples = qdeim_sample(snapshot, OPERATING_POINTS[pde])
-    net = init_siren(WIDTHS, seed=0)
-    cfg = TrainConfig(max_iter=max_iter, seed=0)
+    net = init_siren(DEFAULT_WIDTHS, seed=0)
+    cfg = TrainConfig(max_iter=PRESETS[pde].max_iter, seed=0)
     started = time.perf_counter()
     result = train(net, samples, spec, snapshot.scales, cfg)
     wall = time.perf_counter() - started
@@ -58,7 +57,7 @@ def run_recovery(snapshot, pde: str, max_iter: int):
 
 @pytest.fixture(scope="module")
 def kdv_recovery(kdv_snapshot):
-    return run_recovery(kdv_snapshot, "kdv", max_iter=1000)
+    return run_recovery(kdv_snapshot, "kdv")
 
 
 class TestCriterion1SampleCounts:
@@ -112,8 +111,7 @@ class TestCriterion2KdV:
 
 class TestCriterion3Burgers:
     def test_burgers_recovery(self, burgers_snapshot):
-        samples, result, errors, wall = run_recovery(
-            burgers_snapshot, "burgers", max_iter=1500)
+        samples, result, errors, wall = run_recovery(burgers_snapshot, "burgers")
         lam_err, nu_err = errors  # u*u_x coefficient -1, u_xx coefficient 0.1
         ok = report(
             "criterion 3 (Burgers recovery)",
@@ -126,8 +124,7 @@ class TestCriterion3Burgers:
 
 class TestCriterion4AllenCahn:
     def test_allen_cahn_recovery(self, allen_cahn_snapshot):
-        samples, result, errors, wall = run_recovery(
-            allen_cahn_snapshot, "allen-cahn", max_iter=1500)
+        samples, result, errors, wall = run_recovery(allen_cahn_snapshot, "allen-cahn")
         u_err, u3_err, uxx_err = errors
         # the diffusion coefficient (0.0001) is explicitly not required
         ok = report(
@@ -167,7 +164,7 @@ class TestCriterion6Properties:
         h, h3 = 1e-4, 2e-4  # order 3 needs the double-precision-optimal step
         worst = {1: 0.0, 2: 0.0, 3: 0.0}
         for trial in range(5):
-            net = init_siren(WIDTHS, seed=trial)
+            net = init_siren(DEFAULT_WIDTHS, seed=trial)
             t = rng.uniform(0, 1, 25)
             x = rng.uniform(-1, 1, 25)
             jet = forward_jet(net, t, x, 3)
@@ -351,11 +348,11 @@ class TestQualitativeNote:
         _, _, greedy_errors, _ = kdv_recovery
         spec = get_pde_spec("kdv")
         size = len(qdeim_sample(kdv_snapshot, OPERATING_POINTS["kdv"]))
-        cfg = TrainConfig(max_iter=1000, seed=0)
+        cfg = TrainConfig(max_iter=PRESETS["kdv"].max_iter, seed=0)
         random_errors = []
         for seed in range(5):
             samples = random_sample(kdv_snapshot, size, seed)
-            net = init_siren(WIDTHS, seed=0)
+            net = init_siren(DEFAULT_WIDTHS, seed=0)
             result = train(net, samples, spec, kdv_snapshot.scales, cfg)
             random_errors.append(relative_error(spec.true_p, result.final_p))
         mean_random = np.mean(random_errors, axis=0)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pdegreedy.cli import main
+from pdegreedy.experiments import ExperimentRecord, export_results
 from pdegreedy.siren import load_checkpoint
 from pdegreedy.snapshots import load_snapshot, save_snapshot
 
@@ -139,7 +140,7 @@ class TestSweepBaselineCluster:
         # train settings in --config: each record must equal the matching train run
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
-            "mu1": 0.5, "mu2": 0.25, "lr_mode": "triangular", "step_size_up": 5,
+            "mu1": 0.5, "mu2": 0.25, "step_size_up": 5,
             "gamma": 0.9, "max_iter": 2, "widths": "2,6,1", "learning_rate": 1e-3}))
         snap = data_dir / "burgers.txt"
         common = ("--snapshot", snap, "--pde", "burgers", "--config", cfg_path)
@@ -184,6 +185,19 @@ class TestSweepBaselineCluster:
         assert code == 0
         payload = json.loads((tmp_path / "centroids.json").read_text())
         assert len(payload["0"]["centroids"]) == 3
+
+    @pytest.mark.parametrize("n_records, coef", [(0, None), (4, 5), (4, -1)])
+    def test_cluster_rejects_bad_input(self, tmp_path, capsys, n_records, coef):
+        records = [ExperimentRecord(sampler="random", pde="burgers", n_samples=10 + i,
+                                    rel_errors=(0.1 * i, 0.2), final_p=(-1.0, 0.1),
+                                    wall_time_s=0.0, size=10 + i, seed=i)
+                   for i in range(n_records)]
+        export_results(records, tmp_path / "records.json", format="json")
+        argv = ["cluster", "--results", tmp_path / "records.json", "--k", "2",
+                "--n-init", "2", "--out-dir", tmp_path]
+        assert run(*argv, *(() if coef is None else ("--coef", coef))) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "centroids.csv").exists()
 
 
 class TestDeterminism:

@@ -79,6 +79,12 @@ class TestSweepRandom:
                                widths=FAST_WIDTHS)
         assert len(records) == 2
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_rejects_non_positive_repetitions(self, small_snapshot, reps):
+        with pytest.raises(ValueError, match="repetitions"):
+            sweep_random(small_snapshot, get_pde_spec("burgers"), 5, 10,
+                         TrainConfig(max_iter=1), repetitions=reps, widths=FAST_WIDTHS)
+
     def test_reproducible_with_base_seed(self, small_snapshot):
         spec = get_pde_spec("burgers")
         kwargs = dict(repetitions=2, base_seed=5, widths=FAST_WIDTHS)

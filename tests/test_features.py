@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from pdegreedy.features import (DomainScales, PdeSpec, build_theta,
+from pdegreedy.features import (PRESETS, DomainScales, PdeSpec, Preset, build_theta,
                                 composite_loss_and_bar, derivative_loss,
                                 get_pde_spec, load_pde_spec, mse_loss,
-                                physical_u_t, relative_error, solve_parameters,
-                                term, total_loss)
+                                physical_u_t, preset, relative_error,
+                                solve_parameters, term, total_loss)
 from pdegreedy.siren import Jet, forward_jet, init_siren
+from pdegreedy.snapshots import INITIAL_CONDITIONS, generate_synthetic
 
 UNIT = DomainScales(s_t=1.0, s_x=1.0)
 
@@ -33,6 +34,17 @@ class TestSpecs:
     def test_unknown_name_lists_presets(self):
         with pytest.raises(KeyError, match="allen-cahn"):
             get_pde_spec("wave")
+        assert preset("wave") == Preset()  # a custom spec runs the defaults
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_entry_runs(self, name):
+        p = PRESETS[name]
+        assert p.spec.name == name and p.spec.true_p is not None
+        assert p.init in INITIAL_CONDITIONS
+        lo, hi = p.eps_range
+        assert 0 < lo < hi < 1 and p.max_iter >= 1
+        snap = generate_synthetic(p.spec, 32, 5, p.domain, init=p.init)
+        assert snap.u.shape == (32, 5) and np.all(np.isfinite(snap.u))
 
     def test_custom_spec_from_json(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -36,8 +36,6 @@ class TestCyclicLr:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(lr_mode="cosine")
-        with pytest.raises(ValueError):
             TrainConfig(max_iter=0)
 
     @pytest.mark.parametrize("name", ["mu1", "mu2"])
