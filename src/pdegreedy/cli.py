@@ -13,11 +13,13 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .experiments import (SweepConfig, cluster_records, eps_grid, export_plot_data,
                           export_results, read_results, sweep_greedy, sweep_random)
 from .features import PRESETS, get_pde_spec, load_pde_spec, preset
+from .linalg import blas_threads
 from .sampling import QdeimConfig, qdeim_sample, random_sample
 from .siren import DEFAULT_OMEGA0, DEFAULT_WIDTHS, init_siren, save_checkpoint
 from .snapshots import generate_synthetic, load_snapshot, save_snapshot
@@ -43,6 +45,25 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _blas_build(module) -> str | None:
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 and scipy < 1.11 have no dict mode
+        return None
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def _numeric_environment() -> dict:
+    """Library versions, BLAS builds and live BLAS thread counts: numpy's
+    pool size changes the SVD's bits and so the greedy samples."""
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"numpy": _blas_build(np), "scipy": _blas_build(scipy)},
+        "blas_threads": blas_threads(),
+    }
+
+
 def _write_manifest(out_dir: Path, name: str, command: str, config: dict,
                     inputs: list, started: float) -> None:
     manifest = {
@@ -51,6 +72,7 @@ def _write_manifest(out_dir: Path, name: str, command: str, config: dict,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "version": __version__,
+        "environment": _numeric_environment(),
         "started": started,
         "finished": time.time(),
     }

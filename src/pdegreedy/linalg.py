@@ -1,10 +1,23 @@
-"""Dense matrix kernels: thin SVD, column-pivoted QR, QR least squares."""
+"""Dense matrix kernels: thin SVD, column-pivoted QR, QR least squares.
+
+numpy and scipy wheels each bundle their own OpenBLAS, each with its own
+thread pool. The SVD runs in numpy's and the QRs run in scipy's, and the
+sampler alternates between them, so one pool's spinning threads hold the
+cores while the other works. scipy's pool is therefore set to one thread
+at import. numpy's pool is left alone: its thread count changes the SVD's
+bits and with them the greedy pivots.
+"""
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
+import scipy
 import scipy.linalg
 
 
@@ -47,6 +60,59 @@ class PivotedQr:
     q: np.ndarray       # orthonormal columns
     r: np.ndarray       # upper triangular, |r[i,i]| non-increasing
     pivots: np.ndarray  # column indices in greedy selection order
+
+
+@dataclass(frozen=True)
+class _BlasPool:
+    path: Path
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+def _num_threads_symbol(lib: ctypes.CDLL, verb: str, argtypes, restype):
+    """OpenBLAS's `int get()` / `void set(int)`, under any of the names
+    that scipy-openblas (LP64 or ILP64) and plain OpenBLAS builds export."""
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}openblas_{verb}_num_threads{suffix}", None)
+            if fn is not None:
+                fn.argtypes, fn.restype = argtypes, restype
+                return fn
+    return None
+
+
+def _bundled_openblas(module) -> _BlasPool | None:
+    """The OpenBLAS a wheel bundles in <site-packages>/<name>.libs/, if any."""
+    libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        get = _num_threads_symbol(lib, "get", [], ctypes.c_int)
+        set_ = _num_threads_symbol(lib, "set", [ctypes.c_int], None)
+        if get is not None and set_ is not None:
+            return _BlasPool(path, get, set_)
+    return None
+
+
+_NUMPY_BLAS = _bundled_openblas(np)
+_SCIPY_BLAS = _bundled_openblas(scipy)
+if _SCIPY_BLAS is not None and _NUMPY_BLAS is not None \
+        and os.path.samefile(_SCIPY_BLAS.path, _NUMPY_BLAS.path):
+    _SCIPY_BLAS = None
+if _SCIPY_BLAS is not None:
+    _SCIPY_BLAS.set(1)
+
+
+def blas_threads() -> dict:
+    """Live thread counts of numpy's and scipy's bundled OpenBLAS pools.
+
+    An entry is None where that library is not found; scipy's is also None
+    when scipy shares numpy's library.
+    """
+    return {name: None if pool is None else pool.get()
+            for name, pool in (("numpy", _NUMPY_BLAS), ("scipy", _SCIPY_BLAS))}
 
 
 def _as_matrix(a) -> np.ndarray:

@@ -50,8 +50,12 @@ class SampleSet:
                     self.x_idx, self.t_idx)}
         if len(lengths) != 1:
             raise ValueError(f"inconsistent point array lengths: {lengths}")
-        pairs = set(zip(self.t_idx.tolist(), self.x_idx.tolist()))
-        if len(pairs) != self.t_norm.shape[0]:
+        if len(self) == 0:
+            return
+        if min(self.t_idx.min(), self.x_idx.min()) < 0:
+            raise ValueError("negative sample index")
+        flat = self.t_idx * (self.x_idx.max() + 1) + self.x_idx
+        if np.bincount(flat).max() > 1:
             raise ValueError("duplicate (t, x) samples")
 
     def __len__(self) -> int:

@@ -29,6 +29,9 @@ class TestGenerate:
         manifest = json.loads((tmp_path / "burgers_manifest.json").read_text())
         assert manifest["command"] == "generate"
         assert manifest["config"]["n"] == 32
+        env = manifest["environment"]
+        assert set(env["blas_threads"]) == {"numpy", "scipy"}
+        assert env["blas_threads"]["scipy"] in (None, 1)  # pinned where found
 
     def test_unknown_pde_lists_presets(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,8 +1,22 @@
+import functools
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from pdegreedy import experiments, linalg
 from pdegreedy.linalg import (RankDeficiencyError, pivoted_qr,
                               qr_least_squares, svd, truncate)
+
+needs_scipy_pool = pytest.mark.skipif(
+    linalg._SCIPY_BLAS is None,
+    reason="scipy's OpenBLAS is not a separate library bundled in scipy.libs/")
 
 
 def greedy_pivot_oracle(a):
@@ -176,3 +190,38 @@ class TestQrLeastSquares:
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError):
             qr_least_squares(np.ones((2, 3)), np.ones(2))
+
+
+def _pool_threads(_task):
+    return linalg.blas_threads()
+
+
+class TestBlasPools:
+    @needs_scipy_pool
+    def test_import_pins_scipy_pool_only(self):
+        # a fresh interpreter reads numpy's pool before pdegreedy is imported
+        pool = linalg._NUMPY_BLAS
+        before = ("None" if pool is None else
+                  f"ctypes.CDLL({str(pool.path)!r})[{pool.get.__name__!r}]()")
+        script = ("import ctypes, json, numpy\n"
+                  f"before = {before}\n"
+                  "import pdegreedy\n"
+                  "print(json.dumps([before, pdegreedy.linalg.blas_threads()]))\n")
+        src = str(Path(linalg.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        before, after = json.loads(out)
+        assert after == {"numpy": before, "scipy": 1}
+
+    @needs_scipy_pool
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pin_holds_in_pool_workers(self, method, monkeypatch):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+        workers = experiments._map_tasks(_pool_threads, [0, 1], jobs=2)
+        numpy_threads = linalg.blas_threads()["numpy"]
+        assert workers == [{"numpy": numpy_threads, "scipy": 1}] * 2

@@ -159,13 +159,31 @@ class TestSampleSizeGrid:
             sample_size_grid(10, 10)
 
 
+def _points(t_idx, x_idx) -> SampleSet:
+    t_idx, x_idx = np.asarray(t_idx, dtype=int), np.asarray(x_idx, dtype=int)
+    zeros = np.zeros(t_idx.shape[0])
+    return SampleSet(t_norm=zeros, x_norm=zeros, u=zeros,
+                     window_id=np.zeros(t_idx.shape[0], dtype=int),
+                     x_idx=x_idx, t_idx=t_idx)
+
+
 class TestSampleSetInvariants:
     def test_duplicate_rejected(self):
-        ones = np.ones(2)
-        with pytest.raises(ValueError):
-            SampleSet(t_norm=ones, x_norm=ones, u=ones,
-                      window_id=np.zeros(2, dtype=int),
-                      x_idx=np.zeros(2, dtype=int), t_idx=np.zeros(2, dtype=int))
+        with pytest.raises(ValueError, match="duplicate"):
+            _points([0, 0], [0, 0])
+        with pytest.raises(ValueError, match="duplicate"):  # not adjacent
+            _points([3, 0, 1, 3, 2], [7, 0, 7, 7, 1])
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            _points([0, 1, 2], [0, -1, 2])
+        with pytest.raises(ValueError, match="negative"):
+            _points([0, -1], [0, 0])
+
+    def test_distinct_pairs_accepted(self):
+        # transposed pairs and a shared row or column are not duplicates
+        assert len(_points([0, 1, 1, 4, 0], [1, 0, 4, 1, 0])) == 5
+        assert len(_points([], [])) == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
