@@ -15,11 +15,11 @@ from .siren import (Jet, ParamGrad, SirenNet, forward, forward_jet,
                     forward_jet_with_cache, init_siren, jet_backward,
                     load_checkpoint, loss_gradients, save_checkpoint)
 from .snapshots import (IntegrationBlowupError, SnapshotMatrix, SnapshotParseError,
-                        TimeWindow, generate_synthetic, load_snapshot,
-                        normalize_domain, save_snapshot, subdivide_time)
+                        generate_synthetic, load_snapshot, save_snapshot,
+                        subdivide_time)
 from .training import (AdamState, TrainConfig, TrainResult, adam_step, cyclic_lr,
                        summary_dict, train, write_trajectory_csv)
 from .experiments import (ClusterSummary, ExperimentRecord, SweepConfig,
                           cluster_records, eps_grid, export_plot_data,
-                          export_results, kmeans, lloyd, mean_errors_by_size,
-                          read_results, sweep_greedy, sweep_random)
+                          export_results, kmeans, lloyd, read_results,
+                          sweep_greedy, sweep_random)

@@ -139,6 +139,12 @@ def _select_samples(snapshot, args):
     return qdeim_sample(snapshot, QdeimConfig(t_div=args.t_div, eps_thr=args.eps))
 
 
+def _int_list(value) -> tuple[int, ...]:
+    """Integers from a comma-separated string ("2,8,1") or a JSON list ([2, 8, 1])."""
+    items = value if isinstance(value, list) else str(value).split(",")
+    return tuple(int(str(v)) for v in items)
+
+
 def _train_config(args, pde_name: str, **command_defaults) -> tuple[TrainConfig, dict]:
     """Training settings shared by train, sweep and baseline, plus the
     command's own keys; flags > --config file > defaults."""
@@ -146,13 +152,24 @@ def _train_config(args, pde_name: str, **command_defaults) -> tuple[TrainConfig,
     defaults = {**train_defaults, "omega0": DEFAULT_OMEGA0,
                 "widths": ",".join(map(str, DEFAULT_WIDTHS)), **command_defaults}
     merged = _merge_config(defaults, args, defaults.keys())
-    widths = tuple(int(w) for w in str(merged["widths"]).split(","))
+    widths = _int_list(merged["widths"])
     cfg = TrainConfig(**{key: merged[key] for key in train_defaults})
     return cfg, {**merged, "widths": list(widths)}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
+
+def _write_records(out_dir: Path, records, command: str, merged: dict, src,
+                   started: float) -> int:
+    """CSV and JSON records plus the manifest; exit status 1 if any run failed."""
+    export_results(records, out_dir / "records.csv", format="csv")
+    export_results(records, out_dir / "records.json", format="json")
+    _write_manifest(out_dir, f"{command}_manifest.json", command, merged, [src], started)
+    failures = sum(1 for r in records if r.error is not None)
+    print(f"wrote {len(records)} records ({failures} failed)")
+    return 1 if failures else 0
+
 
 def cmd_generate(args) -> int:
     spec = _resolve_spec(args)
@@ -227,19 +244,14 @@ def cmd_sweep(args) -> int:
     train_cfg, merged = _train_config(args, spec.name, t_divs="1,2,3,4", eps_min=lo,
                                       eps_max=hi, eps_count=20, jobs=1)
     sweep_cfg = SweepConfig(
-        t_divs=tuple(int(v) for v in str(merged["t_divs"]).split(",")),
+        t_divs=_int_list(merged["t_divs"]),
         eps_values=eps_grid(merged["eps_min"], merged["eps_max"], merged["eps_count"]),
         widths=tuple(merged["widths"]), omega0=merged["omega0"])
 
     records = sweep_greedy(snapshot, spec, sweep_cfg, train_cfg, jobs=merged["jobs"])
     out_dir = _out_dir(args)
-    export_results(records, out_dir / "records.csv", format="csv")
-    export_results(records, out_dir / "records.json", format="json")
     export_plot_data(records, out_dir / "plot_data.json")
-    _write_manifest(out_dir, "sweep_manifest.json", "sweep", merged, [src], started)
-    failures = sum(1 for r in records if r.error is not None)
-    print(f"wrote {len(records)} records ({failures} failed)")
-    return 1 if failures else 0
+    return _write_records(out_dir, records, "sweep", merged, src, started)
 
 
 def cmd_baseline(args) -> int:
@@ -254,14 +266,7 @@ def cmd_baseline(args) -> int:
         snapshot, spec, merged["min_n"], merged["max_n"], train_cfg,
         repetitions=merged["reps"], base_seed=merged["base_seed"],
         jobs=merged["jobs"], widths=tuple(merged["widths"]), omega0=merged["omega0"])
-    out_dir = _out_dir(args)
-    export_results(records, out_dir / "records.csv", format="csv")
-    export_results(records, out_dir / "records.json", format="json")
-    _write_manifest(out_dir, "baseline_manifest.json", "baseline", merged,
-                    [src], started)
-    failures = sum(1 for r in records if r.error is not None)
-    print(f"wrote {len(records)} records ({failures} failed)")
-    return 1 if failures else 0
+    return _write_records(_out_dir(args), records, "baseline", merged, src, started)
 
 
 def cmd_cluster(args) -> int:
@@ -323,11 +328,8 @@ def _add_train_opts(sub):
     sub.add_argument("--mu1", type=float)
     sub.add_argument("--mu2", type=float)
     sub.add_argument("--step-size-up", type=int, dest="step_size_up")
-    sub.add_argument("--gamma", type=float)
     sub.add_argument("--widths", help="comma-separated layer widths")
     sub.add_argument("--omega0", type=float)
-    sub.add_argument("--grad-p", action="store_false", dest="solve_p", default=None,
-                     help="train p by gradient instead of the per-iteration solve")
 
 
 def _add_sampler_opts(sub):

@@ -144,17 +144,6 @@ def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
     return _map_tasks(_random_task, tasks, jobs)
 
 
-def mean_errors_by_size(records: list[ExperimentRecord]) -> dict[int, np.ndarray]:
-    """Average relative error across the repetitions of each sample size."""
-    by_size: dict[int, list[np.ndarray]] = {}
-    for rec in records:
-        if rec.size is None:
-            continue
-        by_size.setdefault(rec.size, []).append(np.asarray(rec.rel_errors))
-    return {size: np.nanmean(np.vstack(errs), axis=0)
-            for size, errs in sorted(by_size.items())}
-
-
 # ---------------------------------------------------------------------------
 # k-means summaries
 
@@ -273,19 +262,14 @@ def read_results(path) -> list[ExperimentRecord]:
     return out
 
 
-def export_plot_data(records: list[ExperimentRecord], path,
-                     summaries: dict[int, ClusterSummary] | None = None) -> None:
-    """Sample-count vs error series per t_div (plus centroids), as JSON."""
+def export_plot_data(records: list[ExperimentRecord], path) -> None:
+    """Sample-count vs error series per t_div, as JSON."""
     series: dict = {}
     for rec in records:
         key = f"t_div={rec.t_div}" if rec.t_div is not None else "random"
         entry = series.setdefault(key, {"n_samples": [], "rel_errors": []})
         entry["n_samples"].append(rec.n_samples)
         entry["rel_errors"].append(list(rec.rel_errors))
-    payload = {"series": series}
-    if summaries:
-        payload["centroids"] = {
-            str(ci): summary.centroids.tolist() for ci, summary in summaries.items()}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump({"series": series}, fh, indent=1, sort_keys=True)
         fh.write("\n")

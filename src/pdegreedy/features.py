@@ -123,12 +123,22 @@ def get_pde_spec(name: str) -> PdeSpec:
 
 def load_pde_spec(path) -> PdeSpec:
     """Custom spec from JSON: {"name", "terms": [[[order, power], ...], ...],
-    "true_p": optional list}."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    terms = tuple(term(*[(f[0], f[1]) for f in factors]) for factors in raw["terms"])
-    true_p = tuple(raw["true_p"]) if raw.get("true_p") is not None else None
-    return PdeSpec(name=raw.get("name", "custom"), terms=terms, true_p=true_p)
+    "true_p": optional list}. A malformed file raises ValueError naming it."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict) or not isinstance(raw.get("terms"), list) or not raw["terms"]:
+            raise ValueError('spec needs a non-empty "terms" list')
+        for i, factors in enumerate(raw["terms"]):
+            if not (isinstance(factors, list) and factors
+                    and all(isinstance(f, list) and len(f) == 2 for f in factors)):
+                raise ValueError(f"term {i} must be a list of [order, power] pairs, "
+                                 f"got {factors!r}")
+        terms = tuple(term(*factors) for factors in raw["terms"])
+        true_p = tuple(raw["true_p"]) if raw.get("true_p") is not None else None
+        return PdeSpec(name=raw.get("name", "custom"), terms=terms, true_p=true_p)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

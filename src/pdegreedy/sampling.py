@@ -113,10 +113,10 @@ def qdeim_sample(s: SnapshotMatrix, cfg: QdeimConfig) -> SampleSet:
     """Greedy sample set: per window, the spatial x temporal pivot grid,
     spatial-major (each spatial pivot runs over every temporal pivot)."""
     spatial_pivots, temporal_pivots = [], []
-    for window in subdivide_time(s, cfg.t_div):
-        spatial, temporal_local = qdeim_window(window.u, cfg.eps_thr)
+    for start, end in subdivide_time(s.m, cfg.t_div):
+        spatial, temporal_local = qdeim_window(s.u[:, start:end], cfg.eps_thr)
         spatial_pivots.append(spatial)
-        temporal_pivots.append([window.col_start + j for j in temporal_local])
+        temporal_pivots.append([start + j for j in temporal_local])
     pivots = list(zip(spatial_pivots, temporal_pivots))
     x_idx = np.concatenate([np.repeat(sp, len(tp)) for sp, tp in pivots])
     t_idx = np.concatenate([np.tile(tp, len(sp)) for sp, tp in pivots])

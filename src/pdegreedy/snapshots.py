@@ -1,9 +1,9 @@
-"""Space-time snapshot matrices: load, save, normalize, subdivide, generate."""
+"""Space-time snapshot matrices: load, save, subdivide, generate."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,6 @@ class SnapshotMatrix:
     u: np.ndarray        # (n, m)
     x_phys: np.ndarray   # (n,), strictly increasing
     t_phys: np.ndarray   # (m,), strictly increasing
-    x_norm: np.ndarray   # (n,), endpoints exactly -1 and 1
-    t_norm: np.ndarray   # (m,), endpoints exactly 0 and 1
     name: str = ""
 
     def __post_init__(self):
@@ -54,6 +52,19 @@ class SnapshotMatrix:
         return self.u.shape[1]
 
     @property
+    def x_norm(self) -> np.ndarray:
+        """x mapped onto [-1, 1]; -1 + 2(x - x_min)/(x_max - x_min) hits the
+        endpoints exactly."""
+        x = self.x_phys
+        return -1.0 + 2.0 * (x - x[0]) / (x[-1] - x[0])
+
+    @property
+    def t_norm(self) -> np.ndarray:
+        """t mapped onto [0, 1]."""
+        t = self.t_phys
+        return (t - t[0]) / (t[-1] - t[0])
+
+    @property
     def scales(self) -> DomainScales:
         return DomainScales(
             s_t=float(self.t_phys[-1] - self.t_phys[0]),
@@ -65,47 +76,7 @@ class SnapshotMatrix:
         u = np.asarray(u, dtype=float)
         x = np.asarray(x, dtype=float).reshape(-1)
         t = np.asarray(t, dtype=float).reshape(-1)
-        x_norm, t_norm = _normalized_axes(x, t)
-        return cls(u=u, x_phys=x, t_phys=t, x_norm=x_norm, t_norm=t_norm, name=name)
-
-
-def _normalized_axes(x: np.ndarray, t: np.ndarray):
-    if x[-1] <= x[0]:
-        raise ValueError("degenerate x axis: x_max <= x_min")
-    if t[-1] <= t[0]:
-        raise ValueError("degenerate t axis: t_max <= t_min")
-    # -1 + 2(x - x_min)/(x_max - x_min) hits the endpoints exactly.
-    x_norm = -1.0 + 2.0 * (x - x[0]) / (x[-1] - x[0])
-    t_norm = (t - t[0]) / (t[-1] - t[0])
-    return x_norm, t_norm
-
-
-def normalize_domain(s: SnapshotMatrix) -> SnapshotMatrix:
-    """Recompute the normalized axes from the physical ones (idempotent)."""
-    x_norm, t_norm = _normalized_axes(s.x_phys, s.t_phys)
-    return replace(s, x_norm=x_norm, t_norm=t_norm)
-
-
-@dataclass(frozen=True)
-class TimeWindow:
-    """Contiguous block of snapshot columns [col_start, col_end)."""
-
-    col_start: int
-    col_end: int
-    parent: SnapshotMatrix
-
-    def __post_init__(self):
-        if not 0 <= self.col_start < self.col_end <= self.parent.m:
-            raise ValueError(f"window [{self.col_start}, {self.col_end}) "
-                             f"invalid for m = {self.parent.m}")
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.parent.u[:, self.col_start:self.col_end]
-
-    @property
-    def width(self) -> int:
-        return self.col_end - self.col_start
+        return cls(u=u, x_phys=x, t_phys=t, name=name)
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -116,17 +87,16 @@ def _round_half_even(num: int, den: int) -> int:
     return q
 
 
-def subdivide_time(s: SnapshotMatrix, t_div: int) -> list[TimeWindow]:
-    """Partition the columns into t_div near-equal contiguous windows.
+def subdivide_time(m: int, t_div: int) -> list[tuple[int, int]]:
+    """Partition m columns into t_div near-equal contiguous windows.
 
     Window i spans [round(i*m/t_div), round((i+1)*m/t_div)); the rounding
     balances remainder columns across the windows.
     """
-    if not 1 <= t_div <= s.m:
-        raise ValueError(f"t_div {t_div} out of range [1, {s.m}]")
-    bounds = [_round_half_even(i * s.m, t_div) for i in range(t_div + 1)]
-    return [TimeWindow(col_start=a, col_end=b, parent=s)
-            for a, b in zip(bounds[:-1], bounds[1:])]
+    if not 1 <= t_div <= m:
+        raise ValueError(f"t_div {t_div} out of range [1, {m}]")
+    bounds = [_round_half_even(i * m, t_div) for i in range(t_div + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +124,7 @@ def save_snapshot(s: SnapshotMatrix, path, format: str = "matrix-text") -> None:
 
 
 def load_snapshot(path, format: str = "matrix-text", name: str | None = None) -> SnapshotMatrix:
-    """Read a snapshot file; normalized axes are computed on load."""
+    """Read a snapshot file (matrix-text or csv)."""
     if name is None:
         name = Path(path).stem
     if format == "matrix-text":
@@ -282,8 +252,8 @@ BLOWUP_LIMIT = 1e6
 
 
 def generate_synthetic(spec: PdeSpec, n: int, m: int, domain, init: str = "gaussian",
-                       seed: int = 0, rtol: float = 1e-8, atol: float = 1e-10,
-                       max_step: float = np.inf, name: str | None = None) -> SnapshotMatrix:
+                       seed: int = 0, rtol: float = 1e-8,
+                       name: str | None = None) -> SnapshotMatrix:
     """Integrate du/dt = sum_j p_j term_j(u, u_x, ...) on a periodic grid.
 
     Spatial derivatives are spectral; time stepping is adaptive explicit
@@ -342,7 +312,7 @@ def generate_synthetic(spec: PdeSpec, n: int, m: int, domain, init: str = "gauss
             return np.exp(-lin * tau) * nonlinear_hat(np.exp(lin * tau) * v)
 
         sol = solve_ivp(rhs, (0.0, dt), u_hat.astype(complex), method="DOP853",
-                        rtol=rtol, atol=atol, max_step=max_step)
+                        rtol=rtol, atol=1e-10)
         if not sol.success:
             raise IntegrationBlowupError(t[j + 1], sol.message)
         u_hat = np.exp(lin * dt) * sol.y[:, -1]

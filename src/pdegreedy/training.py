@@ -20,20 +20,16 @@ DIVERGENCE_LIMIT = 1e8
 class TrainConfig:
     learning_rate: float = 1e-5        # the schedule spans 0.1x to 10x of it
     step_size_up: int = 1000
-    gamma: float = 1.0                 # amplitude decays by gamma**iteration
     mu1: float = 1.0
     mu2: float = 1.0
     max_iter: int = 1000
     seed: int = 0
-    solve_p: bool = True               # False: p trained by gradient alongside the net
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 < self.gamma <= 1.0:  # keeps the schedule within [base, max]
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
         for name in ("mu1", "mu2"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
@@ -56,14 +52,13 @@ class TrainResult:
 
 
 def cyclic_lr(iteration: int, cfg: TrainConfig) -> float:
-    """Triangular wave between the cfg.lr_bounds, half-period step_size_up,
-    its amplitude shrunk by gamma**iteration (exp_range)."""
+    """Triangular wave between the cfg.lr_bounds, half-period step_size_up."""
     if iteration < 0:
         raise ValueError("iteration must be >= 0")
     base, top = cfg.lr_bounds
     cycle = np.floor(1.0 + iteration / (2.0 * cfg.step_size_up))
     pos = np.abs(iteration / cfg.step_size_up - 2.0 * cycle + 1.0)
-    return float(base + (top - base) * max(0.0, 1.0 - pos) * cfg.gamma ** iteration)
+    return float(base + (top - base) * max(0.0, 1.0 - pos))
 
 
 @dataclass
@@ -140,8 +135,6 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
 
     params = _net_params(net)
     state = AdamState.like(params)
-    p_vec = np.zeros(len(spec.terms))
-    p_state = AdamState.like([p_vec]) if not cfg.solve_p else None
 
     p_rows, loss_rows, lrs = [], [], []
     diverged = False
@@ -151,14 +144,13 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
         jets, cache = forward_jet_with_cache(net, t, x, max_x_order=order, out=cache)
         theta = build_theta(jets, spec, scales)
         u_t = physical_u_t(jets, scales)
-        if cfg.solve_p:
-            p_vec = solve_parameters(theta, u_t)
+        p_vec = solve_parameters(theta, u_t)
         mse, deri, bar = composite_loss_and_bar(
             jets, u_data, theta, u_t, spec, scales, p_vec, cfg.mu1, cfg.mu2)
         total = total_loss(mse, deri, cfg.mu1, cfg.mu2)
 
         lr = cyclic_lr(it, cfg)
-        p_rows.append(np.array(p_vec, dtype=float))
+        p_rows.append(p_vec)
         loss_rows.append((mse, deri, total))
         lrs.append(lr)
         if not np.isfinite(total) or abs(total) > DIVERGENCE_LIMIT:
@@ -167,9 +159,6 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
 
         grads = jet_backward(net, cache, bar)
         adam_step(params, _grad_list(grads), state, lr)
-        if not cfg.solve_p:
-            p_grad = -(2.0 * cfg.mu2 / len(u_t)) * theta.T @ (u_t - theta @ p_vec)
-            adam_step([p_vec], [p_grad], p_state, lr)
 
     wall = time.perf_counter() - started
     trajectory = np.array(p_rows)

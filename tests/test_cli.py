@@ -103,6 +103,31 @@ class TestTrain:
         manifest = json.loads((tmp_path / "train_manifest.json").read_text())
         assert manifest["config"]["widths"] == [2, 8, 1]  # config beats default
 
+    def test_config_widths_as_json_list(self, tmp_path, data_dir):
+        # manifests record widths as a list; --config must read that form back
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"widths": [2, 8, 1]}))
+        common = ("train", "--snapshot", data_dir / "burgers.txt", "--pde", "burgers",
+                  "--t-div", "2", "--eps", "1e-3", "--max-iter", "3")
+        assert run(*common, "--config", cfg_path, "--out-dir", tmp_path / "list") == 0
+        assert run(*common, "--widths", "2,8,1", "--out-dir", tmp_path / "flag") == 0
+        assert (tmp_path / "list" / "trajectory.csv").read_bytes() == \
+            (tmp_path / "flag" / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("spec, fault", [
+        ({"name": "bad"}, '"terms"'),
+        ({"terms": [[[0]]]}, "term 0"),
+    ], ids=["no-terms", "short-factor"])
+    def test_malformed_spec_file_reported(self, tmp_path, data_dir, capsys, spec, fault):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run("train", "--snapshot", data_dir / "burgers.txt",
+                   "--spec-file", path, "--t-div", "1", "--eps", "1e-2",
+                   "--max-iter", "1", "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and fault in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, data_dir):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))
@@ -144,7 +169,7 @@ class TestSweepBaselineCluster:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "mu1": 0.5, "mu2": 0.25, "step_size_up": 5,
-            "gamma": 0.9, "max_iter": 2, "widths": "2,6,1", "learning_rate": 1e-3}))
+            "max_iter": 2, "widths": "2,6,1", "learning_rate": 1e-3}))
         snap = data_dir / "burgers.txt"
         common = ("--snapshot", snap, "--pde", "burgers", "--config", cfg_path)
         assert run("sweep", *common, "--t-divs", "2", "--eps-min", "1e-3",

@@ -4,11 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from pdegreedy.experiments import (ExperimentRecord, SweepConfig,
-                                   cluster_records, eps_grid, export_plot_data,
-                                   export_results, kmeans, lloyd,
-                                   mean_errors_by_size, read_results,
-                                   sweep_greedy, sweep_random)
+from pdegreedy.experiments import (SweepConfig, cluster_records, eps_grid,
+                                   export_plot_data, export_results, kmeans, lloyd,
+                                   read_results, sweep_greedy, sweep_random)
 from pdegreedy.features import get_pde_spec
 from pdegreedy.sampling import QdeimConfig, qdeim_sample
 from pdegreedy.siren import init_siren
@@ -94,19 +92,6 @@ class TestSweepRandom:
         np.testing.assert_array_equal(np.array([r.final_p for r in a]),
                                       np.array([r.final_p for r in b]))
 
-    def test_mean_errors_by_size(self):
-        records = [
-            ExperimentRecord(sampler="random", pde="toy", n_samples=5,
-                             rel_errors=(0.2, 0.4), final_p=(0.0, 0.0),
-                             wall_time_s=0.0, size=5, seed=i)
-            for i in range(2)]
-        records.append(ExperimentRecord(
-            sampler="random", pde="toy", n_samples=9, rel_errors=(0.1, 0.1),
-            final_p=(0.0, 0.0), wall_time_s=0.0, size=9, seed=2))
-        means = mean_errors_by_size(records)
-        np.testing.assert_allclose(means[5], [0.2, 0.4])
-        np.testing.assert_allclose(means[9], [0.1, 0.1])
-
 
 class TestKmeans:
     def test_k_equals_points(self):
@@ -184,8 +169,7 @@ class TestPersistence:
         import jsonschema
 
         path = tmp_path / "plot.json"
-        summary = cluster_records(greedy_records, 0, k=5, n_init=5, seed=0)
-        export_plot_data(greedy_records, path, summaries={0: summary})
+        export_plot_data(greedy_records, path)
         schema = {
             "type": "object",
             "required": ["series"],
@@ -197,7 +181,6 @@ class TestPersistence:
                         "n_samples": {"type": "array", "items": {"type": "integer"}},
                         "rel_errors": {"type": "array"},
                     }}},
-                "centroids": {"type": "object"},
             }}
         payload = json.loads(path.read_text())
         jsonschema.validate(payload, schema)

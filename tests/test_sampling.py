@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from pdegreedy.linalg import svd
@@ -26,6 +27,17 @@ class TestSelectRank:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             select_rank([0.0, 0.0], 0.1)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=30)
+           .filter(lambda s: sum(s) > 0).map(lambda s: sorted(s, reverse=True)),
+           st.lists(st.floats(1e-15, 1.0, exclude_max=True), min_size=2, max_size=2)
+           .map(sorted))
+    def test_rank_bounded_and_monotone_in_eps(self, sigma, eps_pair):
+        small, large = eps_pair
+        r_small, r_large = select_rank(sigma, small), select_rank(sigma, large)
+        assert 1 <= r_small <= len(sigma)
+        assert 1 <= r_large <= r_small
 
 
 class TestQdeimWindow:
@@ -83,9 +95,9 @@ class TestQdeimSample:
     def test_temporal_pivots_stay_in_window(self, small_snapshot):
         cfg = QdeimConfig(t_div=3, eps_thr=1e-4)
         ss = qdeim_sample(small_snapshot, cfg)
-        windows = subdivide_time(small_snapshot, 3)
-        for w, pivots in zip(windows, ss.temporal_pivots):
-            assert all(w.col_start <= j < w.col_end for j in pivots)
+        windows = subdivide_time(small_snapshot.m, 3)
+        for (start, end), pivots in zip(windows, ss.temporal_pivots):
+            assert all(start <= j < end for j in pivots)
 
     def test_deterministic(self, small_snapshot):
         cfg = QdeimConfig(t_div=2, eps_thr=1e-5)

@@ -1,11 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdegreedy import get_pde_spec
 from pdegreedy.snapshots import (IntegrationBlowupError, SnapshotMatrix,
                                  SnapshotParseError, generate_synthetic,
-                                 load_snapshot, normalize_domain, save_snapshot,
-                                 subdivide_time)
+                                 load_snapshot, save_snapshot, subdivide_time)
 
 
 def tiny_snapshot():
@@ -33,10 +35,7 @@ class TestNormalization:
     def test_idempotent_on_normalized_data(self):
         s = SnapshotMatrix.from_physical(np.zeros((3, 3)),
                                          [-1.0, 0.0, 1.0], [0.0, 0.5, 1.0])
-        again = normalize_domain(s)
-        np.testing.assert_array_equal(again.x_norm, s.x_norm)
-        np.testing.assert_array_equal(again.t_norm, s.t_norm)
-        np.testing.assert_array_equal(again.x_norm, s.x_phys)
+        np.testing.assert_array_equal(s.x_norm, s.x_phys)
 
     def test_degenerate_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -49,40 +48,36 @@ class TestNormalization:
 
 
 class TestSubdivide:
-    def test_rounding_rule_201_by_2(self, small_snapshot):
-        s = SnapshotMatrix.from_physical(np.zeros((2, 201)), [-1, 1],
-                                         np.linspace(0, 1, 201))
-        windows = subdivide_time(s, 2)
-        assert [w.width for w in windows] == [100, 101]
+    def test_rounding_rule_201_by_2(self):
+        assert [b - a for a, b in subdivide_time(201, 2)] == [100, 101]
 
     def test_exact_division(self):
-        s = SnapshotMatrix.from_physical(np.zeros((2, 9)), [-1, 1],
-                                         np.linspace(0, 1, 9))
-        assert [w.width for w in subdivide_time(s, 3)] == [3, 3, 3]
+        assert [b - a for a, b in subdivide_time(9, 3)] == [3, 3, 3]
 
     def test_single_window(self, small_snapshot):
-        windows = subdivide_time(small_snapshot, 1)
-        assert len(windows) == 1
-        assert (windows[0].col_start, windows[0].col_end) == (0, small_snapshot.m)
+        assert subdivide_time(small_snapshot.m, 1) == [(0, small_snapshot.m)]
 
-    def test_partition_property(self, rng):
-        # windows are contiguous, non-overlapping, exhaustive
-        for _ in range(100):
-            m = int(rng.integers(2, 40))
-            s = SnapshotMatrix.from_physical(np.zeros((2, m)), [-1, 1],
-                                             np.linspace(0, 1, m))
-            t_div = int(rng.integers(1, m + 1))
-            windows = subdivide_time(s, t_div)
-            assert windows[0].col_start == 0
-            assert windows[-1].col_end == m
-            for prev, cur in zip(windows[:-1], windows[1:]):
-                assert prev.col_end == cur.col_start
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(2, 400).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(1, m))))
+    def test_partition_property(self, m_and_t_div):
+        # windows are contiguous, non-overlapping, exhaustive and balanced
+        m, t_div = m_and_t_div
+        windows = subdivide_time(m, t_div)
+        assert len(windows) == t_div
+        assert windows[0][0] == 0 and windows[-1][1] == m
+        for (_, prev_end), (cur_start, _) in zip(windows[:-1], windows[1:]):
+            assert prev_end == cur_start
+        widths = [b - a for a, b in windows]
+        assert min(widths) >= 1 and max(widths) - min(widths) <= 1
+        bounds = [a for a, _ in windows] + [m]
+        assert bounds == [round(Fraction(i * m, t_div)) for i in range(t_div + 1)]
 
     def test_out_of_range(self, small_snapshot):
         with pytest.raises(ValueError):
-            subdivide_time(small_snapshot, 0)
+            subdivide_time(small_snapshot.m, 0)
         with pytest.raises(ValueError):
-            subdivide_time(small_snapshot, small_snapshot.m + 1)
+            subdivide_time(small_snapshot.m, small_snapshot.m + 1)
 
 
 class TestFileFormats:
@@ -157,9 +152,9 @@ class TestGenerator:
 
     def test_self_convergence(self):
         spec = get_pde_spec("burgers")
-        kwargs = dict(n=64, m=9, domain=(-8, 8, 1.0), init="gaussian", rtol=1e-6)
-        coarse = generate_synthetic(spec, max_step=0.02, **kwargs)
-        fine = generate_synthetic(spec, max_step=0.01, **kwargs)
+        kwargs = dict(n=64, m=9, domain=(-8, 8, 1.0), init="gaussian")
+        coarse = generate_synthetic(spec, rtol=1e-6, **kwargs)
+        fine = generate_synthetic(spec, rtol=1e-8, **kwargs)
         assert np.max(np.abs(coarse.u[:, -1] - fine.u[:, -1])) < 1e-4
 
     def test_grid_matches_request(self, small_snapshot):

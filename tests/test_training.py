@@ -26,14 +26,6 @@ class TestCyclicLr:
         assert min(values) >= base - 1e-18
         assert max(values) <= top + 1e-18
 
-    def test_exp_range_decay(self):
-        cfg = TrainConfig(gamma=0.999)
-        # amplitude at the second peak is damped by gamma^3000
-        base = cfg.lr_bounds[0]
-        first = cyclic_lr(1000, cfg) - base
-        second = cyclic_lr(3000, cfg) - base
-        assert second == pytest.approx(first * 0.999 ** 2000, rel=1e-9)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(max_iter=0)
@@ -171,19 +163,10 @@ class TestTrain:
         assert windows[1] < windows[0]
         assert windows[2] < windows[1]
 
-    def test_gradient_trained_p_variant(self, toy_problem):
-        snapshot, spec, samples = toy_problem
-        net = init_siren((2, 10, 1), seed=4)
-        cfg = TrainConfig(max_iter=20, solve_p=False, learning_rate=1e-3)
-        result = train(net, samples, spec, snapshot.scales, cfg)
-        assert result.iterations == 20
-        assert np.all(np.isfinite(result.final_p))
-
     def test_divergence_flagged_with_partial_trajectory(self, toy_problem):
         snapshot, spec, samples = toy_problem
         net = init_siren((2, 8, 1), seed=0)
-        cfg = TrainConfig(max_iter=50, solve_p=False, learning_rate=1e7,
-                          step_size_up=1)
+        cfg = TrainConfig(max_iter=50, learning_rate=1e7, step_size_up=1)
         result = train(net, samples, spec, snapshot.scales, cfg)
         assert result.diverged
         assert result.iterations < 50
