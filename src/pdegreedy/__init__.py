@@ -4,7 +4,7 @@ coefficient recovery."""
 __version__ = "0.1.0"
 
 from .features import (DomainScales, FeatureTerm, PdeSpec, PRESETS, Preset,
-                       build_theta, derivative_loss, get_pde_spec, load_pde_spec,
+                       build_theta, get_pde_spec, load_pde_spec,
                        mse_loss, physical_u_t, preset, relative_error,
                        solve_parameters, term, total_loss)
 from .linalg import (PivotedQr, RankDeficiencyError, SvdConvergenceError,
@@ -13,7 +13,7 @@ from .sampling import (QdeimConfig, SampleSet, qdeim_sample, qdeim_window,
                        random_sample, sample_size_grid, select_rank)
 from .siren import (Jet, ParamGrad, SirenNet, forward, forward_jet,
                     forward_jet_with_cache, init_siren, jet_backward,
-                    load_checkpoint, loss_gradients, save_checkpoint)
+                    load_checkpoint, save_checkpoint)
 from .snapshots import (IntegrationBlowupError, SnapshotMatrix, SnapshotParseError,
                         generate_synthetic, load_snapshot, save_snapshot,
                         subdivide_time)

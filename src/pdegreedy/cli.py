@@ -83,6 +83,26 @@ def _write_manifest(out_dir: Path, name: str, command: str, config: dict,
     os.replace(tmp, out_dir / name)
 
 
+# Config keys whose comma-separated string default may also come as a JSON list.
+_LIST_KEYS = ("widths", "t_divs")
+
+
+def _check_config_type(key: str, value, default) -> None:
+    """Refuse a --config value whose type is not its default's: an int may
+    stand for a float, and a list for a tuple or a comma-separated list."""
+    if isinstance(default, float):
+        allowed = (int, float)
+    elif isinstance(default, tuple) or key in _LIST_KEYS:
+        allowed = (type(default), list)
+    elif default is None:  # the baseline's sample-count bounds
+        allowed = (int, type(None))
+    else:
+        allowed = (type(default),)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        names = " or ".join(t.__name__ for t in allowed if t is not type(None))
+        raise ValueError(f"{key}: expected {names}, got {value!r}")
+
+
 def _merge_config(defaults: dict, args, keys) -> dict:
     """flags > --config file > defaults; the merged dict is what runs."""
     merged = dict(defaults)
@@ -92,6 +112,8 @@ def _merge_config(defaults: dict, args, keys) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise SystemExit(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key, value in file_cfg.items():
+            _check_config_type(key, value, defaults[key])
         merged.update(file_cfg)
     for key in keys:
         value = getattr(args, key, None)

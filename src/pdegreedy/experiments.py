@@ -13,7 +13,7 @@ import numpy as np
 
 from .features import PRESETS, PdeSpec, Preset, preset, relative_error
 from .sampling import QdeimConfig, qdeim_sample, random_sample, sample_size_grid
-from .siren import DEFAULT_OMEGA0, DEFAULT_WIDTHS, init_siren
+from .siren import DEFAULT_OMEGA0, DEFAULT_WIDTHS, init_siren, jets_on_calling_thread
 from .snapshots import SnapshotMatrix
 from .training import TrainConfig, train
 
@@ -111,7 +111,8 @@ def _random_task(args):
 def _map_tasks(fn, tasks, jobs: int):
     if jobs <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # one compute thread per worker: jobs workers use jobs cores
+    with ProcessPoolExecutor(max_workers=jobs, initializer=jets_on_calling_thread) as pool:
         return list(pool.map(fn, tasks))
 
 

@@ -193,16 +193,6 @@ def mse_loss(u_samples, u_pred) -> float:
     return float(np.mean((u_samples - u_pred) ** 2))
 
 
-def derivative_loss(u_t, theta, p) -> float:
-    u_t = np.asarray(u_t, dtype=float).reshape(-1)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[0] != u_t.shape[0]:
-        raise ValueError(f"{theta.shape[0]} rows vs {u_t.shape[0]} time derivatives")
-    if theta.shape[1] != np.asarray(p).shape[0]:
-        raise ValueError(f"{theta.shape[1]} columns vs {np.asarray(p).shape[0]} coefficients")
-    return float(np.mean((u_t - theta @ p) ** 2))
-
-
 def total_loss(mse: float, deri: float, mu1: float = 1.0, mu2: float = 1.0) -> float:
     for name, mu in (("mu1", mu1), ("mu2", mu2)):
         if not 0.0 < mu <= 1.0:

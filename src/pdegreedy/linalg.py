@@ -4,12 +4,16 @@ numpy and scipy wheels each bundle their own OpenBLAS, each with its own
 thread pool. The SVD runs in numpy's and the QRs run in scipy's, and the
 sampler alternates between them, so one pool's spinning threads hold the
 cores while the other works. scipy's pool is therefore set to one thread
-at import. numpy's pool is left alone: its thread count changes the SVD's
-bits and with them the greedy pivots.
+at import. numpy's pool keeps its size everywhere except inside a jet
+pass, which pins it to one thread (``numpy_blas_pinned``) and, when it
+runs threads of its own, stops the pool's idle workers first
+(``stop_numpy_blas_workers``). The sampler's SVD, whose bits and so the
+greedy pivots depend on the pool size, always runs at the pool's own size.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 from dataclasses import dataclass
@@ -67,6 +71,7 @@ class _BlasPool:
     path: Path
     get: Callable[[], int]
     set: Callable[[int], None]
+    shutdown: Callable[[], int] | None
 
 
 def _num_threads_symbol(lib: ctypes.CDLL, verb: str, argtypes, restype):
@@ -92,7 +97,10 @@ def _bundled_openblas(module) -> _BlasPool | None:
         get = _num_threads_symbol(lib, "get", [], ctypes.c_int)
         set_ = _num_threads_symbol(lib, "set", [ctypes.c_int], None)
         if get is not None and set_ is not None:
-            return _BlasPool(path, get, set_)
+            shutdown = getattr(lib, "blas_thread_shutdown_", None)
+            if shutdown is not None:
+                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+            return _BlasPool(path, get, set_, shutdown)
     return None
 
 
@@ -113,6 +121,34 @@ def blas_threads() -> dict:
     """
     return {name: None if pool is None else pool.get()
             for name, pool in (("numpy", _NUMPY_BLAS), ("scipy", _SCIPY_BLAS))}
+
+
+@contextlib.contextmanager
+def numpy_blas_pinned():
+    """numpy's bundled OpenBLAS pool at one thread inside the block, its
+    former size restored on exit; nothing changes where the pool is not
+    found. Not for concurrent use from several threads."""
+    if _NUMPY_BLAS is None:
+        yield
+        return
+    before = _NUMPY_BLAS.get()
+    _NUMPY_BLAS.set(1)
+    try:
+        yield
+    finally:
+        _NUMPY_BLAS.set(before)
+
+
+def stop_numpy_blas_workers() -> None:
+    """Stop the idle worker threads of numpy's bundled OpenBLAS pool where
+    the library exports a way to. They spin for about 0.1 s after each
+    threaded call, taking a core from whatever runs next; the next threaded
+    call starts them again at the same count, and its results keep their
+    bits. Restarting costs more than the spin in processes that share the
+    cores with other workers, so only callers with threads of their own
+    to run use this."""
+    if _NUMPY_BLAS is not None and _NUMPY_BLAS.shutdown is not None:
+        _NUMPY_BLAS.shutdown()
 
 
 def _as_matrix(a) -> np.ndarray:

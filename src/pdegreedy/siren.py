@@ -13,22 +13,40 @@ then the Taylor coefficients of sin(a) by the product recurrence
 s_k = sum_j (j/k) a_j cos_{k-j}.
 
 Parameter gradients of any scalar loss over a batch of jets come from
-reverse accumulation over the same streams. The cache of
-``forward_jet_with_cache`` is a list of ndarrays: the input streams, per
-hidden layer its pre-activation streams (cos(a_0) in the value slot) and
-its sine streams, the output streams and one scratch buffer. A cache
-serves one ``jet_backward`` call per forward pass; that call works in the
-cache's own buffers, turning each sine stack into its cotangents once the
-stack has been read. Passing the cache back as ``out=`` lets the next
-forward pass reuse its buffers, so a training loop allocates them once.
+reverse accumulation over the same streams.
+
+Both passes run over contiguous blocks of about ``BLOCK`` points (at
+least two blocks once n >= 2), so each block's stacks stay in cache
+instead of streaming from memory. The Jet still covers the whole batch;
+the backward pass takes each block's slice of the jet cotangents and sums
+the blocks' gradients in block order. Blocks are striped over one thread
+per usable core, the calling thread taking the first stripe; numpy's
+ufuncs and matmul release the GIL. numpy's BLAS pool runs at one thread
+during a pass and its idle workers are stopped before a threaded one
+(see ``linalg``), so the stripes have the cores to themselves, every
+block computes the same bytes on any thread and output does not depend
+on the core count.
+
+The cache of ``forward_jet_with_cache`` holds, per block, a list of
+ndarrays: the input streams, per hidden layer its pre-activation streams
+(cos(a_0) in the value slot) and its sine streams, the output streams and
+one scratch buffer. A cache serves one ``jet_backward`` call per forward
+pass; that call works in the cache's own buffers, turning each sine stack
+into its cotangents once the stack has been read. Passing the cache back
+as ``out=`` lets the next forward pass reuse its buffers, so a training
+loop allocates them once.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import blas_threads, numpy_blas_pinned, stop_numpy_blas_workers
 
 DEFAULT_WIDTHS = (2, 128, 128, 128, 1)
 DEFAULT_OMEGA0 = 30.0
@@ -140,65 +158,126 @@ def forward_jet(net: SirenNet, t, x, max_x_order: int = 3) -> Jet:
 def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None):
     """Jet plus the recorded intermediates needed by jet_backward.
 
-    Returns ``(Jet, cache)``. A cache serves one jet_backward call. Passing
-    an earlier cache as ``out`` reuses its buffers when the network widths,
-    the number of points and the order match; otherwise a new cache is made.
+    Returns ``(Jet, cache)``; the cache holds one buffer list per sample
+    block and serves one jet_backward call. Passing an earlier cache as
+    ``out`` reuses its buffers when the network widths, the number of
+    points and the order match; otherwise a new cache is made.
     """
     order = max_x_order
     if order < 1:  # the input stack needs an x-stream slot
         raise ValueError(f"max_x_order must be >= 1, got {order}")
     t_arr, x_arr, _ = _broadcast_inputs(t, x)
-    n = t_arr.shape[0]
+    bounds = _blocks(t_arr.shape[0])
 
-    shapes = _cache_shapes(net.widths, n, order)
-    if isinstance(out, _JetCache) and [b.shape for b in out] == shapes:
+    shapes = [_cache_shapes(net.widths, hi - lo, order) for lo, hi in bounds]
+    if isinstance(out, _JetCache) and [[b.shape for b in block] for block in out] == shapes:
         cache = out
     else:
-        cache = _JetCache(np.empty(shape) for shape in shapes)
-    cache.armed = True
+        cache = _JetCache([np.empty(shape) for shape in block] for block in shapes)
+    cache.bounds, cache.armed = bounds, True
 
-    # c[k], k <= order: k-th Taylor coefficient in x; c[-1]: t tangent.
-    c = cache[0]
-    c[...] = 0.0
-    c[0, :, 0], c[0, :, 1] = t_arr, x_arr
-    c[1, :, 1] = 1.0
-    c[-1, :, 0] = 1.0
+    hidden = [(net.omega0 * w, net.omega0 * b)  # a = omega0 (W c + b)
+              for w, b in zip(net.weights[:-1], net.biases[:-1])]
+    factorials = _factorials(order)
+    data = np.empty((order + 2, t_arr.shape[0]))
 
-    for layer, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
-        a, s = cache[1 + 2 * layer], cache[2 + 2 * layer]
-        _affine(c, net.omega0 * w, net.omega0 * b, out=a)  # a = omega0 (W c + b)
-        _sine_streams(a, s, _scratch(cache, order, n, w.shape[0]), order,
-                      _top_stream(layer, order))
-        c = s
-    o = _affine(c, net.weights[-1], net.biases[-1], out=cache[-2])[..., 0]
-    # a new array: the next pass through this cache overwrites o
-    return Jet(o * _factorials(order)), cache
+    def run(i):
+        lo, hi = bounds[i]
+        o = _forward_block(cache[i], hidden, net.weights[-1], net.biases[-1],
+                           t_arr[lo:hi], x_arr[lo:hi], order)
+        # into a new array: the next pass through this cache overwrites o
+        np.multiply(o, factorials, out=data[:, lo:hi])
 
-
-def loss_gradients(net: SirenNet, t, x, loss, max_x_order: int = 3):
-    """Gradient of a scalar loss over the batch jets w.r.t. every parameter.
-
-    ``loss`` maps the batch Jet to ``(value, bar)`` where ``bar`` is a Jet
-    of the same shape holding the partial derivatives of the value with
-    respect to each jet entry. Returns ``(value, ParamGrad)``; paths through
-    the derivative outputs (derivatives-of-derivatives w.r.t. weights) are
-    included.
-    """
-    jet, cache = forward_jet_with_cache(net, t, x, max_x_order)
-    value, bar = loss(jet)
-    return value, jet_backward(net, cache, bar)
+    _run_blocks(run, len(bounds))
+    return Jet(data), cache
 
 
 # ---------------------------------------------------------------------------
 # forward/backward internals
 
+BLOCK = 512  # points per block; on a 2-core VM kdv-large ran as fast at 256 and 1024
+
+_threads = None  # jet threads in this process; None: one per usable core
+_pool = None     # (pid, workers, ThreadPoolExecutor), made by the first pass that needs it
+
+
 class _JetCache(list):
-    """Buffers of one jet pass: [input stack, then per hidden layer its
-    pre-activation stack A and sine stack S, output stack, flat scratch].
-    ``armed`` is set by a forward pass and cleared by the jet_backward
-    call that uses it."""
+    """Buffers of one jet pass, one list per sample block: [input stack,
+    then per hidden layer its pre-activation stack A and sine stack S,
+    output stack, flat scratch], each at the block's size. ``bounds``
+    holds the blocks' sample ranges; ``armed`` is set by a forward pass
+    and cleared by the jet_backward call that uses it."""
 
     armed = False
+    bounds: list[tuple[int, int]]
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """Contiguous sample ranges of a pass over n points: max(2, ceil(n /
+    BLOCK)) blocks of one size, the last one possibly shorter. One point
+    (or none) is one block."""
+    size = max(1, math.ceil(n / max(2, math.ceil(n / BLOCK))))
+    return [(lo, min(lo + size, n)) for lo in range(0, max(n, 1), size)]
+
+
+def jet_threads() -> int:
+    """Threads that share a pass's blocks: one per core this process may
+    run on, or one where numpy's BLAS pool cannot be pinned."""
+    if blas_threads()["numpy"] is None:
+        return 1
+    if _threads is not None:
+        return _threads
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def jets_on_calling_thread() -> None:
+    """Process-pool initializer: every pass of this process runs its
+    blocks on the calling thread, so N workers use N cores, not N times
+    the core count. Output bytes do not depend on the thread count."""
+    global _threads
+    _threads = 1
+
+
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """This process's pool for stripes 1.. of a pass. A pool inherited
+    through fork has no live threads, so it is made anew per process id."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid() or _pool[1] < workers:
+        if _pool is not None and _pool[0] == os.getpid():
+            _pool[2].shutdown(wait=False)  # outgrown: its threads exit once idle
+        _pool = (os.getpid(), workers,
+                 ThreadPoolExecutor(workers, thread_name_prefix="pdegreedy-jet"))
+    return _pool[2]
+
+
+def _stripe(run, first: int, step: int, count: int) -> None:
+    for i in range(first, count, step):
+        run(i)
+
+
+def _run_blocks(run, count: int) -> None:
+    """``run(i)`` for every block i, with block i on stripe i mod T of
+    T = jet_threads() stripes: the calling thread takes stripe 0, pool
+    threads the others. numpy's ufuncs and matmul release the GIL, so the
+    stripes run on separate cores. numpy's BLAS pool runs at one thread
+    meanwhile, so a block computes the same bytes on any thread and BLAS
+    threads do not compete with the stripes."""
+    with numpy_blas_pinned():
+        stripes = min(count, jet_threads())
+        pool = None
+        if stripes > 1:
+            stop_numpy_blas_workers()  # a spinning BLAS worker would take a stripe's core
+            pool = _executor(stripes - 1)
+        futures = [pool.submit(_stripe, run, s, stripes, count) for s in range(1, stripes)]
+        try:
+            _stripe(run, 0, stripes, count)
+        finally:
+            wait(futures)  # the stripes write into buffers the caller owns
+        for f in futures:
+            f.result()
 
 
 def _cache_shapes(widths, n: int, order: int) -> list[tuple[int, ...]]:
@@ -222,6 +301,25 @@ def _broadcast_inputs(t, x):
     if t_arr.shape != x_arr.shape or t_arr.ndim != 1:
         raise ValueError("t and x must be scalars or equal-length 1-d arrays")
     return t_arr, x_arr, scalar
+
+
+def _forward_block(cache, hidden, w_out, b_out, t, x, order):
+    """One block's jet pass into its buffers ``cache``; ``hidden`` holds
+    each hidden layer's (omega0 W, omega0 b). Returns the output streams."""
+    n = t.shape[0]
+    # c[k], k <= order: k-th Taylor coefficient in x; c[-1]: t tangent.
+    c = cache[0]
+    c[...] = 0.0
+    c[0, :, 0], c[0, :, 1] = t, x
+    c[1, :, 1] = 1.0
+    c[-1, :, 0] = 1.0
+    for layer, (w, b) in enumerate(hidden):
+        a, s = cache[1 + 2 * layer], cache[2 + 2 * layer]
+        _affine(c, w, b, out=a)
+        _sine_streams(a, s, _scratch(cache, order, n, w.shape[0]), order,
+                      _top_stream(layer, order))
+        c = s
+    return _affine(c, w_out, b_out, out=cache[-2])[..., 0]
 
 
 def _affine(c, w, b, out):
@@ -305,41 +403,65 @@ def _top_stream(hidden_layer: int, order: int) -> int:
 def jet_backward(net: SirenNet, cache, bar: Jet) -> ParamGrad:
     """Reverse accumulation from jet cotangents to parameter gradients.
 
-    Works in the cache's own buffers: layer by layer, a sine stack is read
-    for the weight gradient and the P_m coefficients, then overwritten by
-    its cotangents. One call per forward pass.
+    Runs per sample block in that block's buffers: layer by layer, a sine
+    stack is read for the weight gradient and the P_m coefficients, then
+    overwritten by its cotangents. The blocks' gradients are summed in
+    block order. One call per forward pass.
     """
     if not getattr(cache, "armed", False):
         raise ValueError("spent cache: a forward_jet_with_cache cache serves "
                          "one jet_backward call")
-    order, n = cache[0].shape[0] - 2, cache[0].shape[1]
+    order, n = cache[0][0].shape[0] - 2, cache.bounds[-1][1]
     if bar.data.shape != (order + 2, n):
         raise ValueError(f"bar has shape {bar.data.shape}, but the cache was "
                          f"recorded at order {order} over {n} points")
     cache.armed = False
 
-    bs = cache[-2]  # the output stack turns into its cotangents
-    np.multiply(bar.data, _factorials(order), out=bs[..., 0])
+    # hidden layers: a = omega0 (W c + b); the output layer is linear
+    scales = [net.omega0] * (len(net.weights) - 1) + [1.0]
+    scaled = [s * w for s, w in zip(scales, net.weights)]
+    factorials = _factorials(order)
+    parts = [None] * len(cache)
 
-    layers = len(net.weights)
+    def run(i):
+        lo, hi = cache.bounds[i]
+        parts[i] = _backward_block(cache[i], scaled, bar.data[:, lo:hi], factorials, order)
+
+    _run_blocks(run, len(cache))
+    d_weights, d_biases = parts[0]
+    for part_weights, part_biases in parts[1:]:
+        for total, part in zip(d_weights + d_biases, part_weights + part_biases):
+            total += part
+    for layer, s in enumerate(scales):
+        d_weights[layer] *= s
+        d_biases[layer] *= s
+    return ParamGrad(d_weights=d_weights, d_biases=d_biases)
+
+
+def _backward_block(cache, scaled, bar, factorials, order):
+    """One block's reverse pass in its buffers ``cache``, from the block's
+    jet cotangents ``bar``; ``scaled`` holds each layer's weights times its
+    scale. Returns the block's weight and bias gradients without the scale."""
+    n = cache[0].shape[1]
+    bs = cache[-2]  # the output stack turns into its cotangents
+    np.multiply(bar, factorials, out=bs[..., 0])
+    layers = len(scaled)
     d_weights, d_biases = [None] * layers, [None] * layers
-    scale = 1.0  # the linear output layer
     for layer in range(layers - 1, -1, -1):
         # bs: cotangents of this layer's pre-activation streams, c: its input
         c = cache[2 * layer]
         flat = bs.reshape(-1, bs.shape[-1])
-        d_weights[layer] = scale * (flat.T @ c.reshape(-1, c.shape[-1]))
-        d_biases[layer] = scale * bs[0].sum(axis=0)
+        d_weights[layer] = flat.T @ c.reshape(-1, c.shape[-1])
+        d_biases[layer] = bs[0].sum(axis=0)
         if layer == 0:
             break
-        a, w = cache[2 * layer - 1], net.weights[layer]
+        a, w = cache[2 * layer - 1], scaled[layer]
         tmp = _scratch(cache, 1, n, w.shape[1])[0]
         _sine_reverse_coeffs(a, c, order, _top_stream(layer - 1, order), tmp)
-        np.matmul(flat, scale * w, out=c.reshape(-1, c.shape[-1]))
+        np.matmul(flat, w, out=c.reshape(-1, c.shape[-1]))
         _sine_cotangents(c, a, order, tmp)
-        bs, scale = c, net.omega0  # hidden layers: a = omega0 (W c + b)
-
-    return ParamGrad(d_weights=d_weights, d_biases=d_biases)
+        bs = c
+    return d_weights, d_biases
 
 
 # ---------------------------------------------------------------------------

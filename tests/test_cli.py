@@ -128,6 +128,33 @@ class TestTrain:
         assert err.startswith(f"error: {path}: ") and fault in err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command, config", [
+        ("train", {"max_iter": "3"}),
+        ("train", {"learning_rate": [1e-5]}),
+        ("generate", {"n": "32"}),
+        ("generate", {"domain": "-8,8,1"}),
+    ], ids=["train-str-int", "train-list-float", "generate-str-int", "generate-str-domain"])
+    def test_config_value_of_wrong_type_reported(self, tmp_path, data_dir, capsys,
+                                                 command, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        if command == "train":
+            argv = ("train", "--snapshot", data_dir / "burgers.txt", "--pde", "burgers",
+                    "--t-div", "1", "--eps", "1e-2")
+        else:
+            argv = ("generate", "--pde", "burgers", "--m", "9")
+        assert run(*argv, "--config", cfg_path, "--out-dir", tmp_path / "out") == 1
+        key = next(iter(config))
+        assert capsys.readouterr().err.startswith(f"error: {key}: expected ")
+        assert not (tmp_path / "out").exists()  # refused before any output
+
+    def test_config_int_accepted_for_float(self, tmp_path, data_dir):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"omega0": 30, "mu2": 1}))
+        assert run("train", "--snapshot", data_dir / "burgers.txt", "--pde", "burgers",
+                   "--t-div", "1", "--eps", "1e-2", "--max-iter", "1", "--widths", "2,6,1",
+                   "--config", cfg_path, "--out-dir", tmp_path) == 0
+
     def test_unknown_config_key_rejected(self, tmp_path, data_dir):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))

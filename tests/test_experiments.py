@@ -1,9 +1,13 @@
+import functools
 import itertools
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from pdegreedy import experiments, siren
 from pdegreedy.experiments import (SweepConfig, cluster_records, eps_grid,
                                    export_plot_data, export_results, kmeans, lloyd,
                                    read_results, sweep_greedy, sweep_random)
@@ -202,6 +206,22 @@ class TestConfigs:
         assert len(ac.eps_values) == 20 and ac.t_divs == (1, 2, 3, 4)
         kdv = SweepConfig.for_pde("kdv")
         assert kdv.eps_values[0] == pytest.approx(1e-10)
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_workers_after_a_threaded_pass(self, small_snapshot, monkeypatch, method):
+        # the parent's jet threads are running before the workers start
+        monkeypatch.setattr(siren, "_threads", 2)
+        siren.forward_jet(init_siren(FAST_WIDTHS), np.linspace(0, 1, 64), np.zeros(64))
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+        spec = get_pde_spec("burgers")
+        cfg = SweepConfig(t_divs=(1, 2), eps_values=(1e-2,), widths=FAST_WIDTHS)
+        train_cfg = TrainConfig(max_iter=2)
+        serial = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=1)
+        parallel = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=2)
+        assert all(r.error is None for r in serial)
+        assert [(r.t_div, r.n_samples, r.final_p) for r in serial] == \
+            [(r.t_div, r.n_samples, r.final_p) for r in parallel]
 
     def test_parallel_jobs_match_serial(self, small_snapshot):
         spec = get_pde_spec("burgers")

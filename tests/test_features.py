@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdegreedy.features import (PRESETS, DomainScales, PdeSpec, Preset, build_theta,
-                                composite_loss_and_bar, derivative_loss,
+                                composite_loss_and_bar,
                                 get_pde_spec, load_pde_spec, mse_loss,
                                 physical_u_t, preset, relative_error,
                                 solve_parameters, term, total_loss)
@@ -13,6 +13,13 @@ from pdegreedy.siren import Jet, forward_jet, init_siren
 from pdegreedy.snapshots import INITIAL_CONDITIONS, generate_synthetic
 
 UNIT = DomainScales(s_t=1.0, s_x=1.0)
+
+
+def derivative_loss(jets, spec, p, scales=UNIT):
+    """The residual term mean((u_t - theta p)^2) of composite_loss_and_bar."""
+    theta, u_t = build_theta(jets, spec, scales), physical_u_t(jets, scales)
+    return composite_loss_and_bar(jets, jets.u, theta, u_t, spec, scales, p,
+                                  mu1=1.0, mu2=1.0)[1]
 
 
 def jet_of(u=0.0, du_dt=0.0, du_dx=0.0, d2=0.0, d3=0.0):
@@ -157,31 +164,35 @@ class TestLosses:
             mse_loss([], [])
 
     def test_derivative_loss_consistent_system(self, rng):
-        theta = rng.standard_normal((10, 2))
-        p = np.array([2.0, -3.0])
-        assert derivative_loss(theta @ p, theta, p) == pytest.approx(0.0, abs=1e-28)
+        jets = Jet(rng.standard_normal((5, 10)))
+        spec, p = get_pde_spec("kdv"), np.array([2.0, -3.0])
+        jets.data[-1] = build_theta(jets, spec, UNIT) @ p  # u_t = theta p exactly
+        assert derivative_loss(jets, spec, p) == pytest.approx(0.0, abs=1e-28)
 
     def test_derivative_loss_hand_toy(self):
-        # theta = (1,1,1)^T, u_t = (0,1,2): p_hat = 1, residual (−1,0,1)
-        theta = np.ones((3, 1))
-        u_t = np.array([0.0, 1.0, 2.0])
-        p = solve_parameters(theta, u_t)
+        # theta = u = (1,1,1)^T, u_t = (0,1,2): p_hat = 1, residual (−1,0,1)
+        jets = Jet(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]))
+        spec = PdeSpec(name="toy", terms=(term((0, 1)),))
+        p = solve_parameters(build_theta(jets, spec, UNIT), physical_u_t(jets, UNIT))
         assert p[0] == pytest.approx(1.0)
-        assert derivative_loss(u_t, theta, p) == pytest.approx(2.0 / 3.0)
+        assert derivative_loss(jets, spec, p) == pytest.approx(2.0 / 3.0)
 
     def test_derivative_loss_nonnegative_and_optimal(self, rng):
-        theta = rng.standard_normal((20, 3))
-        u_t = rng.standard_normal(20)
-        p = solve_parameters(theta, u_t)
-        base = derivative_loss(u_t, theta, p)
+        jets = Jet(rng.standard_normal((5, 20)))
+        spec = get_pde_spec("kdv")
+        p = solve_parameters(build_theta(jets, spec, UNIT), physical_u_t(jets, UNIT))
+        base = derivative_loss(jets, spec, p)
         assert base >= 0.0
         for _ in range(20):
-            other = p + 1e-2 * rng.standard_normal(3)
-            assert base <= derivative_loss(u_t, theta, other) + 1e-12
+            other = p + 1e-2 * rng.standard_normal(2)
+            assert base <= derivative_loss(jets, spec, other) + 1e-12
 
     def test_derivative_loss_shape_mismatch(self):
+        jets = Jet(np.ones((2, 3)))
+        spec = PdeSpec(name="toy", terms=(term((0, 1)),))
         with pytest.raises(ValueError):
-            derivative_loss(np.ones(3), np.ones((2, 1)), np.ones(1))
+            composite_loss_and_bar(jets, np.ones(3), np.ones((2, 1)), np.ones(3), spec,
+                                   UNIT, np.ones(1), mu1=1.0, mu2=1.0)
 
     def test_total_loss(self):
         assert total_loss(2.0, 3.0, 1.0, 1.0) == 5.0
@@ -223,7 +234,7 @@ class TestCompositeBar:
         mse, deri, bar = composite_loss_and_bar(
             jets, u_data, theta, u_t, spec, UNIT, p, mu1=1.0, mu2=1.0)
         assert mse == pytest.approx(mse_loss(u_data, jets.u))
-        assert deri == pytest.approx(derivative_loss(u_t, theta, p))
+        assert deri == pytest.approx(np.mean((u_t - theta @ p) ** 2))
         # with p = 0 no gradient flows into the library columns
         np.testing.assert_allclose(bar.u, 2.0 / n * (jets.u - u_data))
         np.testing.assert_allclose(bar.by_order(1), np.zeros(n))

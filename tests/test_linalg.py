@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdegreedy import experiments, linalg
+from pdegreedy import experiments, linalg, siren
 from pdegreedy.linalg import (RankDeficiencyError, pivoted_qr,
                               qr_least_squares, svd, truncate)
 
@@ -225,3 +225,20 @@ class TestBlasPools:
         workers = experiments._map_tasks(_pool_threads, [0, 1], jobs=2)
         numpy_threads = linalg.blas_threads()["numpy"]
         assert workers == [{"numpy": numpy_threads, "scipy": 1}] * 2
+
+    def test_jet_pass_leaves_pool_size_and_svd_bits(self, rng):
+        # a pass runs numpy's pool at one thread and may stop its workers;
+        # after either the pool has its size back and the SVD the same bits
+        a = rng.standard_normal((300, 120))
+        sizes, first = linalg.blas_threads(), linalg.svd(a)
+        with linalg.numpy_blas_pinned():
+            assert linalg.blas_threads()["numpy"] in (None, 1)
+        linalg.stop_numpy_blas_workers()
+        again = linalg.svd(a)
+        siren.forward_jet(siren.init_siren((2, 16, 16, 1)), np.linspace(0, 1, 600), np.zeros(600))
+        assert linalg.blas_threads() == sizes
+        last = linalg.svd(a)
+        for later in (again, last):
+            for x, y in ((first.left, later.left), (first.singular_values, later.singular_values),
+                         (first.right_t, later.right_t)):
+                assert np.array_equal(x, y)

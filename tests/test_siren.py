@@ -1,17 +1,33 @@
+import hashlib
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from pdegreedy import linalg, siren
 from pdegreedy.siren import (Jet, SirenNet, forward, forward_jet, forward_jet_with_cache,
-                             init_siren, jet_backward, load_checkpoint, loss_gradients,
-                             save_checkpoint)
+                             init_siren, jet_backward, load_checkpoint, save_checkpoint)
 
 
 def richardson(diff, h):
     # cancels the h^2 term of a second-order central formula
     return (4.0 * diff(h) - diff(2.0 * h)) / 3.0
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 4 points, so a few points span several blocks."""
+    monkeypatch.setattr(siren, "BLOCK", 4)
+
+
+def loss_gradients(net, t, x, loss, max_x_order=3):
+    """(value, ParamGrad) of ``loss(jet) -> (value, bar)`` by one forward
+    and one backward pass."""
+    jet, cache = forward_jet_with_cache(net, t, x, max_x_order)
+    value, bar = loss(jet)
+    return value, jet_backward(net, cache, bar)
 
 
 def single_neuron(w_t, w_x, b, w_out, b_out, omega0=30.0):
@@ -88,25 +104,26 @@ class TestForward:
 
 
 class TestJets:
-    def test_single_neuron_derivative_chain(self):
+    def test_single_neuron_derivative_chain(self, small_blocks):
         omega0 = 30.0
         w_t, w_x = 0.15, -0.45
         net = single_neuron(w_t, w_x, 0.1, 1.0, 0.0, omega0)
-        t0, x0 = 0.2, 0.5
-        z = omega0 * (w_t * t0 + w_x * x0 + 0.1)
         c = omega0 * w_x
-        closed_form = [(math.sin(z), 1e-13), (c * math.cos(z), 1e-13),
-                       (-c ** 2 * math.sin(z), 1e-12), (-c ** 3 * math.cos(z), 1e-12),
-                       (c ** 4 * math.sin(z), 1e-12)]
-        for order in (3, 4):
-            jet = forward_jet(net, t0, x0, order)
-            assert jet.data.shape == (order + 2, 1)
-            for k, (expected, rel) in enumerate(closed_form[:order + 1]):
-                assert jet.by_order(k)[0] == pytest.approx(expected, rel=rel), k
-            assert jet.du_dt[0] == pytest.approx(omega0 * w_t * math.cos(z), rel=1e-13)
+        # one point, then 11 nearby points over three blocks (4, 4, 3)
+        for t0, x0 in ((0.2, 0.5), (0.2 + 1e-3 * np.arange(11), np.full(11, 0.5))):
+            z = omega0 * (w_t * np.asarray(t0) + w_x * x0 + 0.1)
+            closed_form = [(np.sin(z), 1e-13), (c * np.cos(z), 1e-13),
+                           (-c ** 2 * np.sin(z), 1e-12), (-c ** 3 * np.cos(z), 1e-12),
+                           (c ** 4 * np.sin(z), 1e-12)]
+            for order in (3, 4):
+                jet = forward_jet(net, t0, x0, order)
+                assert jet.data.shape == (order + 2, np.size(t0))
+                for k, (expected, rel) in enumerate(closed_form[:order + 1]):
+                    assert jet.by_order(k) == pytest.approx(expected, rel=rel), k
+                assert jet.du_dt == pytest.approx(omega0 * w_t * np.cos(z), rel=1e-13)
 
-    def test_finite_difference_oracle_all_orders(self, rng):
-        # >= 100 random (net, point) cases per order
+    def test_finite_difference_oracle_all_orders(self, rng, small_blocks):
+        # >= 100 random (net, point) cases per order; 25 points are 7 blocks
         h = 1e-4
         # the third-difference quotient amplifies rounding by eps/(2h^3), so
         # its step must sit at the double-precision optimum instead
@@ -196,29 +213,32 @@ class TestLossGradients:
         for g in grad.d_weights + grad.d_biases:
             assert np.all(g == 0.0)
 
-    def test_single_neuron_hand_gradient(self):
+    def test_single_neuron_hand_gradient(self, small_blocks):
         omega0 = 30.0
         w_t, w_x, b, w_out = 0.3, -0.2, 0.05, 0.9
         net = single_neuron(w_t, w_x, b, w_out, 0.0, omega0)
-        t0, x0 = 0.4, -0.8
 
         def value_loss(jet):
             bar = np.zeros_like(jet.data)
             bar[0] = 1.0
-            return float(jet.u[0]), Jet(bar)
+            return float(jet.u.sum()), Jet(bar)
 
-        _, grad = loss_gradients(net, np.array([t0]), np.array([x0]), value_loss)
-        z = omega0 * (w_t * t0 + w_x * x0 + b)
-        cos_chain = w_out * omega0 * math.cos(z)
-        assert grad.d_weights[1][0, 0] == pytest.approx(math.sin(z), rel=1e-12)
-        assert grad.d_biases[1][0] == pytest.approx(1.0)
-        assert grad.d_weights[0][0, 0] == pytest.approx(cos_chain * t0, rel=1e-12)
-        assert grad.d_weights[0][0, 1] == pytest.approx(cos_chain * x0, rel=1e-12)
-        assert grad.d_biases[0][0] == pytest.approx(cos_chain, rel=1e-12)
+        # one point, then 11 nearby points whose block gradients add up
+        for n in (1, 11):
+            t0, x0 = 0.4 + 1e-3 * np.arange(n), np.full(n, -0.8)
+            _, grad = loss_gradients(net, t0, x0, value_loss)
+            z = omega0 * (w_t * t0 + w_x * x0 + b)
+            cos_chain = w_out * omega0 * np.cos(z)
+            assert grad.d_weights[1][0, 0] == pytest.approx(np.sin(z).sum(), rel=1e-12)
+            assert grad.d_biases[1][0] == pytest.approx(n)
+            assert grad.d_weights[0][0, 0] == pytest.approx((cos_chain * t0).sum(), rel=1e-12)
+            assert grad.d_weights[0][0, 1] == pytest.approx((cos_chain * x0).sum(), rel=1e-12)
+            assert grad.d_biases[0][0] == pytest.approx(cos_chain.sum(), rel=1e-12)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_jet_field_gradients_vs_finite_differences(self, rng, order):
-        # weight a mix of every jet output and check all parameter gradients
+    def test_jet_field_gradients_vs_finite_differences(self, rng, order, small_blocks):
+        # weight a mix of every jet output and check all parameter gradients;
+        # 9 points are 3 blocks
         net = init_siren((2, 7, 6, 1), seed=8)
         t = rng.uniform(0, 1, 9)
         x = rng.uniform(-1, 1, 9)
@@ -257,6 +277,7 @@ class TestLossGradients:
         net = init_siren((2, 5, 4, 1), seed=2)
         _, cache = forward_jet_with_cache(net, rng.uniform(0, 1, 3),
                                           rng.uniform(-1, 1, 3), max_x_order=cache_order)
+        assert len(cache) == 2  # blocks of 2 and 1 points
         with pytest.raises(ValueError, match="order"):
             jet_backward(net, cache, Jet(np.ones((bar_order + 2, 3))))
 
@@ -264,11 +285,11 @@ class TestLossGradients:
         net = init_siren((2, 5, 4, 1), seed=2)
         _, cache = forward_jet_with_cache(net, rng.uniform(0, 1, 3),
                                           rng.uniform(-1, 1, 3), max_x_order=2)
+        assert len(cache) == 2
         bar = Jet(np.ones((4, 3)))
         jet_backward(net, cache, bar)
         with pytest.raises(ValueError, match="one jet_backward call"):
             jet_backward(net, cache, bar)
-
 
 
 def mixed_bar(rng, n, order):
@@ -335,6 +356,97 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * stack_bytes, f"{peak / stack_bytes:.2f} stacks"
+
+
+def pass_digest(n=37, order=3):
+    """SHA-256 of one seeded jet and gradient pass over n points."""
+    rng = np.random.default_rng(7)
+    net = init_siren((2, 9, 7, 8, 1), seed=7)
+    t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
+    jet, grad, _ = jet_and_grad(net, t, x, mixed_bar(rng, n, order))
+    digest = hashlib.sha256(jet.data.tobytes())
+    for g in grad.d_weights + grad.d_biases:
+        digest.update(g.tobytes())
+    return digest.hexdigest()
+
+
+def send_pass_digest(conn):
+    conn.send(pass_digest())
+    conn.close()
+
+
+class TestBlocks:
+    def test_bytes_do_not_depend_on_thread_count(self, rng, monkeypatch):
+        # as on one core and on two: jet threads and numpy's BLAS pool at 1,
+        # then at 2; the pass pins the pool, so the bytes must not change
+        net = init_siren((2, 32, 32, 1), seed=3)
+        n = 2000  # four blocks at the default block size
+        t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
+        bar = mixed_bar(rng, n, 3)
+        pool = linalg._NUMPY_BLAS
+        before = None if pool is None else pool.get()
+        passes = []
+        try:
+            for threads in (1, 2):
+                monkeypatch.setattr(siren, "_threads", threads)
+                if pool is not None:
+                    pool.set(threads)
+                jet, grad, cache = jet_and_grad(net, t, x, bar)
+                passes.append((jet, grad))
+                assert len(cache) == 4
+        finally:
+            if pool is not None:
+                pool.set(before)
+        assert_same_pass(*passes)
+
+    @pytest.mark.parametrize("order", [1, 3, 4])
+    def test_blocked_pass_matches_one_block(self, rng, monkeypatch, order):
+        net = init_siren((2, 16, 12, 1), seed=4)
+        n = 23
+        t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
+        bar = mixed_bar(rng, n, order)
+        blocks = siren._blocks
+        monkeypatch.setattr(siren, "_blocks", lambda n: [(0, n)])
+        ref_jet, ref_grad, ref_cache = jet_and_grad(net, t, x, bar)
+        assert len(ref_cache) == 1
+        monkeypatch.setattr(siren, "_blocks", blocks)
+        monkeypatch.setattr(siren, "BLOCK", 4)
+        jet, grad, cache = jet_and_grad(net, t, x, bar)
+        assert [hi - lo for lo, hi in cache.bounds] == [4, 4, 4, 4, 4, 3]
+        rows = np.abs(jet.data - ref_jet.data).max(axis=1)
+        assert np.all(rows <= 1e-13 * np.abs(ref_jet.data).max(axis=1))
+        for g, ref in zip(grad.d_weights + grad.d_biases,
+                          ref_grad.d_weights + ref_grad.d_biases):
+            assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_one_point_is_one_block(self, rng):
+        net = init_siren((2, 6, 5, 1), seed=1)
+        bar = mixed_bar(rng, 1, 2)
+        jet, grad, cache = jet_and_grad(net, 0.3, -0.2, bar)
+        assert len(cache) == 1 and jet.data.shape == (4, 1)
+        assert jet.u[0] == pytest.approx(forward(net, 0.3, -0.2), rel=1e-14)
+        again, grad_again, reused = jet_and_grad(net, 0.3, -0.2, bar, out=cache)
+        assert reused is cache
+        assert_same_pass((jet, grad), (again, grad_again))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_process_makes_its_own_threads(self, monkeypatch):
+        # a thread pool inherited through fork has no live threads, so a
+        # pass that reused it would never finish
+        monkeypatch.setattr(siren, "_threads", 2)
+        expected = pass_digest()
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=send_pass_digest, args=(sender,))
+        child.start()
+        try:
+            child.join(timeout=60)
+            assert not child.is_alive(), "the forked pass did not finish"
+            assert receiver.poll() and receiver.recv() == expected
+        finally:
+            if child.is_alive():
+                child.terminate()
 
 
 class TestCheckpoint:
