@@ -8,7 +8,7 @@ from .features import (DomainScales, FeatureTerm, PdeSpec, PRESETS, Preset,
                        mse_loss, physical_u_t, preset, relative_error,
                        solve_parameters, term, total_loss)
 from .linalg import (PivotedQr, RankDeficiencyError, SvdConvergenceError,
-                     SvdFactors, pivoted_qr, qr_least_squares, svd, truncate)
+                     SvdFactors, pivoted_qr, qr_least_squares, svd)
 from .sampling import (QdeimConfig, SampleSet, qdeim_sample, qdeim_window,
                        random_sample, sample_size_grid, select_rank)
 from .siren import (Jet, ParamGrad, SirenNet, forward, forward_jet,

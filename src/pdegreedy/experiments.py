@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import PRESETS, PdeSpec, Preset, preset, relative_error
+from .features import PRESETS, PdeSpec, Preset, relative_error
 from .sampling import QdeimConfig, qdeim_sample, random_sample, sample_size_grid
 from .siren import DEFAULT_OMEGA0, DEFAULT_WIDTHS, init_siren, jets_on_calling_thread
 from .snapshots import SnapshotMatrix
@@ -41,11 +41,6 @@ class SweepConfig:
             raise ValueError("t_divs and eps_values must be non-empty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-
-    @classmethod
-    def for_pde(cls, name: str, **overrides) -> "SweepConfig":
-        overrides.setdefault("eps_values", eps_grid(*preset(name).eps_range))
-        return cls(**overrides)
 
 
 @dataclass

@@ -1,19 +1,19 @@
 """Dense matrix kernels: thin SVD, column-pivoted QR, QR least squares.
 
 numpy and scipy wheels each bundle their own OpenBLAS, each with its own
-thread pool. The SVD runs in numpy's and the QRs run in scipy's, and the
-sampler alternates between them, so one pool's spinning threads hold the
-cores while the other works. scipy's pool is therefore set to one thread
-at import. numpy's pool keeps its size everywhere except inside a jet
-pass, which pins it to one thread (``numpy_blas_pinned``) and, when it
-runs threads of its own, stops the pool's idle workers first
-(``stop_numpy_blas_workers``). The sampler's SVD, whose bits and so the
-greedy pivots depend on the pool size, always runs at the pool's own size.
+thread pool. This module owns both pools. At import it records numpy's
+pool size as the SVD's size, then sets both pools to one thread, so every
+other numpy and scipy call (the QRs, the jet passes' GEMMs) runs on the
+calling thread. ``svd`` raises numpy's pool to the recorded size for the
+LAPACK call only: the SVD's bits, and with them the greedy pivots, depend
+on that size. Afterwards the pool is back at one thread and its idle
+workers, which would spin on the cores for about 0.1 s, are stopped.
+Importing this module therefore sets numpy's pool to one thread for the
+whole process.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import os
 from dataclasses import dataclass
@@ -48,13 +48,6 @@ class SvdFactors:
     left: np.ndarray            # (n, z), orthonormal columns
     singular_values: np.ndarray  # (z,), non-increasing, non-negative
     right_t: np.ndarray         # (z, m), orthonormal rows
-
-    @property
-    def rank_limit(self) -> int:
-        return self.singular_values.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right_t
 
 
 @dataclass(frozen=True)
@@ -109,46 +102,23 @@ _SCIPY_BLAS = _bundled_openblas(scipy)
 if _SCIPY_BLAS is not None and _NUMPY_BLAS is not None \
         and os.path.samefile(_SCIPY_BLAS.path, _NUMPY_BLAS.path):
     _SCIPY_BLAS = None
-if _SCIPY_BLAS is not None:
-    _SCIPY_BLAS.set(1)
+# the size the sampler's SVD has always run at
+_SVD_THREADS = None if _NUMPY_BLAS is None else _NUMPY_BLAS.get()
+for _pool in (_NUMPY_BLAS, _SCIPY_BLAS):
+    if _pool is not None:
+        _pool.set(1)
 
 
 def blas_threads() -> dict:
-    """Live thread counts of numpy's and scipy's bundled OpenBLAS pools.
+    """Live thread counts of numpy's and scipy's bundled OpenBLAS pools,
+    and the size numpy's pool takes inside ``svd``.
 
     An entry is None where that library is not found; scipy's is also None
     when scipy shares numpy's library.
     """
-    return {name: None if pool is None else pool.get()
-            for name, pool in (("numpy", _NUMPY_BLAS), ("scipy", _SCIPY_BLAS))}
-
-
-@contextlib.contextmanager
-def numpy_blas_pinned():
-    """numpy's bundled OpenBLAS pool at one thread inside the block, its
-    former size restored on exit; nothing changes where the pool is not
-    found. Not for concurrent use from several threads."""
-    if _NUMPY_BLAS is None:
-        yield
-        return
-    before = _NUMPY_BLAS.get()
-    _NUMPY_BLAS.set(1)
-    try:
-        yield
-    finally:
-        _NUMPY_BLAS.set(before)
-
-
-def stop_numpy_blas_workers() -> None:
-    """Stop the idle worker threads of numpy's bundled OpenBLAS pool where
-    the library exports a way to. They spin for about 0.1 s after each
-    threaded call, taking a core from whatever runs next; the next threaded
-    call starts them again at the same count, and its results keep their
-    bits. Restarting costs more than the spin in processes that share the
-    cores with other workers, so only callers with threads of their own
-    to run use this."""
-    if _NUMPY_BLAS is not None and _NUMPY_BLAS.shutdown is not None:
-        _NUMPY_BLAS.shutdown()
+    return {"numpy": None if _NUMPY_BLAS is None else _NUMPY_BLAS.get(),
+            "scipy": None if _SCIPY_BLAS is None else _SCIPY_BLAS.get(),
+            "svd": _SVD_THREADS}
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -161,11 +131,13 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def svd(a) -> SvdFactors:
-    """Thin SVD of a real matrix.
+    """Thin SVD of a real matrix, on numpy's pool at its import-time size.
 
     Raises SvdConvergenceError if the underlying LAPACK iteration fails.
     """
     a = _as_matrix(a)
+    if _NUMPY_BLAS is not None:
+        _NUMPY_BLAS.set(_SVD_THREADS)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -173,18 +145,12 @@ def svd(a) -> SvdFactors:
         raise SvdConvergenceError(
             f"SVD iteration did not converge on a {a.shape[0]}x{a.shape[1]} matrix"
         ) from exc
+    finally:
+        if _NUMPY_BLAS is not None:
+            _NUMPY_BLAS.set(1)
+            if _NUMPY_BLAS.shutdown is not None:  # idle workers would spin ~0.1 s
+                _NUMPY_BLAS.shutdown()
     return SvdFactors(left=u, singular_values=s, right_t=vt)
-
-
-def truncate(f: SvdFactors, r: int) -> SvdFactors:
-    """Keep the leading r singular triplets."""
-    if not 1 <= r <= f.rank_limit:
-        raise ValueError(f"rank {r} out of range [1, {f.rank_limit}]")
-    return SvdFactors(
-        left=f.left[:, :r],
-        singular_values=f.singular_values[:r],
-        right_t=f.right_t[:r, :],
-    )
 
 
 def pivoted_qr(a) -> PivotedQr:

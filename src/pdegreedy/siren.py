@@ -21,11 +21,10 @@ instead of streaming from memory. The Jet still covers the whole batch;
 the backward pass takes each block's slice of the jet cotangents and sums
 the blocks' gradients in block order. Blocks are striped over one thread
 per usable core, the calling thread taking the first stripe; numpy's
-ufuncs and matmul release the GIL. numpy's BLAS pool runs at one thread
-during a pass and its idle workers are stopped before a threaded one
-(see ``linalg``), so the stripes have the cores to themselves, every
-block computes the same bytes on any thread and output does not depend
-on the core count.
+ufuncs and matmul release the GIL. numpy's BLAS pool reads one thread
+whenever a pass runs (``linalg`` sets it at import), so the stripes have
+the cores to themselves, every block computes the same bytes on any
+thread and output does not depend on the core count.
 
 The cache of ``forward_jet_with_cache`` holds, per block, a list of
 ndarrays: the input streams, per hidden layer its pre-activation streams
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import blas_threads, numpy_blas_pinned, stop_numpy_blas_workers
+from .linalg import blas_threads
 
 DEFAULT_WIDTHS = (2, 128, 128, 128, 1)
 DEFAULT_OMEGA0 = 30.0
@@ -127,6 +126,10 @@ def init_siren(widths, omega0: float = DEFAULT_OMEGA0, seed: int = 0) -> SirenNe
         raise ValueError(f"network takes the two inputs (t, x), got width {widths[0]}")
     if widths[-1] != 1:
         raise ValueError(f"network emits one output, got width {widths[-1]}")
+    if min(widths) < 1:
+        raise ValueError(f"every width must be >= 1, got {widths}")
+    if not (math.isfinite(omega0) and omega0 > 0.0):
+        raise ValueError(f"omega0 must be finite and > 0, got {omega0}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
@@ -198,7 +201,7 @@ def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None):
 BLOCK = 512  # points per block; on a 2-core VM kdv-large ran as fast at 256 and 1024
 
 _threads = None  # jet threads in this process; None: one per usable core
-_pool = None     # (pid, workers, ThreadPoolExecutor), made by the first pass that needs it
+_pool = None     # (pid, ThreadPoolExecutor), made by the first pass that needs it
 
 
 class _JetCache(list):
@@ -222,7 +225,8 @@ def _blocks(n: int) -> list[tuple[int, int]]:
 
 def jet_threads() -> int:
     """Threads that share a pass's blocks: one per core this process may
-    run on, or one where numpy's BLAS pool cannot be pinned."""
+    run on, or one where numpy's BLAS pool is not found and so may run
+    threads of its own."""
     if blas_threads()["numpy"] is None:
         return 1
     if _threads is not None:
@@ -241,16 +245,15 @@ def jets_on_calling_thread() -> None:
     _threads = 1
 
 
-def _executor(workers: int) -> ThreadPoolExecutor:
-    """This process's pool for stripes 1.. of a pass. A pool inherited
-    through fork has no live threads, so it is made anew per process id."""
+def _executor() -> ThreadPoolExecutor:
+    """This process's pool of jet_threads() - 1 workers for stripes 1..;
+    stripes beyond that queue. A pool inherited through fork has no live
+    threads, so it is made anew per process id."""
     global _pool
-    if _pool is None or _pool[0] != os.getpid() or _pool[1] < workers:
-        if _pool is not None and _pool[0] == os.getpid():
-            _pool[2].shutdown(wait=False)  # outgrown: its threads exit once idle
-        _pool = (os.getpid(), workers,
-                 ThreadPoolExecutor(workers, thread_name_prefix="pdegreedy-jet"))
-    return _pool[2]
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = (os.getpid(), ThreadPoolExecutor(jet_threads() - 1,
+                                                 thread_name_prefix="pdegreedy-jet"))
+    return _pool[1]
 
 
 def _stripe(run, first: int, step: int, count: int) -> None:
@@ -262,22 +265,15 @@ def _run_blocks(run, count: int) -> None:
     """``run(i)`` for every block i, with block i on stripe i mod T of
     T = jet_threads() stripes: the calling thread takes stripe 0, pool
     threads the others. numpy's ufuncs and matmul release the GIL, so the
-    stripes run on separate cores. numpy's BLAS pool runs at one thread
-    meanwhile, so a block computes the same bytes on any thread and BLAS
-    threads do not compete with the stripes."""
-    with numpy_blas_pinned():
-        stripes = min(count, jet_threads())
-        pool = None
-        if stripes > 1:
-            stop_numpy_blas_workers()  # a spinning BLAS worker would take a stripe's core
-            pool = _executor(stripes - 1)
-        futures = [pool.submit(_stripe, run, s, stripes, count) for s in range(1, stripes)]
-        try:
-            _stripe(run, 0, stripes, count)
-        finally:
-            wait(futures)  # the stripes write into buffers the caller owns
-        for f in futures:
-            f.result()
+    stripes run on separate cores."""
+    stripes = min(count, jet_threads())
+    futures = [_executor().submit(_stripe, run, s, stripes, count) for s in range(1, stripes)]
+    try:
+        _stripe(run, 0, stripes, count)
+    finally:
+        wait(futures)  # the stripes write into buffers the caller owns
+    for f in futures:
+        f.result()
 
 
 def _cache_shapes(widths, n: int, order: int) -> list[tuple[int, ...]]:

@@ -269,6 +269,8 @@ def generate_synthetic(spec: PdeSpec, n: int, m: int, domain, init: str = "gauss
     x_min, x_max, t_max = (float(v) for v in domain)
     if not (x_max > x_min and t_max > 0):
         raise ValueError(f"bad domain {domain}")
+    if n < 2 or m < 2:
+        raise ValueError(f"need at least 2 grid points in x and t, got n={n}, m={m}")
 
     span = x_max - x_min
     x = x_min + span * np.arange(n) / n  # periodic: right endpoint excluded

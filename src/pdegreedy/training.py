@@ -28,6 +28,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.step_size_up < 1:
+            raise ValueError(f"step_size_up must be >= 1, got {self.step_size_up}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         for name in ("mu1", "mu2"):

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from pdegreedy.cli import main as cli_main
-from pdegreedy.experiments import (SweepConfig, cluster_records, lloyd,
+from pdegreedy.experiments import (SweepConfig, cluster_records, eps_grid, lloyd,
                                    sweep_greedy, sweep_random)
 from pdegreedy.features import (PRESETS, DomainScales, build_theta,
                                 composite_loss_and_bar, get_pde_spec, physical_u_t,
-                                relative_error, solve_parameters)
-from pdegreedy.linalg import pivoted_qr, qr_least_squares, svd, truncate
+                                preset, relative_error, solve_parameters)
+from pdegreedy.linalg import pivoted_qr, qr_least_squares, svd
 from pdegreedy.sampling import QdeimConfig, qdeim_sample, random_sample
 from pdegreedy.siren import (DEFAULT_WIDTHS, forward, forward_jet,
                              forward_jet_with_cache, init_siren, jet_backward)
@@ -77,7 +77,7 @@ class TestCriterion1SampleCounts:
                 # substitute: the pairing identity |samples| = sum_w r_w^2
                 # over the full (t_div, eps) grid, under 10 s per dataset
                 snapshot = generated[pde]
-                sweep = SweepConfig.for_pde(pde)
+                sweep = SweepConfig(eps_values=eps_grid(*preset(pde).eps_range))
                 started = time.perf_counter()
                 for t_div in (1, 2, 3, 4):
                     for eps in sweep.eps_values:
@@ -141,7 +141,8 @@ class TestCriterion5ProtocolCounts:
     def test_sweep_baseline_cluster_counts(self, small_snapshot):
         spec = get_pde_spec("burgers")
         fast = TrainConfig(max_iter=1)
-        sweep_cfg = SweepConfig.for_pde("burgers", widths=(2, 6, 1))
+        sweep_cfg = SweepConfig(eps_values=eps_grid(*preset("burgers").eps_range),
+                                widths=(2, 6, 1))
         records = sweep_greedy(small_snapshot, spec, sweep_cfg, fast)
         baseline = sweep_random(small_snapshot, spec, 10, 40, fast,
                                 widths=(2, 6, 1))
@@ -268,7 +269,8 @@ class TestCriterion6Properties:
             a = rng.standard_normal((9, 7))
             f = svd(a)
             for r in range(1, 7):
-                err = np.linalg.norm(a - truncate(f, r).reconstruct())
+                low = (f.left[:, :r] * f.singular_values[:r]) @ f.right_t[:r]
+                err = np.linalg.norm(a - low)
                 tail = np.sqrt(np.sum(f.singular_values[r:] ** 2))
                 worst = max(worst, abs(err - tail) / max(tail, 1e-300))
         ok = report("criterion 6e (truncation error = tail energy)",

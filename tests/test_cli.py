@@ -30,8 +30,9 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert manifest["config"]["n"] == 32
         env = manifest["environment"]
-        assert set(env["blas_threads"]) == {"numpy", "scipy"}
-        assert env["blas_threads"]["scipy"] in (None, 1)  # pinned where found
+        assert set(env["blas_threads"]) == {"numpy", "scipy", "svd"}
+        assert env["blas_threads"]["numpy"] in (None, 1)  # pinned where found
+        assert env["blas_threads"]["scipy"] in (None, 1)
 
     def test_unknown_pde_lists_presets(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -146,6 +147,31 @@ class TestTrain:
         assert run(*argv, "--config", cfg_path, "--out-dir", tmp_path / "out") == 1
         key = next(iter(config))
         assert capsys.readouterr().err.startswith(f"error: {key}: expected ")
+        assert not (tmp_path / "out").exists()  # refused before any output
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ("--step-size-up", "0"), "step_size_up must be >= 1"),
+        ("sweep", ("--step-size-up", "0"), "step_size_up must be >= 1"),
+        ("train", ("--omega0", "0"), "omega0 must be finite and > 0"),
+        ("train", ("--omega0", "nan"), "omega0 must be finite and > 0"),
+        ("train", ("--omega0", "-1"), "omega0 must be finite and > 0"),
+        ("train", ("--omega0", "inf"), "omega0 must be finite and > 0"),
+        ("train", ("--widths", "2,0,1"), "every width must be >= 1"),
+        ("generate", ("--n", "0"), "need at least 2 grid points"),
+        ("generate", ("--n", "1"), "need at least 2 grid points"),
+    ], ids=["train-step-size-up", "sweep-step-size-up", "omega0-zero", "omega0-nan",
+            "omega0-negative", "omega0-inf", "width-zero", "generate-n0", "generate-n1"])
+    def test_malformed_number_reported(self, tmp_path, data_dir, capsys,
+                                       command, flags, message):
+        if command == "generate":
+            argv = ("generate", "--pde", "burgers", "--m", "9")
+        else:
+            argv = (command, "--snapshot", data_dir / "burgers.txt", "--pde", "burgers",
+                    "--max-iter", "1", "--widths", "2,6,1")
+            if command == "train":
+                argv += ("--t-div", "1", "--eps", "1e-2")
+        assert run(*argv, *flags, "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()  # refused before any output
 
     def test_config_int_accepted_for_float(self, tmp_path, data_dir):

@@ -11,7 +11,7 @@ from pdegreedy import experiments, siren
 from pdegreedy.experiments import (SweepConfig, cluster_records, eps_grid,
                                    export_plot_data, export_results, kmeans, lloyd,
                                    read_results, sweep_greedy, sweep_random)
-from pdegreedy.features import get_pde_spec
+from pdegreedy.features import get_pde_spec, preset
 from pdegreedy.sampling import QdeimConfig, qdeim_sample
 from pdegreedy.siren import init_siren
 from pdegreedy.training import TrainConfig, train
@@ -22,7 +22,7 @@ FAST_WIDTHS = (2, 8, 8, 1)
 @pytest.fixture(scope="module")
 def greedy_records(small_snapshot):
     spec = get_pde_spec("burgers")
-    sweep_cfg = SweepConfig.for_pde("burgers", widths=FAST_WIDTHS)
+    sweep_cfg = SweepConfig(eps_values=eps_grid(*preset("burgers").eps_range), widths=FAST_WIDTHS)
     train_cfg = TrainConfig(max_iter=2)
     return sweep_greedy(small_snapshot, spec, sweep_cfg, train_cfg)
 
@@ -200,11 +200,11 @@ class TestConfigs:
             eps_grid(1e-2, 1e-10)
 
     def test_per_pde_defaults(self):
-        ac = SweepConfig.for_pde("allen-cahn")
+        ac = SweepConfig(eps_values=eps_grid(*preset("allen-cahn").eps_range))
         assert ac.eps_values[0] == pytest.approx(1e-13)
         assert ac.eps_values[-1] == pytest.approx(1e-4)
         assert len(ac.eps_values) == 20 and ac.t_divs == (1, 2, 3, 4)
-        kdv = SweepConfig.for_pde("kdv")
+        kdv = SweepConfig(eps_values=eps_grid(*preset("kdv").eps_range))
         assert kdv.eps_values[0] == pytest.approx(1e-10)
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])

@@ -12,12 +12,7 @@ import pytest
 
 from pdegreedy import experiments, linalg, siren
 from pdegreedy.linalg import (RankDeficiencyError, pivoted_qr,
-                              qr_least_squares, svd, truncate)
-
-needs_scipy_pool = pytest.mark.skipif(
-    linalg._SCIPY_BLAS is None,
-    reason="scipy's OpenBLAS is not a separate library bundled in scipy.libs/")
-
+                              qr_least_squares, svd)
 
 def greedy_pivot_oracle(a):
     """Brute-force greedy pivoting: explicit projections, ties to lowest index."""
@@ -49,7 +44,7 @@ class TestSvd:
         a = rng.standard_normal((10, 6))
         f = svd(a)
         s1 = f.singular_values[0]
-        assert np.linalg.norm(f.reconstruct() - a) < 1e-10 * s1
+        assert np.linalg.norm(rank_r(f, 6) - a) < 1e-10 * s1
         # independent oracle: sqrt of eigenvalues of the Gram matrix
         gram_eigs = np.linalg.eigvalsh(a.T @ a)[::-1]
         np.testing.assert_allclose(f.singular_values,
@@ -68,23 +63,26 @@ class TestSvd:
             svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+def rank_r(f, r):
+    """The rank-r truncation of an SVD, multiplied out."""
+    return (f.left[:, :r] * f.singular_values[:r]) @ f.right_t[:r]
+
+
 class TestTruncate:
     def test_full_rank_reconstructs(self, rng):
         a = rng.standard_normal((5, 5))
-        f = truncate(svd(a), 5)
-        assert np.linalg.norm(f.reconstruct() - a) < 1e-10 * f.singular_values[0]
+        f = svd(a)
+        assert np.linalg.norm(rank_r(f, 5) - a) < 1e-10 * f.singular_values[0]
 
     def test_discarded_sigma(self):
-        f = truncate(svd(np.diag([3.0, 1.0])), 1)
-        err = np.linalg.norm(np.diag([3.0, 1.0]) - f.reconstruct())
+        err = np.linalg.norm(np.diag([3.0, 1.0]) - rank_r(svd(np.diag([3.0, 1.0])), 1))
         assert abs(err - 1.0) < 1e-12
 
     def test_tail_energy_formula(self, rng):
         a = rng.standard_normal((8, 8))
         full = svd(a)
         r = 4
-        low = truncate(full, r)
-        err = np.linalg.norm(a - low.reconstruct())
+        err = np.linalg.norm(a - rank_r(full, r))
         tail = np.sqrt(np.sum(full.singular_values[r:] ** 2))
         assert abs(err - tail) <= 1e-8 * tail
 
@@ -92,18 +90,11 @@ class TestTruncate:
         # no random rank-r factorization should beat the SVD truncation
         a = rng.standard_normal((7, 9))
         r = 3
-        best = np.linalg.norm(a - truncate(svd(a), r).reconstruct())
+        best = np.linalg.norm(a - rank_r(svd(a), r))
         for _ in range(25):
             left = rng.standard_normal((7, r))
             coef, *_ = np.linalg.lstsq(left, a, rcond=None)
             assert best <= np.linalg.norm(a - left @ coef) + 1e-9
-
-    def test_rank_out_of_range(self):
-        f = svd(np.eye(3))
-        with pytest.raises(ValueError):
-            truncate(f, 0)
-        with pytest.raises(ValueError):
-            truncate(f, 4)
 
 
 class TestPivotedQr:
@@ -196,26 +187,67 @@ def _pool_threads(_task):
     return linalg.blas_threads()
 
 
-class TestBlasPools:
-    @needs_scipy_pool
-    def test_import_pins_scipy_pool_only(self):
-        # a fresh interpreter reads numpy's pool before pdegreedy is imported
-        pool = linalg._NUMPY_BLAS
-        before = ("None" if pool is None else
-                  f"ctypes.CDLL({str(pool.path)!r})[{pool.get.__name__!r}]()")
-        script = ("import ctypes, json, numpy\n"
-                  f"before = {before}\n"
-                  "import pdegreedy\n"
-                  "print(json.dumps([before, pdegreedy.linalg.blas_threads()]))\n")
-        src = str(Path(linalg.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                             capture_output=True, text=True, timeout=120).stdout
-        before, after = json.loads(out)
-        assert after == {"numpy": before, "scipy": 1}
+def run_fresh(script: str) -> str:
+    """stdout of ``script`` in a new interpreter that can import pdegreedy."""
+    src = str(Path(linalg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
 
-    @needs_scipy_pool
+
+# numpy's pool size, read in an interpreter that has not imported pdegreedy
+NUMPY_POOL_EXPR = ("None" if linalg._NUMPY_BLAS is None else
+                   f"ctypes.CDLL({str(linalg._NUMPY_BLAS.path)!r})"
+                   f"[{linalg._NUMPY_BLAS.get.__name__!r}]()")
+
+needs_numpy_pool = pytest.mark.skipif(
+    linalg._NUMPY_BLAS is None,
+    reason="numpy's OpenBLAS is not a library bundled in numpy.libs/")
+
+
+class TestBlasPools:
+    def test_import_sets_both_pools_to_one_thread(self):
+        # a fresh interpreter reads numpy's pool before pdegreedy is imported
+        out = run_fresh("import ctypes, json, numpy\n"
+                        f"before = {NUMPY_POOL_EXPR}\n"
+                        "import pdegreedy\n"
+                        "print(json.dumps([before, pdegreedy.linalg.blas_threads()]))\n")
+        before, after = json.loads(out)
+        assert after.pop("scipy") in (1, None)  # None: no separate scipy library
+        assert after == {"numpy": None if before is None else 1, "svd": before}
+
+    @needs_numpy_pool
+    def test_svd_bits_are_numpy_svd_at_import_size(self, tmp_path):
+        if linalg.blas_threads()["svd"] == 1:
+            pytest.skip("numpy's pool has one thread here, so no size to tell apart")
+        a = np.random.default_rng(0).standard_normal((300, 120))
+        path = tmp_path / "svd.npz"
+        run_fresh("import numpy\n"  # never imports pdegreedy
+                  "a = numpy.random.default_rng(0).standard_normal((300, 120))\n"
+                  f"numpy.savez({str(path)!r}, *numpy.linalg.svd(a, full_matrices=False))\n")
+        with np.load(path) as saved:
+            fresh = [saved[f"arr_{i}"] for i in range(3)]
+
+        def same(factors):
+            return all(np.array_equal(x, y) for x, y in zip(factors, fresh))
+
+        # the matrix's bits differ between one thread and the pool's size
+        assert not same(np.linalg.svd(a, full_matrices=False))
+        f = linalg.svd(a)
+        assert same((f.left, f.singular_values, f.right_t))
+        assert linalg.blas_threads()["numpy"] == 1
+
+    @needs_numpy_pool
+    def test_pool_back_at_one_thread_when_svd_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            assert linalg.blas_threads()["numpy"] == linalg.blas_threads()["svd"]
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(linalg.SvdConvergenceError):
+            linalg.svd(np.eye(3))
+        assert linalg.blas_threads()["numpy"] == 1
+
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_pin_holds_in_pool_workers(self, method, monkeypatch):
         if method not in multiprocessing.get_all_start_methods():
@@ -223,22 +255,16 @@ class TestBlasPools:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
         workers = experiments._map_tasks(_pool_threads, [0, 1], jobs=2)
-        numpy_threads = linalg.blas_threads()["numpy"]
-        assert workers == [{"numpy": numpy_threads, "scipy": 1}] * 2
+        assert workers == [linalg.blas_threads()] * 2
 
     def test_jet_pass_leaves_pool_size_and_svd_bits(self, rng):
-        # a pass runs numpy's pool at one thread and may stop its workers;
-        # after either the pool has its size back and the SVD the same bits
+        # an SVD, a jet pass on stripes, an SVD: the pools read as before
+        # and the two SVDs agree in every bit
         a = rng.standard_normal((300, 120))
         sizes, first = linalg.blas_threads(), linalg.svd(a)
-        with linalg.numpy_blas_pinned():
-            assert linalg.blas_threads()["numpy"] in (None, 1)
-        linalg.stop_numpy_blas_workers()
-        again = linalg.svd(a)
         siren.forward_jet(siren.init_siren((2, 16, 16, 1)), np.linspace(0, 1, 600), np.zeros(600))
         assert linalg.blas_threads() == sizes
         last = linalg.svd(a)
-        for later in (again, last):
-            for x, y in ((first.left, later.left), (first.singular_values, later.singular_values),
-                         (first.right_t, later.right_t)):
-                assert np.array_equal(x, y)
+        for x, y in ((first.left, last.left), (first.singular_values, last.singular_values),
+                     (first.right_t, last.right_t)):
+            assert np.array_equal(x, y)

@@ -67,6 +67,16 @@ class TestInit:
         with pytest.raises(ValueError):
             init_siren((2, 8, 2))
 
+    @pytest.mark.parametrize("widths", [(2, 0, 1), (2, 8, -1, 1)])
+    def test_non_positive_width_rejected(self, widths):
+        with pytest.raises(ValueError, match="every width must be >= 1"):
+            init_siren(widths)
+
+    @pytest.mark.parametrize("omega0", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_omega0_rejected(self, omega0):
+        with pytest.raises(ValueError, match="omega0 must be finite and > 0"):
+            init_siren((2, 8, 1), omega0=omega0)
+
 
 class TestForward:
     def test_zero_weights_give_zero(self):
@@ -377,27 +387,24 @@ def send_pass_digest(conn):
 
 class TestBlocks:
     def test_bytes_do_not_depend_on_thread_count(self, rng, monkeypatch):
-        # as on one core and on two: jet threads and numpy's BLAS pool at 1,
-        # then at 2; the pass pins the pool, so the bytes must not change
+        # as on one core and on two: one jet thread, then two, with numpy's
+        # BLAS pool as import leaves it and right after a threaded SVD
         net = init_siren((2, 32, 32, 1), seed=3)
         n = 2000  # four blocks at the default block size
         t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
         bar = mixed_bar(rng, n, 3)
-        pool = linalg._NUMPY_BLAS
-        before = None if pool is None else pool.get()
         passes = []
-        try:
-            for threads in (1, 2):
-                monkeypatch.setattr(siren, "_threads", threads)
-                if pool is not None:
-                    pool.set(threads)
+        for threads in (1, 2):
+            monkeypatch.setattr(siren, "_threads", threads)
+            for after_svd in (False, True):
+                if after_svd:
+                    linalg.svd(rng.standard_normal((300, 120)))
+                assert linalg.blas_threads()["numpy"] in (None, 1)
                 jet, grad, cache = jet_and_grad(net, t, x, bar)
                 passes.append((jet, grad))
                 assert len(cache) == 4
-        finally:
-            if pool is not None:
-                pool.set(before)
-        assert_same_pass(*passes)
+        for other in passes[1:]:
+            assert_same_pass(passes[0], other)
 
     @pytest.mark.parametrize("order", [1, 3, 4])
     def test_blocked_pass_matches_one_block(self, rng, monkeypatch, order):

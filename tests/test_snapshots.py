@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdegreedy import get_pde_spec
+from pdegreedy import get_pde_spec, snapshots
 from pdegreedy.snapshots import (IntegrationBlowupError, SnapshotMatrix,
                                  SnapshotParseError, generate_synthetic,
                                  load_snapshot, save_snapshot, subdivide_time)
@@ -168,6 +168,13 @@ class TestGenerator:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowupError):
                 generate_synthetic(bad, 64, 9, (-1, 1, 1.0), init="random-fourier")
+
+    @pytest.mark.parametrize("n, m", [(0, 9), (1, 9), (16, 1), (16, 0)])
+    def test_grid_below_two_points_rejected(self, n, m, monkeypatch):
+        # refused before the integrator is called
+        monkeypatch.setattr(snapshots, "solve_ivp", None)
+        with pytest.raises(ValueError, match="need at least 2 grid points"):
+            generate_synthetic(get_pde_spec("burgers"), n, m, (-1, 1, 1.0))
 
     def test_requires_true_coefficients(self):
         from pdegreedy.features import PdeSpec, term

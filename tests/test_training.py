@@ -42,6 +42,11 @@ class TestCyclicLr:
         with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
             TrainConfig(learning_rate=value)
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_step_size_up_validated_at_construction(self, value):
+        with pytest.raises(ValueError, match="step_size_up must be >= 1"):
+            TrainConfig(step_size_up=value)
+
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
