@@ -13,7 +13,8 @@ import numpy as np
 
 from .features import PRESETS, PdeSpec, Preset, relative_error
 from .sampling import QdeimConfig, qdeim_sample, random_sample, sample_size_grid
-from .siren import DEFAULT_OMEGA0, DEFAULT_WIDTHS, init_siren, jets_on_calling_thread
+from .siren import (DEFAULT_OMEGA0, DEFAULT_WIDTHS, check_network, init_siren,
+                    jets_on_calling_thread)
 from .snapshots import SnapshotMatrix
 from .training import TrainConfig, train
 
@@ -114,6 +115,7 @@ def _map_tasks(fn, tasks, jobs: int):
 def sweep_greedy(s: SnapshotMatrix, spec: PdeSpec, sweep_cfg: SweepConfig,
                  train_cfg: TrainConfig, jobs: int = 1) -> list[ExperimentRecord]:
     """One record per (t_div, eps) pair; 4 x 20 = 80 with the defaults."""
+    check_network(sweep_cfg.widths, sweep_cfg.omega0)  # refuse before any task runs
     tasks = [(s, spec, t_div, eps, train_cfg, sweep_cfg.widths, sweep_cfg.omega0)
              for t_div in sweep_cfg.t_divs for eps in sweep_cfg.eps_values]
     return _map_tasks(_greedy_task, tasks, jobs)
@@ -130,6 +132,7 @@ def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    check_network(widths, omega0)
     sizes = sample_size_grid(min_n, max_n)
     tasks = []
     run = 0

@@ -113,12 +113,8 @@ class Jet:
         return self.data[k]
 
 
-def init_siren(widths, omega0: float = DEFAULT_OMEGA0, seed: int = 0) -> SirenNet:
-    """Initialize with the standard sine-network weight ranges.
-
-    First layer weights are uniform on +-1/fan_in, deeper layers on
-    +-sqrt(6/fan_in)/omega0; biases start at zero. Deterministic per seed.
-    """
+def check_network(widths, omega0: float) -> tuple[int, ...]:
+    """The layer widths as ints; ValueError unless widths and omega0 make a net."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2:
         raise ValueError("need at least an input and an output width")
@@ -130,6 +126,16 @@ def init_siren(widths, omega0: float = DEFAULT_OMEGA0, seed: int = 0) -> SirenNe
         raise ValueError(f"every width must be >= 1, got {widths}")
     if not (math.isfinite(omega0) and omega0 > 0.0):
         raise ValueError(f"omega0 must be finite and > 0, got {omega0}")
+    return widths
+
+
+def init_siren(widths, omega0: float = DEFAULT_OMEGA0, seed: int = 0) -> SirenNet:
+    """Initialize with the standard sine-network weight ranges.
+
+    First layer weights are uniform on +-1/fan_in, deeper layers on
+    +-sqrt(6/fan_in)/omega0; biases start at zero. Deterministic per seed.
+    """
+    widths = check_network(widths, omega0)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):

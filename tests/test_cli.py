@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pdegreedy import experiments
 from pdegreedy.cli import main
 from pdegreedy.experiments import ExperimentRecord, export_results
 from pdegreedy.siren import load_checkpoint
@@ -38,6 +39,17 @@ class TestGenerate:
         with pytest.raises(SystemExit) as err:
             run("generate", "--pde", "wave", "--out-dir", tmp_path)
         assert "allen-cahn" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stiff_spec_fails_instead_of_hanging(self, tmp_path, capsys):
+        # Kuramoto-Sivashinsky terms; u_xxxx exhausts the right-hand-side call budget
+        path = tmp_path / "ks.json"
+        path.write_text(json.dumps({"name": "ks-like", "terms": [[[0, 1], [1, 1]], [[2, 1]],
+                                                                 [[4, 1]]],
+                                    "true_p": [-1.0, -1.0, -1.0]}))
+        assert run("generate", "--spec-file", path, "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith("error: integration failed near t = ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSample:
@@ -255,6 +267,25 @@ class TestSweepBaselineCluster:
         assert "mu2 must lie in (0, 1]" in capsys.readouterr().err
         assert not (out / "records.json").exists()
         assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "baseline"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--omega0", "0"), "omega0 must be finite and > 0"),
+        (("--widths", "2,0,1"), "every width must be >= 1"),
+    ], ids=["omega0-zero", "width-zero"])
+    def test_bad_network_refused_before_sampling(self, tmp_path, data_dir, capsys,
+                                                 monkeypatch, command, flags, message):
+        draws = []
+        for sampler in ("qdeim_sample", "random_sample"):
+            monkeypatch.setattr(experiments, sampler, lambda *a, **k: draws.append(a))
+        argv = [command, "--snapshot", data_dir / "burgers.txt", "--pde", "burgers",
+                "--max-iter", "1", *flags, "--out-dir", tmp_path / "out"]
+        if command == "baseline":
+            argv += ["--min-n", "5", "--max-n", "16", "--reps", "1"]
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert draws == []
+        assert not (tmp_path / "out").exists()
 
     def test_cluster_json_format(self, tmp_path, data_dir):
         run("baseline", "--snapshot", data_dir / "burgers.txt",

@@ -1,10 +1,14 @@
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
-from pdegreedy import get_pde_spec, snapshots
+from pdegreedy import PRESETS, get_pde_spec, snapshots
+from pdegreedy.features import PdeSpec, preset, term
 from pdegreedy.snapshots import (IntegrationBlowupError, SnapshotMatrix,
                                  SnapshotParseError, generate_synthetic,
                                  load_snapshot, save_snapshot, subdivide_time)
@@ -130,6 +134,24 @@ class TestFileFormats:
         with pytest.raises(SnapshotParseError, match=":2"):
             load_snapshot(path)
 
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.sampled_from(["matrix-text", "csv"]), st.integers(2, 5), st.integers(2, 5),
+           st.data())
+    def test_round_trip_exact_bytes(self, format, n, m, data):
+        def axis(length):
+            return sorted(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=length,
+                                             max_size=length, unique=True)))
+        x, t = axis(n), axis(m)
+        u = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=n * m, max_size=n * m))
+        s = SnapshotMatrix.from_physical(np.reshape(u, (n, m)), x, t)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "snap"
+            save_snapshot(s, path, format=format)
+            back = load_snapshot(path, format=format)
+        for field in ("u", "x_phys", "t_phys"):
+            assert getattr(back, field).tobytes() == getattr(s, field).tobytes()
+
     def test_csv_incomplete_grid(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,t,u\n0,0,1\n0,1,2\n1,0,3\n")
@@ -181,3 +203,97 @@ class TestGenerator:
         spec = PdeSpec(name="no-p", terms=(term((0, 1)),))
         with pytest.raises(ValueError):
             generate_synthetic(spec, 16, 4, (-1, 1, 1.0))
+
+    def test_call_budget_stops_stiff_spec(self):
+        # Kuramoto-Sivashinsky terms: u_xxxx makes the integrating factor so
+        # stiff that, without the budget, DOP853 steps for minutes in column 1
+        ks = PdeSpec(name="ks-like", terms=(term((0, 1), (1, 1)), term((2, 1)), term((4, 1))),
+                     true_p=(-1.0, -1.0, -1.0))
+        p = preset(ks.name)
+        with np.errstate(all="ignore"):
+            with pytest.raises(IntegrationBlowupError,
+                               match="more than 20000 right-hand-side evaluations"):
+                generate_synthetic(ks, p.n, p.m, p.domain, init=p.init)
+
+
+def reference_generate(spec, n, m, domain, init, seed=0, rtol=1e-8):
+    """The generator's plain formulation: a product seeded by np.full, one
+    inverse FFT per derivative order and two exponentials per right-hand
+    side call. Returns the snapshot values and the summed solver nfev."""
+    x_min, x_max, t_max = (float(v) for v in domain)
+    span = x_max - x_min
+    x = x_min + span * np.arange(n) / n
+    t = np.linspace(0.0, t_max, m)
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=span / n)
+    ik = 1j * k
+    lin = np.zeros_like(ik)
+    nonlinear = []
+    for coef, tm in zip(spec.true_p, spec.terms):
+        if len(tm.factors) == 1 and tm.factors[0][1] == 1:
+            lin = lin + coef * ik ** tm.factors[0][0]
+        else:
+            nonlinear.append((float(coef), tm.factors))
+    dealias = np.ones_like(k)
+    dealias[(2 * k.size) // 3:] = 0.0
+
+    def nonlinear_hat(u_hat):
+        total = np.zeros(n)
+        derivs = {}
+        for coef, factors in nonlinear:
+            prod = np.full(n, coef)
+            for order, power in factors:
+                if order not in derivs:
+                    derivs[order] = np.fft.irfft(u_hat * ik ** order, n)
+                prod = prod * derivs[order] ** power
+            total += prod
+        return dealias * np.fft.rfft(total)
+
+    def rhs(tau, v):
+        return np.exp(-lin * tau) * nonlinear_hat(np.exp(lin * tau) * v)
+
+    u0 = snapshots.INITIAL_CONDITIONS[init](x, x_min, x_max, np.random.default_rng(seed))
+    cols, nfev = [u0], 0
+    u_hat = np.fft.rfft(u0)
+    for j in range(m - 1):
+        sol = solve_ivp(rhs, (0.0, t[j + 1] - t[j]), u_hat.astype(complex),
+                        method="DOP853", rtol=rtol, atol=1e-10)
+        nfev += sol.nfev
+        u_hat = np.exp(lin * (t[j + 1] - t[j])) * sol.y[:, -1]
+        cols.append(np.fft.irfft(u_hat, n))
+    return np.column_stack(cols), nfev
+
+
+def _reduced(name):
+    # a quarter of the preset's points over a tenth of its time span
+    p = PRESETS[name]
+    x_min, x_max, t_max = p.domain
+    return p.spec, p.n // 4, 11, (x_min, x_max, t_max / 10), p.init
+
+
+class TestGeneratorOracle:
+    """The batched generator equals the plain formulation byte for byte and
+    takes the same solver steps."""
+
+    @pytest.mark.parametrize("case", [
+        _reduced("kdv"), _reduced("burgers"), _reduced("allen-cahn"),
+        # no nonlinear term: nothing to transform back
+        (PdeSpec(name="linear", terms=(term((2, 1)), term((3, 1))), true_p=(0.05, -0.5)),
+         64, 11, (-8.0, 8.0, 1.0), "gaussian"),
+        # a squared factor, next to a purely imaginary linear operator
+        (PdeSpec(name="mkdv", terms=(term((0, 2), (1, 1)), term((3, 1))), true_p=(-1.0, -0.1)),
+         64, 11, (-8.0, 8.0, 1.0), "gaussian"),
+    ], ids=["kdv", "burgers", "allen-cahn", "no-nonlinear-term", "u2-u_x"])
+    def test_bytes_and_nfev_match_reference(self, case, monkeypatch):
+        spec, n, m, domain, init = case
+        nfev = []
+
+        def counted(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(snapshots, "solve_ivp", counted)
+        s = generate_synthetic(spec, n, m, domain, init=init)
+        u, ref_nfev = reference_generate(spec, n, m, domain, init)
+        assert s.u.tobytes() == u.tobytes()
+        assert sum(nfev) == ref_nfev
