@@ -215,6 +215,13 @@ class TestGenerator:
                                match="more than 20000 right-hand-side evaluations"):
                 generate_synthetic(ks, p.n, p.m, p.domain, init=p.init)
 
+    def test_call_budget_allows_wide_output_intervals(self):
+        # two KdV intervals of 5 time units: about 24 000 calls each, all of
+        # them progress, so the budget must not depend on the output spacing
+        p = PRESETS["kdv"]
+        s = generate_synthetic(p.spec, p.n, 3, (*p.domain[:2], 10.0), init=p.init)
+        assert s.u.shape == (p.n, 3) and np.all(np.isfinite(s.u))
+
 
 def reference_generate(spec, n, m, domain, init, seed=0, rtol=1e-8):
     """The generator's plain formulation: a product seeded by np.full, one
