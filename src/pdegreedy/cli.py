@@ -331,9 +331,10 @@ def cmd_cluster(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, config: bool = True):
     sub.add_argument("--out-dir", help="output directory (default $PDEGREEDY_OUT or .)")
-    sub.add_argument("--config", help="JSON config file; flags override it")
+    if config:
+        sub.add_argument("--config", help="JSON config file; flags override it")
 
 
 def _add_snapshot_opts(sub):
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = subs.add_parser("sample", help="select samples from a snapshot")
-    _add_common(p)
+    _add_common(p, config=False)
     _add_snapshot_opts(p)
     _add_sampler_opts(p)
     p.set_defaults(func=cmd_sample)
@@ -439,7 +440,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

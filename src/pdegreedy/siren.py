@@ -51,36 +51,53 @@ DEFAULT_WIDTHS = (2, 128, 128, 128, 1)
 DEFAULT_OMEGA0 = 30.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SirenNet:
-    """Fully connected network, sine activations on hidden layers."""
+    """Fully connected network, sine activations on hidden layers. ``params``
+    holds every parameter in checkpoint order: per layer the (fan_out, fan_in)
+    weights row-major, then the biases; ``weights``/``biases`` are views of it."""
 
-    weights: list[np.ndarray]  # layer l: (fan_out, fan_in)
-    biases: list[np.ndarray]   # layer l: (fan_out,)
+    params: np.ndarray
+    widths: tuple[int, ...]
     omega0: float
 
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+    def __post_init__(self):
+        object.__setattr__(self, "widths", check_network(self.widths, self.omega0))
+        _layer_views(self.params, self.widths)  # refuse a vector of the wrong size
 
-    @property
-    def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+    weights = property(lambda self: _layer_views(self.params, self.widths)[0])
+    biases = property(lambda self: _layer_views(self.params, self.widths)[1])
 
     def copy(self) -> "SirenNet":
-        return SirenNet(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            omega0=self.omega0,
-        )
+        return SirenNet(self.params.copy(), self.widths, self.omega0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamGrad:
-    """One entry per network parameter, same shapes as SirenNet."""
+    """Gradient with respect to SirenNet.params, laid out like it;
+    ``d_weights[l]`` and ``d_biases[l]`` are views of ``flat``."""
 
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
+    flat: np.ndarray
+    widths: tuple[int, ...]
+
+    d_weights = property(lambda self: _layer_views(self.flat, self.widths)[0])
+    d_biases = property(lambda self: _layer_views(self.flat, self.widths)[1])
+
+
+def _layer_views(flat: np.ndarray, widths) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per-layer (weights, biases) views of a vector in checkpoint order;
+    ValueError unless the vector has one entry per parameter."""
+    expected = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
+    if flat.shape != (expected,):
+        raise ValueError(f"expected {expected} parameters for widths {list(widths)}, "
+                         f"got shape {flat.shape}")
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        weights.append(flat[pos:pos + fan_in * fan_out].reshape(fan_out, fan_in))
+        pos += fan_in * fan_out
+        biases.append(flat[pos:pos + fan_out])
+        pos += fan_out
+    return tuple(weights), tuple(biases)
 
 
 @dataclass
@@ -137,15 +154,14 @@ def init_siren(widths, omega0: float = DEFAULT_OMEGA0, seed: int = 0) -> SirenNe
     """
     widths = check_network(widths, omega0)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
+    parts = []
     for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         if layer == 0:
             lim = 1.0 / fan_in
         else:
             lim = np.sqrt(6.0 / fan_in) / omega0
-        weights.append(rng.uniform(-lim, lim, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return SirenNet(weights=weights, biases=biases, omega0=float(omega0))
+        parts += [rng.uniform(-lim, lim, size=fan_out * fan_in), np.zeros(fan_out)]
+    return SirenNet(np.concatenate(parts), widths, float(omega0))
 
 
 def forward(net: SirenNet, t, x):
@@ -185,14 +201,15 @@ def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None):
         cache = _JetCache([np.empty(shape) for shape in block] for block in shapes)
     cache.bounds, cache.armed = bounds, True
 
+    weights, biases = net.weights, net.biases
     hidden = [(net.omega0 * w, net.omega0 * b)  # a = omega0 (W c + b)
-              for w, b in zip(net.weights[:-1], net.biases[:-1])]
+              for w, b in zip(weights[:-1], biases[:-1])]
     factorials = _factorials(order)
     data = np.empty((order + 2, t_arr.shape[0]))
 
     def run(i):
         lo, hi = bounds[i]
-        o = _forward_block(cache[i], hidden, net.weights[-1], net.biases[-1],
+        o = _forward_block(cache[i], hidden, weights[-1], biases[-1],
                            t_arr[lo:hi], x_arr[lo:hi], order)
         # into a new array: the next pass through this cache overwrites o
         np.multiply(o, factorials, out=data[:, lo:hi])
@@ -420,41 +437,37 @@ def jet_backward(net: SirenNet, cache, bar: Jet) -> ParamGrad:
     cache.armed = False
 
     # hidden layers: a = omega0 (W c + b); the output layer is linear
-    scales = [net.omega0] * (len(net.weights) - 1) + [1.0]
-    scaled = [s * w for s, w in zip(scales, net.weights)]
+    weights = net.weights
+    scaled = [net.omega0 * w for w in weights[:-1]] + [weights[-1]]
     factorials = _factorials(order)
-    parts = [None] * len(cache)
+    rows = np.empty((len(cache), net.params.size))  # one gradient per block
 
     def run(i):
         lo, hi = cache.bounds[i]
-        parts[i] = _backward_block(cache[i], scaled, bar.data[:, lo:hi], factorials, order)
+        _backward_block(cache[i], scaled, bar.data[:, lo:hi], factorials, order,
+                        _layer_views(rows[i], net.widths))
 
     _run_blocks(run, len(cache))
-    d_weights, d_biases = parts[0]
-    for part_weights, part_biases in parts[1:]:
-        for total, part in zip(d_weights + d_biases, part_weights + part_biases):
-            total += part
-    for layer, s in enumerate(scales):
-        d_weights[layer] *= s
-        d_biases[layer] *= s
-    return ParamGrad(d_weights=d_weights, d_biases=d_biases)
+    flat = rows.sum(axis=0)  # numpy adds the rows one after another, in block order
+    flat[:-(weights[-1].size + net.widths[-1])] *= net.omega0  # all but the output layer
+    return ParamGrad(flat, net.widths)
 
 
-def _backward_block(cache, scaled, bar, factorials, order):
+def _backward_block(cache, scaled, bar, factorials, order, out):
     """One block's reverse pass in its buffers ``cache``, from the block's
     jet cotangents ``bar``; ``scaled`` holds each layer's weights times its
-    scale. Returns the block's weight and bias gradients without the scale."""
+    scale. Writes the block's weight and bias gradients, without the scale,
+    into the (weights, biases) views ``out``."""
     n = cache[0].shape[1]
     bs = cache[-2]  # the output stack turns into its cotangents
     np.multiply(bar, factorials, out=bs[..., 0])
-    layers = len(scaled)
-    d_weights, d_biases = [None] * layers, [None] * layers
-    for layer in range(layers - 1, -1, -1):
+    d_weights, d_biases = out
+    for layer in range(len(scaled) - 1, -1, -1):
         # bs: cotangents of this layer's pre-activation streams, c: its input
         c = cache[2 * layer]
         flat = bs.reshape(-1, bs.shape[-1])
-        d_weights[layer] = flat.T @ c.reshape(-1, c.shape[-1])
-        d_biases[layer] = bs[0].sum(axis=0)
+        np.matmul(flat.T, c.reshape(-1, c.shape[-1]), out=d_weights[layer])
+        bs[0].sum(axis=0, out=d_biases[layer])
         if layer == 0:
             break
         a, w = cache[2 * layer - 1], scaled[layer]
@@ -463,40 +476,27 @@ def _backward_block(cache, scaled, bar, factorials, order):
         np.matmul(flat, w, out=c.reshape(-1, c.shape[-1]))
         _sine_cotangents(c, a, order, tmp)
         bs = c
-    return d_weights, d_biases
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: "siren <omega0> <w0> <w1> ..." header, then one
-# parameter per line (%.17g, exact float64 round trip), weights row-major
-# then bias, layer by layer.
+# checkpoint format: "siren <omega0> <w0> <w1> ..." header, then
+# SirenNet.params one per line (%.17g, exact float64 round trip).
 
 def save_checkpoint(net: SirenNet, path) -> None:
-    lines = ["siren %.17g %s" % (net.omega0, " ".join(str(w) for w in net.widths))]
-    for w, b in zip(net.weights, net.biases):
-        lines.extend("%.17g" % v for v in w.ravel())
-        lines.extend("%.17g" % v for v in b)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = "siren %.17g %s" % (net.omega0, " ".join(map(str, net.widths)))
+    np.savetxt(path, net.params, fmt="%.17g", header=header, comments="")
 
 
 def load_checkpoint(path) -> SirenNet:
+    """The network saved at ``path``; ValueError naming the path unless the
+    file is a whole checkpoint."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if not header or header[0] != "siren" or len(header) < 4:
-            raise ValueError(f"{path}: not a siren checkpoint")
-        omega0 = float(header[1])
-        widths = [int(v) for v in header[2:]]
-        flat = np.array([float(line) for line in fh if line.strip()])
-    expected = sum((widths[i] + 1) * widths[i + 1] for i in range(len(widths) - 1))
-    if flat.size != expected:
-        raise ValueError(
-            f"{path}: expected {expected} parameters for widths {widths}, got {flat.size}"
-        )
-    weights, biases, pos = [], [], 0
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        weights.append(flat[pos:pos + fan_in * fan_out].reshape(fan_out, fan_in))
-        pos += fan_in * fan_out
-        biases.append(flat[pos:pos + fan_out])
-        pos += fan_out
-    return SirenNet(weights=weights, biases=biases, omega0=omega0)
+        header, *lines = fh.read().split("\n")
+    words = header.split()
+    if len(words) < 4 or words[0] != "siren" or lines[-1:] != [""]:
+        raise ValueError(f"{path}: not a whole siren checkpoint")
+    try:
+        return SirenNet(np.array([float(v) for v in lines if v.strip()]),
+                        tuple(int(w) for w in words[2:]), float(words[1]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

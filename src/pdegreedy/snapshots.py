@@ -324,19 +324,22 @@ def generate_synthetic(spec: PdeSpec, n: int, m: int, domain, init: str = "gauss
     cols = [u0]
     u_hat = np.fft.rfft(u0)
     # Restart the integrating factor at every output column to keep the
-    # exponents bounded by lin * dt.
-    for j in range(m - 1):
-        dt = t[j + 1] - t[j]
-        calls, mark = 0, 0.0
-        sol = solve_ivp(rhs, (0.0, dt), u_hat.astype(complex), method="DOP853",
-                        rtol=rtol, atol=1e-10)
-        if not sol.success:
-            raise IntegrationBlowupError(t[j + 1], sol.message)
-        u_hat = np.exp(lin * dt) * sol.y[:, -1]
-        u = np.fft.irfft(u_hat, n)
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOWUP_LIMIT:
-            raise IntegrationBlowupError(t[j + 1])
-        cols.append(u)
+    # exponents bounded by lin * dt. A failing run's overflow ends below as
+    # IntegrationBlowupError (finiteness check, sol.success or the call
+    # budget), so numpy need not warn on the way.
+    with np.errstate(all="ignore"):
+        for j in range(m - 1):
+            dt = t[j + 1] - t[j]
+            calls, mark = 0, 0.0
+            sol = solve_ivp(rhs, (0.0, dt), u_hat.astype(complex), method="DOP853",
+                            rtol=rtol, atol=1e-10)
+            if not sol.success:
+                raise IntegrationBlowupError(t[j + 1], sol.message)
+            u_hat = np.exp(lin * dt) * sol.y[:, -1]
+            u = np.fft.irfft(u_hat, n)
+            if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOWUP_LIMIT:
+                raise IntegrationBlowupError(t[j + 1])
+            cols.append(u)
 
     return SnapshotMatrix.from_physical(
         np.column_stack(cols), x, t,

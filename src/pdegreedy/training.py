@@ -65,59 +65,44 @@ def cyclic_lr(iteration: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    scratch: list[tuple[np.ndarray, np.ndarray]]  # two buffers per parameter
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]  # buffers for the update's intermediate terms
     step: int = 0
 
     @classmethod
-    def like(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
-                   scratch=[(np.empty_like(p), np.empty_like(p)) for p in params])
+    def like(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
+                   scratch=(np.empty_like(params), np.empty_like(params)))
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """Standard bias-corrected Adam update, in place, with the state's
-    scratch buffers for the intermediate terms."""
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """Standard bias-corrected Adam update of the parameter vector, in place,
+    with the state's scratch buffers for the intermediate terms. A non-finite
+    gradient raises FloatingPointError before the parameters or the state change."""
+    # min and max propagate NaN
+    if not (np.isfinite(grads.min()) and np.isfinite(grads.max())):
+        raise FloatingPointError(f"non-finite gradient at adam step {state.step + 1}")
     state.step += 1
     correction1 = 1.0 - beta1 ** state.step
     correction2 = 1.0 - beta2 ** state.step
-    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
-        # min and max propagate NaN
-        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
-            raise FloatingPointError(f"non-finite gradient at adam step {state.step}")
-        m *= beta1
-        np.multiply(1.0 - beta1, g, out=step)
-        m += step
-        v *= beta2
-        np.multiply(1.0 - beta2, g, out=step)
-        step *= g
-        v += step
-        # p -= lr * (m / correction1) / (sqrt(v / correction2) + eps)
-        np.divide(m, correction1, out=step)
-        step *= lr
-        np.divide(v, correction2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step /= denom
-        p -= step
-
-
-def _net_params(net: SirenNet) -> list[np.ndarray]:
-    out = []
-    for w, b in zip(net.weights, net.biases):
-        out.extend((w, b))
-    return out
-
-
-def _grad_list(grad) -> list[np.ndarray]:
-    out = []
-    for dw, db in zip(grad.d_weights, grad.d_biases):
-        out.extend((dw, db))
-    return out
+    m, v, (step, denom) = state.m, state.v, state.scratch
+    m *= beta1
+    np.multiply(1.0 - beta1, grads, out=step)
+    m += step
+    v *= beta2
+    np.multiply(1.0 - beta2, grads, out=step)
+    step *= grads
+    v += step
+    # params -= lr * (m / correction1) / (sqrt(v / correction2) + eps)
+    np.divide(m, correction1, out=step)
+    step *= lr
+    np.divide(v, correction2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    params -= step
 
 
 def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales,
@@ -135,8 +120,7 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
     order = spec.max_x_order
     t, x, u_data = samples.t_norm, samples.x_norm, samples.u
 
-    params = _net_params(net)
-    state = AdamState.like(params)
+    state = AdamState.like(net.params)
 
     p_rows, loss_rows, lrs = [], [], []
     diverged = False
@@ -159,8 +143,7 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
             diverged = True
             break
 
-        grads = jet_backward(net, cache, bar)
-        adam_step(params, _grad_list(grads), state, lr)
+        adam_step(net.params, jet_backward(net, cache, bar).flat, state, lr)
 
     wall = time.perf_counter() - started
     trajectory = np.array(p_rows)

@@ -288,8 +288,8 @@ class TestCriterion6Properties:
             net = init_siren((2, 16, 16, 1), seed=seed)
             physical = net.copy()
             w = physical.weights[0]
-            physical.biases[0] = net.biases[0] - w[:, 1] * x_mid / s_x
-            physical.weights[0] = np.column_stack([w[:, 0] / s_t, w[:, 1] / s_x])
+            physical.biases[0][:] = net.biases[0] - w[:, 1] * x_mid / s_x
+            physical.weights[0][:] = np.column_stack([w[:, 0] / s_t, w[:, 1] / s_x])
             t_p = rng.uniform(0, 20, 50)
             x_p = rng.uniform(-30, 30, 50)
             jets_n = forward_jet(net, t_p / s_t, (x_p - x_mid) / s_x, 3)

@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from pdegreedy import experiments
+from pdegreedy import experiments, training
 from pdegreedy.cli import main
 from pdegreedy.experiments import ExperimentRecord, export_results
-from pdegreedy.siren import load_checkpoint
+from pdegreedy.siren import ParamGrad, load_checkpoint
 from pdegreedy.snapshots import load_snapshot, save_snapshot
 
 
@@ -80,6 +81,17 @@ class TestSample:
                    "--t-div", "1", "--eps", "1e-2", "--out-dir", tmp_path)
         assert code == 0
 
+    def test_config_refused(self, tmp_path, data_dir, capsys):
+        # sample reads no config keys, so a --config file would be ignored
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"t_div": 2, "eps": 1e-3}))
+        with pytest.raises(SystemExit) as err:
+            run("sample", "--snapshot", data_dir / "burgers.txt", "--config", cfg_path,
+                "--out-dir", tmp_path / "out")
+        assert err.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_single_iteration_outputs(self, tmp_path, data_dir):
@@ -95,6 +107,17 @@ class TestTrain:
         assert len(summary["final_p"]) == 2
         net = load_checkpoint(tmp_path / "checkpoint.txt")
         assert net.widths == (2, 8, 8, 1)
+
+    def test_nonfinite_gradient_reported(self, tmp_path, data_dir, capsys, monkeypatch):
+        def nan_backward(net, cache, bar):
+            return ParamGrad(np.full(net.params.size, np.nan), net.widths)
+
+        monkeypatch.setattr(training, "jet_backward", nan_backward)
+        code = run("train", "--snapshot", data_dir / "burgers.txt",
+                   "--pde", "burgers", "--t-div", "2", "--eps", "1e-3",
+                   "--max-iter", "3", "--widths", "2,8,1", "--out-dir", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == "error: non-finite gradient at adam step 1\n"
 
     def test_invalid_spec_name(self, tmp_path, data_dir):
         with pytest.raises(SystemExit) as err:

@@ -127,9 +127,9 @@ class TestSolve:
         net = init_siren((2, 16, 16, 1), seed=5)
         physical = net.copy()
         w = physical.weights[0]
-        physical.biases[0] = (net.biases[0]
-                              - w[:, 0] * t_min / s_t - w[:, 1] * x_mid / s_x)
-        physical.weights[0] = np.column_stack([w[:, 0] / s_t, w[:, 1] / s_x])
+        physical.biases[0][:] = (net.biases[0]
+                                 - w[:, 0] * t_min / s_t - w[:, 1] * x_mid / s_x)
+        physical.weights[0][:] = np.column_stack([w[:, 0] / s_t, w[:, 1] / s_x])
 
         t_phys = rng.uniform(0.0, 20.0, 60)
         x_phys = rng.uniform(-30.0, 30.0, 60)

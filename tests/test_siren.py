@@ -1,10 +1,16 @@
+import dataclasses
 import hashlib
 import math
 import multiprocessing
+import pickle
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdegreedy import linalg, siren
 from pdegreedy.siren import (Jet, SirenNet, forward, forward_jet, forward_jet_with_cache,
@@ -58,8 +64,8 @@ class TestInit:
     def test_parameter_count(self):
         net = init_siren((2, 128, 128, 128, 1), seed=0)
         # 2*128+128 + 2*(128^2+128) + 128+1
-        assert net.num_params == (2 * 128 + 128) + 2 * (128 ** 2 + 128) + (128 + 1)
-        assert net.num_params == 33537
+        assert net.params.shape == ((2 * 128 + 128) + 2 * (128 ** 2 + 128) + (128 + 1),)
+        assert net.params.size == 33537
 
     def test_bad_widths(self):
         with pytest.raises(ValueError):
@@ -76,6 +82,46 @@ class TestInit:
     def test_bad_omega0_rejected(self, omega0):
         with pytest.raises(ValueError, match="omega0 must be finite and > 0"):
             init_siren((2, 8, 1), omega0=omega0)
+
+
+class TestParameterVector:
+    def test_views_share_params(self, tmp_path, rng):
+        net = init_siren((2, 6, 5, 1), seed=2)
+        save_checkpoint(net, tmp_path / "net.txt")
+        copies = {"copy": net.copy(), "checkpoint": load_checkpoint(tmp_path / "net.txt"),
+                  "pickle": pickle.loads(pickle.dumps(net))}
+        for name, other in {"init_siren": net, **copies}.items():
+            assert other.params.tobytes() == net.params.tobytes(), name
+            for view in other.weights + other.biases:
+                assert np.shares_memory(other.params, view), name
+            if other is not net:
+                assert not np.shares_memory(other.params, net.params), name
+        jet, cache = forward_jet_with_cache(net, rng.uniform(0, 1, 5), rng.uniform(-1, 1, 5))
+        grad = jet_backward(net, cache, Jet(rng.standard_normal(jet.data.shape)))
+        for view in grad.d_weights + grad.d_biases:
+            assert np.shares_memory(grad.flat, view)
+
+    def test_views_in_checkpoint_order(self):
+        net = init_siren((2, 3, 1), seed=0)
+        net.params[:] = np.arange(net.params.size)
+        np.testing.assert_array_equal(net.weights[0], [[0, 1], [2, 3], [4, 5]])
+        np.testing.assert_array_equal(net.biases[0], [6, 7, 8])
+        np.testing.assert_array_equal(net.weights[1], [[9, 10, 11]])
+        np.testing.assert_array_equal(net.biases[1], [12])
+
+    def test_views_cannot_be_replaced(self):
+        net = init_siren((2, 4, 1), seed=0)
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((4, 2))
+        with pytest.raises(TypeError):
+            net.biases[0] = np.zeros(4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.params = np.zeros(net.params.size)
+
+    @pytest.mark.parametrize("shape", [(16,), (18,), (17, 1)])
+    def test_wrong_size_refused(self, shape):
+        with pytest.raises(ValueError, match=re.escape("expected 17 parameters for widths [2, 4, 1]")):
+            SirenNet(np.zeros(shape), (2, 4, 1), 30.0)
 
 
 class TestForward:
@@ -187,7 +233,7 @@ class TestJets:
         n1 = init_siren((2, 6, 5, 1), seed=3)
         n2 = init_siren((2, 4, 3, 1), seed=4)
         a, b = 1.7, -0.6
-        weights, biases = [], []
+        combined = init_siren((2, 10, 8, 1), omega0=n1.omega0)
         for l in range(2):
             w1, w2 = n1.weights[l], n2.weights[l]
             if l == 0:
@@ -196,11 +242,10 @@ class TestJets:
                 w = np.block([
                     [w1, np.zeros((w1.shape[0], w2.shape[1]))],
                     [np.zeros((w2.shape[0], w1.shape[1])), w2]])
-            weights.append(w)
-            biases.append(np.concatenate([n1.biases[l], n2.biases[l]]))
-        weights.append(np.hstack([a * n1.weights[2], b * n2.weights[2]]))
-        biases.append(a * n1.biases[2] + b * n2.biases[2])
-        combined = SirenNet(weights=weights, biases=biases, omega0=n1.omega0)
+            combined.weights[l][:] = w
+            combined.biases[l][:] = np.concatenate([n1.biases[l], n2.biases[l]])
+        combined.weights[2][:] = np.hstack([a * n1.weights[2], b * n2.weights[2]])
+        combined.biases[2][:] = a * n1.biases[2] + b * n2.biases[2]
 
         t = rng.uniform(0, 1, 6)
         x = rng.uniform(-1, 1, 6)
@@ -477,3 +522,24 @@ class TestCheckpoint:
         path.write_text("not-a-checkpoint\n")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 5), max_size=3).map(lambda hidden: (2, *hidden, 1)),
+           st.floats(0.0, exclude_min=True, allow_infinity=False), st.data())
+    def test_round_trip_exact_bytes_and_truncation(self, widths, omega0, data):
+        size = sum((a + 1) * b for a, b in zip(widths[:-1], widths[1:]))
+        values = st.one_of(st.sampled_from([-0.0, 5e-324, -2.2250738585072009e-308]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        params = np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+        net = SirenNet(params, widths, omega0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.txt"
+            save_checkpoint(net, path)
+            back = load_checkpoint(path)
+            assert back.params.tobytes() == params.tobytes()
+            assert back.widths == widths
+            assert back.omega0 == omega0
+            text = path.read_text()
+            path.write_text(text[:data.draw(st.integers(0, len(text) - 1))])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_checkpoint(path)

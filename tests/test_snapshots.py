@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -214,6 +215,19 @@ class TestGenerator:
             with pytest.raises(IntegrationBlowupError,
                                match="more than 20000 right-hand-side evaluations"):
                 generate_synthetic(ks, p.n, p.m, p.domain, init=p.init)
+
+    @pytest.mark.parametrize("terms, true_p, grid", [
+        ((term((0, 1), (1, 1)), term((2, 1)), term((4, 1))), (-1.0, -1.0, -1.0),
+         (256, 101, (-8.0, 8.0, 10.0))),
+        ((term((2, 1)),), (-1.0,), (64, 9, (-1.0, 1.0, 1.0))),
+    ], ids=["ks-like", "backward-heat"])
+    def test_stiff_spec_fails_without_warnings(self, terms, true_p, grid):
+        # overflow on the way to the failure must not surface as a RuntimeWarning
+        spec = PdeSpec(name="stiff", terms=terms, true_p=true_p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationBlowupError):
+                generate_synthetic(spec, *grid, init="random-fourier")
 
     def test_call_budget_allows_wide_output_intervals(self):
         # two KdV intervals of 5 time units: about 24 000 calls each, all of

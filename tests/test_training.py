@@ -6,7 +6,7 @@ import pytest
 
 from pdegreedy.features import get_pde_spec, load_pde_spec
 from pdegreedy.sampling import QdeimConfig, qdeim_sample, random_sample
-from pdegreedy.siren import forward_jet, init_siren
+from pdegreedy.siren import ParamGrad, forward_jet, init_siren
 from pdegreedy.training import (AdamState, TrainConfig, adam_step, cyclic_lr,
                                 summary_dict, train, write_trajectory_csv)
 
@@ -50,56 +50,74 @@ class TestCyclicLr:
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
-        p = [np.array([1.0, -2.0])]
+        p = np.array([1.0, -2.0])
         state = AdamState.like(p)
-        adam_step(p, [np.zeros(2)], state, lr=0.1)
-        np.testing.assert_array_equal(p[0], [1.0, -2.0])
+        adam_step(p, np.zeros(2), state, lr=0.1)
+        np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_single_scalar_hand_step(self):
         g = 0.5
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         state = AdamState.like(p)
-        adam_step(p, [np.array([g])], state, lr=0.01)
-        np.testing.assert_allclose(state.m[0], [0.1 * g])
-        np.testing.assert_allclose(state.v[0], [0.001 * g * g])
+        adam_step(p, np.array([g]), state, lr=0.01)
+        np.testing.assert_allclose(state.m, [0.1 * g])
+        np.testing.assert_allclose(state.v, [0.001 * g * g])
         # bias correction makes the first step -lr * g / (|g| + eps)
         expected = -0.01 * g / (abs(g) + 1e-8)
-        np.testing.assert_allclose(p[0], [expected], rtol=1e-12)
+        np.testing.assert_allclose(p, [expected], rtol=1e-12)
 
     def test_nonfinite_gradient_aborts_with_step(self):
-        p = [np.zeros(1)]
+        p = np.zeros(1)
         state = AdamState.like(p)
         with pytest.raises(FloatingPointError, match="step 1"):
-            adam_step(p, [np.array([np.nan])], state, lr=0.1)
+            adam_step(p, np.array([np.nan]), state, lr=0.1)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_gradient_aborts_before_update(self, bad):
-        p = [np.zeros(3)]
+        p = np.zeros(3)
         state = AdamState.like(p)
         with pytest.raises(FloatingPointError, match="step 1"):
-            adam_step(p, [np.array([0.5, bad, -1.0])], state, lr=0.1)
-        np.testing.assert_array_equal(p[0], 0.0)
+            adam_step(p, np.array([0.5, bad, -1.0]), state, lr=0.1)
+        np.testing.assert_array_equal(p, 0.0)
+
+    def test_nan_in_last_bias_changes_nothing(self, rng):
+        # the check precedes the update: earlier layers and their moments
+        # must not have been stepped when a later layer's gradient is NaN
+        net = init_siren((2, 7, 5, 1), seed=3)
+        state = AdamState.like(net.params)
+        adam_step(net.params, rng.standard_normal(net.params.size), state, lr=0.01)
+        grad = ParamGrad(rng.standard_normal(net.params.size), net.widths)
+        grad.d_biases[-1][-1] = np.nan
+        before = [a.tobytes() for a in (net.params, state.m, state.v)]
+        with pytest.raises(FloatingPointError, match="step 2"):
+            adam_step(net.params, grad.flat, state, lr=0.01)
+        assert [a.tobytes() for a in (net.params, state.m, state.v)] == before
+        assert state.step == 1
+
+        fresh = AdamState.like(net.params)
+        with pytest.raises(FloatingPointError, match="step 1"):
+            adam_step(net.params, grad.flat, fresh, lr=0.01)
+        assert fresh.step == 0 and not fresh.m.any() and not fresh.v.any()
+        assert net.params.tobytes() == before[0]
 
     def test_in_place_update_matches_formula_exactly(self, rng):
-        shapes = [(7, 5), (5,), (1, 7), (1,)]
-        params = [rng.standard_normal(s) for s in shapes]
-        ref = [p.copy() for p in params]
-        m = [np.zeros(s) for s in shapes]
-        v = [np.zeros(s) for s in shapes]
+        size = 7 * 5 + 5 + 7 + 1
+        params = rng.standard_normal(size)
+        ref = params.copy()
+        m, v = np.zeros(size), np.zeros(size)
         state = AdamState.like(params)
         b1, b2, eps = 0.8, 0.99, 1e-6
         for step in range(1, 7):
-            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-4, 3) for s in shapes]
+            grads = rng.standard_normal(size) * 10.0 ** rng.integers(-4, 3, size)
             lr = 10.0 ** rng.uniform(-4, -1)
             adam_step(params, grads, state, lr, b1, b2, eps)
             c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
-            for p, g, mi, vi in zip(ref, grads, m, v):
-                mi *= b1
-                mi += (1.0 - b1) * g
-                vi *= b2
-                vi += (1.0 - b2) * g * g
-                p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
-            for got, want in zip(params + state.m + state.v, ref + m + v):
+            m *= b1
+            m += (1.0 - b1) * grads
+            v *= b2
+            v += (1.0 - b2) * grads * grads
+            ref -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            for got, want in ((params, ref), (state.m, m), (state.v, v)):
                 assert np.array_equal(got, want)
 
 
