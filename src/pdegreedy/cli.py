@@ -103,7 +103,7 @@ def _check_config_type(key: str, value, default) -> None:
         raise ValueError(f"{key}: expected {names}, got {value!r}")
 
 
-def _merge_config(defaults: dict, args, keys) -> dict:
+def _merge_config(defaults: dict, args) -> dict:
     """flags > --config file > defaults; the merged dict is what runs."""
     merged = dict(defaults)
     if getattr(args, "config", None):
@@ -115,7 +115,7 @@ def _merge_config(defaults: dict, args, keys) -> dict:
         for key, value in file_cfg.items():
             _check_config_type(key, value, defaults[key])
         merged.update(file_cfg)
-    for key in keys:
+    for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -173,7 +173,7 @@ def _train_config(args, pde_name: str, **command_defaults) -> tuple[TrainConfig,
     train_defaults = dataclasses.asdict(TrainConfig(max_iter=preset(pde_name).max_iter))
     defaults = {**train_defaults, "omega0": DEFAULT_OMEGA0,
                 "widths": ",".join(map(str, DEFAULT_WIDTHS)), **command_defaults}
-    merged = _merge_config(defaults, args, defaults.keys())
+    merged = _merge_config(defaults, args)
     widths = _int_list(merged["widths"])
     cfg = TrainConfig(**{key: merged[key] for key in train_defaults})
     return cfg, {**merged, "widths": list(widths)}
@@ -198,7 +198,7 @@ def cmd_generate(args) -> int:
     grid = preset(spec.name)
     defaults = {"n": grid.n, "m": grid.m, "domain": grid.domain, "init": grid.init,
                 "seed": 0, "rtol": 1e-8, "name": spec.name}
-    merged = _merge_config(defaults, args, defaults.keys())
+    merged = _merge_config(defaults, args)
     merged["domain"] = tuple(float(v) for v in merged["domain"])
 
     started = time.time()
@@ -300,7 +300,7 @@ def cmd_cluster(args) -> int:
     if not records:
         raise ValueError(f"no records in {results_path}")
     defaults = {"k": 20, "n_init": 100, "seed": 0}
-    merged = _merge_config(defaults, args, defaults.keys())
+    merged = _merge_config(defaults, args)
     coefs = range(len(records[0].rel_errors)) if args.coef is None else [args.coef]
     summaries = {ci: cluster_records(records, ci, k=merged["k"],
                                      n_init=merged["n_init"], seed=merged["seed"])
@@ -340,12 +340,12 @@ def _add_common(sub, config: bool = True):
 def _add_snapshot_opts(sub):
     sub.add_argument("--snapshot", help="snapshot file (matrix-text or .csv)")
     sub.add_argument("--pde", help="preset name: " + ", ".join(sorted(PRESETS)))
-    sub.add_argument("--spec-file", help="custom term library (JSON)")
     sub.add_argument("--data-dir", help="directory searched for <pde>.txt "
                                         "(default $PDEGREEDY_DATA or data)")
 
 
 def _add_train_opts(sub):
+    sub.add_argument("--spec-file", help="custom term library (JSON)")
     sub.add_argument("--max-iter", type=int, dest="max_iter")
     sub.add_argument("--lr", type=float, dest="learning_rate")
     sub.add_argument("--mu1", type=float)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -59,22 +60,20 @@ class ExperimentRecord:
     error: str | None = None
 
 
-def _record(sampler: str, draw, s: SnapshotMatrix, spec: PdeSpec,
-            train_cfg: TrainConfig, widths, omega0, **keys) -> ExperimentRecord:
-    """One run: select samples with ``draw()``, train a fresh net on them
-    and record the outcome under the sampler settings ``keys``. A failure
-    becomes the record's error, so the sweep goes on."""
+def _record(task) -> ExperimentRecord:
+    """One run: train a fresh net on the drawn samples and record the outcome
+    under the sampler settings ``keys``. A failed draw (its error string in
+    place of the samples) or run becomes the record's error; the sweep goes on."""
+    sampler, samples, keys, spec, scales, train_cfg, widths, omega0 = task
     nan = tuple(np.full(len(spec.terms), np.nan))
-    try:
-        samples = draw()
-    except Exception as exc:
+    if isinstance(samples, str):
         return ExperimentRecord(sampler=sampler, pde=spec.name, n_samples=0,
                                 rel_errors=nan, final_p=nan, wall_time_s=0.0,
-                                error=f"{type(exc).__name__}: {exc}", **keys)
+                                error=samples, **keys)
     started = time.perf_counter()
     net = init_siren(widths, omega0=omega0, seed=train_cfg.seed)
     try:
-        result = train(net, samples, spec, s.scales, train_cfg)
+        result = train(net, samples, spec, scales, train_cfg)
     except Exception as exc:
         errs = final_p = nan
         detail = f"{type(exc).__name__}: {exc}"
@@ -89,21 +88,6 @@ def _record(sampler: str, draw, s: SnapshotMatrix, spec: PdeSpec,
         wall_time_s=time.perf_counter() - started, error=detail, **keys)
 
 
-# A task is a tuple of plain data so that it pickles; the sampler call is
-# built in the worker.
-
-def _greedy_task(args):
-    s, spec, t_div, eps, train_cfg, widths, omega0 = args
-    return _record("greedy", lambda: qdeim_sample(s, QdeimConfig(t_div=t_div, eps_thr=eps)),
-                   s, spec, train_cfg, widths, omega0, t_div=t_div, eps_thr=eps)
-
-
-def _random_task(args):
-    s, spec, size, seed, train_cfg, widths, omega0 = args
-    return _record("random", lambda: random_sample(s, size, seed),
-                   s, spec, train_cfg, widths, omega0, size=size, seed=seed)
-
-
 def _map_tasks(fn, tasks, jobs: int):
     if jobs <= 1:
         return [fn(t) for t in tasks]
@@ -112,13 +96,33 @@ def _map_tasks(fn, tasks, jobs: int):
         return list(pool.map(fn, tasks))
 
 
+def _run_sweep(sampler: str, draw, grid, spec: PdeSpec, scales, train_cfg: TrainConfig,
+               widths, omega0, jobs: int) -> list[ExperimentRecord]:
+    """One record per ``keys`` in ``grid``, trained on ``draw(**keys)``. Every
+    set is drawn in this process: serially as its run starts, for a pool all
+    before it starts, so no SVD overlaps or runs in a worker."""
+    check_network(widths, omega0)  # refuse before any sample set is drawn
+
+    def task(keys):
+        try:
+            samples = draw(**keys)
+        except Exception as exc:
+            samples = f"{type(exc).__name__}: {exc}"
+        return sampler, samples, keys, spec, scales, train_cfg, widths, omega0
+
+    tasks = map(task, grid)
+    return _map_tasks(_record, tasks if jobs <= 1 else list(tasks), jobs)
+
+
 def sweep_greedy(s: SnapshotMatrix, spec: PdeSpec, sweep_cfg: SweepConfig,
                  train_cfg: TrainConfig, jobs: int = 1) -> list[ExperimentRecord]:
     """One record per (t_div, eps) pair; 4 x 20 = 80 with the defaults."""
-    check_network(sweep_cfg.widths, sweep_cfg.omega0)  # refuse before any task runs
-    tasks = [(s, spec, t_div, eps, train_cfg, sweep_cfg.widths, sweep_cfg.omega0)
-             for t_div in sweep_cfg.t_divs for eps in sweep_cfg.eps_values]
-    return _map_tasks(_greedy_task, tasks, jobs)
+    grid = [{"t_div": t_div, "eps_thr": eps}
+            for t_div in sweep_cfg.t_divs for eps in sweep_cfg.eps_values]
+    # the config is built in the draw, so a bad (t_div, eps) ends as its record's error
+    return _run_sweep(
+        "greedy", lambda t_div, eps_thr: qdeim_sample(s, QdeimConfig(t_div, eps_thr)),
+        grid, spec, s.scales, train_cfg, sweep_cfg.widths, sweep_cfg.omega0, jobs)
 
 
 def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
@@ -132,15 +136,10 @@ def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    check_network(widths, omega0)
-    sizes = sample_size_grid(min_n, max_n)
-    tasks = []
-    run = 0
-    for size in sizes:
-        for _ in range(repetitions):
-            tasks.append((s, spec, size, base_seed + run, train_cfg, widths, omega0))
-            run += 1
-    return _map_tasks(_random_task, tasks, jobs)
+    sizes = [size for size in sample_size_grid(min_n, max_n) for _ in range(repetitions)]
+    grid = [{"size": size, "seed": base_seed + run} for run, size in enumerate(sizes)]
+    return _run_sweep("random", functools.partial(random_sample, s), grid, spec, s.scales,
+                      train_cfg, widths, omega0, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    order = spec.max_x_order
+    order = max(1, spec.max_x_order)  # the jet's input stack needs its x slot
     t, x, u_data = samples.t_norm, samples.x_norm, samples.u
 
     state = AdamState.like(net.params)

@@ -92,6 +92,16 @@ class TestSample:
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_spec_file_refused(self, tmp_path, data_dir, capsys):
+        # sample reads no spec, so a --spec-file would be ignored
+        with pytest.raises(SystemExit) as err:
+            run("sample", "--snapshot", data_dir / "burgers.txt", "--spec-file",
+                tmp_path / "absent.json", "--t-div", "1", "--eps", "1e-2",
+                "--out-dir", tmp_path / "out")
+        assert err.value.code == 2
+        assert "unrecognized arguments: --spec-file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_single_iteration_outputs(self, tmp_path, data_dir):

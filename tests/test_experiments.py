@@ -1,13 +1,15 @@
+import dataclasses
 import functools
 import itertools
 import json
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from pdegreedy import experiments, siren
+from pdegreedy import experiments, sampling, siren
 from pdegreedy.experiments import (SweepConfig, cluster_records, eps_grid,
                                    export_plot_data, export_results, kmeans, lloyd,
                                    read_results, sweep_greedy, sweep_random)
@@ -234,3 +236,58 @@ class TestConfigs:
             [(r.t_div, r.eps_thr, r.n_samples) for r in parallel]
         np.testing.assert_array_equal(np.array([r.final_p for r in serial]),
                                       np.array([r.final_p for r in parallel]))
+
+
+def _fields(records):
+    """Every record field but the wall time; floats print by their exact repr."""
+    return [json.dumps({**dataclasses.asdict(r), "wall_time_s": None}) for r in records]
+
+
+class TestPoolWorkers:
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_no_svd_in_a_worker(self, small_snapshot, monkeypatch):
+        # forked workers inherit the patch, so an SVD anywhere but here raises
+        here, real_svd = os.getpid(), sampling.svd
+
+        def svd_here_only(a):
+            if os.getpid() != here:
+                raise RuntimeError("SVD in a pool worker")
+            return real_svd(a)
+
+        monkeypatch.setattr(sampling, "svd", svd_here_only)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        spec = get_pde_spec("burgers")
+        cfg = SweepConfig(t_divs=(1, 2), eps_values=(1e-2, 1e-4), widths=FAST_WIDTHS)
+        train_cfg = TrainConfig(max_iter=1)
+        parallel = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=2)
+        serial = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=1)
+        assert [r.error for r in parallel] == [None] * 4
+        assert _fields(parallel) == _fields(serial)
+
+    def test_random_jobs_match_serial(self, small_snapshot):
+        spec = get_pde_spec("burgers")
+        kwargs = dict(repetitions=2, base_seed=3, widths=FAST_WIDTHS)
+        serial = sweep_random(small_snapshot, spec, 5, 30, TrainConfig(max_iter=2),
+                              jobs=1, **kwargs)
+        parallel = sweep_random(small_snapshot, spec, 5, 30, TrainConfig(max_iter=2),
+                                jobs=2, **kwargs)
+        assert len(serial) == 22 and all(r.error is None for r in serial)
+        assert _fields(parallel) == _fields(serial)
+        assert np.array([r.final_p for r in parallel]).tobytes() == \
+            np.array([r.final_p for r in serial]).tobytes()
+
+    def test_failed_draw_keeps_its_position(self, small_snapshot):
+        # eps_thr = 1.5 is no rank threshold: that draw fails, its neighbours train
+        spec = get_pde_spec("burgers")
+        cfg = SweepConfig(t_divs=(1,), eps_values=(1e-2, 1.5, 1e-4), widths=FAST_WIDTHS)
+        train_cfg = TrainConfig(max_iter=1)
+        parallel = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=2)
+        assert [r.eps_thr for r in parallel] == [1e-2, 1.5, 1e-4]
+        assert [r.error is None for r in parallel] == [True, False, True]
+        failed = parallel[1]
+        assert failed.error.startswith("ValueError: eps_thr must lie in (0, 1)")
+        assert failed.n_samples == 0 and np.all(np.isnan(failed.final_p))
+        serial = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=1)
+        assert _fields(parallel) == _fields(serial)

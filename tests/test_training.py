@@ -207,6 +207,18 @@ class TestTrain:
         assert result.iterations == 3 and not result.diverged
         assert np.all(np.isfinite(result.final_p))
 
+    def test_zeroth_order_custom_spec(self, toy_problem, tmp_path):
+        # u_t = u - u^2 needs no x-derivative; the jets still carry order 1
+        snapshot, _, samples = toy_problem
+        path = tmp_path / "logistic.json"
+        path.write_text(json.dumps({"terms": [[[0, 1]], [[0, 2]]], "true_p": [1, -1]}))
+        spec = load_pde_spec(path)
+        assert spec.max_x_order == 0
+        net = init_siren((2, 10, 10, 1), seed=0)
+        result = train(net, samples, spec, snapshot.scales, TrainConfig(max_iter=3))
+        assert result.iterations == 3
+        assert np.all(np.isfinite(result.final_p))
+
     def test_empty_samples_rejected(self, toy_problem):
         snapshot, spec, samples = toy_problem
         empty = random_sample(snapshot, 1, seed=0)
