@@ -20,6 +20,5 @@ from .snapshots import (IntegrationBlowupError, SnapshotMatrix, SnapshotParseErr
 from .training import (AdamState, TrainConfig, TrainResult, adam_step, cyclic_lr,
                        summary_dict, train, write_trajectory_csv)
 from .experiments import (ClusterSummary, ExperimentRecord, SweepConfig,
-                          cluster_records, eps_grid, export_plot_data,
-                          export_results, kmeans, lloyd, read_results,
-                          sweep_greedy, sweep_random)
+                          cluster_records, eps_grid, export_results, kmeans,
+                          lloyd, read_results, sweep_greedy, sweep_random)

@@ -10,14 +10,16 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .experiments import (SweepConfig, cluster_records, eps_grid, export_plot_data,
-                          export_results, read_results, sweep_greedy, sweep_random)
+from .experiments import (SweepConfig, cluster_records, eps_grid, export_results,
+                          read_results, sweep_greedy, sweep_random)
 from .features import PRESETS, get_pde_spec, load_pde_spec, preset
 from .linalg import blas_threads
 from .sampling import QdeimConfig, qdeim_sample, random_sample
@@ -28,6 +30,88 @@ from .training import TrainConfig, summary_dict, train, write_trajectory_csv
 # A view of PRESETS under the name benchmarks/bench_workloads.py imports.
 GENERATE_DEFAULTS = {name: dict(n=p.n, m=p.m, domain=p.domain, init=p.init)
                      for name, p in PRESETS.items()}
+
+
+# ---------------------------------------------------------------------------
+# Config keys, each declared once with its flag, type and default.
+
+def _of(types, value):
+    """``value`` if it is one of ``types`` and not a bool, else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(value)
+    return value
+
+
+def _ints(value) -> tuple[int, ...]:
+    """Integers from a comma-separated string ("2,8,1") or a list ([2, 8, 1])."""
+    if isinstance(value, str):
+        return tuple(int(v) for v in value.split(","))
+    return tuple(_of(int, v) for v in _of((list, tuple), value))
+
+
+def _three_floats(value) -> tuple[float, float, float]:
+    if len(_of((list, tuple), value)) != 3:
+        raise TypeError(value)
+    return tuple(float(_of((int, float), v)) for v in value)
+
+
+class OptionType(NamedTuple):
+    """``parse`` reads each of a flag's ``nargs`` tokens; ``cast`` turns that, or a
+    --config value, into the value that runs and raises TypeError or ValueError."""
+    name: str
+    parse: Callable[[str], object]
+    cast: Callable[[object], object]
+    nargs: int | None = None
+
+
+INT = OptionType("int", int, lambda v: _of(int, v))
+FLOAT = OptionType("float", float, lambda v: _of((int, float), v))  # an int stands for a float
+STR = OptionType("str", str, lambda v: _of(str, v))
+INT_LIST = OptionType("int list", str, _ints)
+THREE_FLOATS = OptionType("3 floats", float, _three_floats, nargs=3)
+OPTIONAL_INT = OptionType("int or null", int, lambda v: v if v is None else _of(int, v))
+
+
+class Option(NamedTuple):
+    """A config key's flag, type and default: a value or a function of the Preset."""
+    flag: str
+    type: OptionType
+    default: object = None
+    help: str | None = None
+
+
+OPTIONS = {
+    # generate
+    "n": Option("--n", INT, lambda p: p.n, "spatial points"),
+    "m": Option("--m", INT, lambda p: p.m, "time points"),
+    "domain": Option("--domain", THREE_FLOATS, lambda p: p.domain, "x_min x_max t_max"),
+    "init": Option("--init", STR, lambda p: p.init, "named initial condition"),
+    "rtol": Option("--rtol", FLOAT, 1e-8),
+    "name": Option("--name", STR, lambda p: p.spec.name, "output stem (default pde name)"),
+    # training: TrainConfig's fields and the network
+    "max_iter": Option("--max-iter", INT, lambda p: p.max_iter),
+    "learning_rate": Option("--lr", FLOAT, TrainConfig.learning_rate),
+    "mu1": Option("--mu1", FLOAT, TrainConfig.mu1),
+    "mu2": Option("--mu2", FLOAT, TrainConfig.mu2),
+    "step_size_up": Option("--step-size-up", INT, TrainConfig.step_size_up),
+    "seed": Option("--seed", INT, TrainConfig.seed, "generator, sampler, network or k-means"),
+    "widths": Option("--widths", INT_LIST, DEFAULT_WIDTHS, "comma-separated layer widths"),
+    "omega0": Option("--omega0", FLOAT, DEFAULT_OMEGA0),
+    # sweep and baseline
+    "t_divs": Option("--t-divs", INT_LIST, SweepConfig.t_divs, "comma-separated divisions"),
+    "eps_min": Option("--eps-min", FLOAT, lambda p: p.eps_range[0]),
+    "eps_max": Option("--eps-max", FLOAT, lambda p: p.eps_range[1]),
+    "eps_count": Option("--eps-count", INT, 20),
+    "min_n": Option("--min-n", OPTIONAL_INT),
+    "max_n": Option("--max-n", OPTIONAL_INT),
+    "reps": Option("--reps", INT, 5),
+    "base_seed": Option("--base-seed", INT, 0),
+    "jobs": Option("--jobs", INT, 1, "worker pool size (default 1)"),
+    # cluster
+    "k": Option("--k", INT, 20),
+    "n_init": Option("--n-init", INT, 100),
+}
+TRAIN_KEYS = (*(f.name for f in dataclasses.fields(TrainConfig)), "widths", "omega0")
 
 
 def _out_dir(args) -> Path:
@@ -83,43 +167,41 @@ def _write_manifest(out_dir: Path, name: str, command: str, config: dict,
     os.replace(tmp, out_dir / name)
 
 
-# Config keys whose comma-separated string default may also come as a JSON list.
-_LIST_KEYS = ("widths", "t_divs")
-
-
-def _check_config_type(key: str, value, default) -> None:
-    """Refuse a --config value whose type is not its default's: an int may
-    stand for a float, and a list for a tuple or a comma-separated list."""
-    if isinstance(default, float):
-        allowed = (int, float)
-    elif isinstance(default, tuple) or key in _LIST_KEYS:
-        allowed = (type(default), list)
-    elif default is None:  # the baseline's sample-count bounds
-        allowed = (int, type(None))
-    else:
-        allowed = (type(default),)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        names = " or ".join(t.__name__ for t in allowed if t is not type(None))
-        raise ValueError(f"{key}: expected {names}, got {value!r}")
-
-
-def _merge_config(defaults: dict, args) -> dict:
-    """flags > --config file > defaults; the merged dict is what runs."""
-    merged = dict(defaults)
+def _merge_config(args, spec=None) -> dict:
+    """The command's keys: flags > --config file > defaults; the merged dict
+    is what runs. Defaults that depend on the PDE come from its preset."""
+    keys = COMMANDS[args.command].keys
+    source = None if spec is None else dataclasses.replace(preset(spec.name), spec=spec)
+    merged = {}
+    for key in keys:
+        default = OPTIONS[key].default
+        merged[key] = default(source) if callable(default) else default
+    file_cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(defaults)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"{args.config}: expected a JSON object of config keys")
+        unknown = set(file_cfg) - set(keys)
         if unknown:
             raise SystemExit(f"unknown config keys: {', '.join(sorted(unknown))}")
-        for key, value in file_cfg.items():
-            _check_config_type(key, value, defaults[key])
-        merged.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    for key, value in (*file_cfg.items(), *flags.items()):
+        typ = OPTIONS[key].type
+        try:
+            merged[key] = typ.cast(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{key}: expected {typ.name}, got {value!r}") from None
     return merged
+
+
+def _training_inputs(args):
+    """Snapshot, its path, spec, merged config and TrainConfig of a training run."""
+    snapshot, src = _resolve_snapshot(args)
+    spec = _resolve_spec(args)
+    merged = _merge_config(args, spec)
+    cfg = TrainConfig(**{f.name: merged[f.name] for f in dataclasses.fields(TrainConfig)})
+    return snapshot, src, spec, merged, cfg
 
 
 def _resolve_spec(args):
@@ -151,32 +233,14 @@ def _resolve_snapshot(args):
     return load_snapshot(path, format=fmt), path
 
 
-def _select_samples(snapshot, args):
+def _select_samples(snapshot, args, seed: int):
     if args.random:
         if args.size is None:
             raise SystemExit("--random needs --size")
-        return random_sample(snapshot, args.size, args.seed or 0)
+        return random_sample(snapshot, args.size, seed)
     if args.t_div is None or args.eps is None:
         raise SystemExit("greedy sampling needs --t-div and --eps (or use --random)")
     return qdeim_sample(snapshot, QdeimConfig(t_div=args.t_div, eps_thr=args.eps))
-
-
-def _int_list(value) -> tuple[int, ...]:
-    """Integers from a comma-separated string ("2,8,1") or a JSON list ([2, 8, 1])."""
-    items = value if isinstance(value, list) else str(value).split(",")
-    return tuple(int(str(v)) for v in items)
-
-
-def _train_config(args, pde_name: str, **command_defaults) -> tuple[TrainConfig, dict]:
-    """Training settings shared by train, sweep and baseline, plus the
-    command's own keys; flags > --config file > defaults."""
-    train_defaults = dataclasses.asdict(TrainConfig(max_iter=preset(pde_name).max_iter))
-    defaults = {**train_defaults, "omega0": DEFAULT_OMEGA0,
-                "widths": ",".join(map(str, DEFAULT_WIDTHS)), **command_defaults}
-    merged = _merge_config(defaults, args)
-    widths = _int_list(merged["widths"])
-    cfg = TrainConfig(**{key: merged[key] for key in train_defaults})
-    return cfg, {**merged, "widths": list(widths)}
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +259,9 @@ def _write_records(out_dir: Path, records, command: str, merged: dict, src,
 
 def cmd_generate(args) -> int:
     spec = _resolve_spec(args)
-    grid = preset(spec.name)
-    defaults = {"n": grid.n, "m": grid.m, "domain": grid.domain, "init": grid.init,
-                "seed": 0, "rtol": 1e-8, "name": spec.name}
-    merged = _merge_config(defaults, args)
-    merged["domain"] = tuple(float(v) for v in merged["domain"])
-
+    merged = _merge_config(args, spec)
     started = time.time()
-    snapshot = generate_synthetic(
-        spec, n=merged["n"], m=merged["m"], domain=merged["domain"],
-        init=merged["init"], seed=merged["seed"], rtol=merged["rtol"],
-        name=merged["name"])
+    snapshot = generate_synthetic(spec, **merged)
     out_dir = _out_dir(args)
     out_path = out_dir / f"{merged['name']}.txt"
     save_snapshot(snapshot, out_path)
@@ -218,7 +274,7 @@ def cmd_generate(args) -> int:
 def cmd_sample(args) -> int:
     started = time.time()
     snapshot, src = _resolve_snapshot(args)
-    samples = _select_samples(snapshot, args)
+    samples = _select_samples(snapshot, args, _merge_config(args)["seed"])
     out_dir = _out_dir(args)
     out_path = out_dir / "samples.csv"
     samples.export_csv(out_path)
@@ -232,12 +288,9 @@ def cmd_sample(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.time()
-    snapshot, src = _resolve_snapshot(args)
-    spec = _resolve_spec(args)
-    samples = _select_samples(snapshot, args)
-    cfg, merged = _train_config(args, spec.name)
-
-    net = init_siren(tuple(merged["widths"]), omega0=merged["omega0"], seed=cfg.seed)
+    snapshot, src, spec, merged, cfg = _training_inputs(args)
+    samples = _select_samples(snapshot, args, cfg.seed)
+    net = init_siren(merged["widths"], omega0=merged["omega0"], seed=cfg.seed)
     result = train(net, samples, spec, snapshot.scales, cfg)
 
     out_dir = _out_dir(args)
@@ -248,8 +301,7 @@ def cmd_train(args) -> int:
         json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")
     save_checkpoint(net, out_dir / "checkpoint.txt")
-    config = {**merged, "snapshot": str(src), "sampler":
-              "random" if args.random else "greedy",
+    config = {**merged, "snapshot": str(src), "sampler": "random" if args.random else "greedy",
               "t_div": args.t_div, "eps": args.eps, "size": args.size}
     _write_manifest(out_dir, "train_manifest.json", "train", config, [src], started)
     print(f"final p = {np.round(result.final_p, 6).tolist()}"
@@ -260,34 +312,25 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.time()
-    snapshot, src = _resolve_snapshot(args)
-    spec = _resolve_spec(args)
-    lo, hi = preset(spec.name).eps_range
-    train_cfg, merged = _train_config(args, spec.name, t_divs="1,2,3,4", eps_min=lo,
-                                      eps_max=hi, eps_count=20, jobs=1)
+    snapshot, src, spec, merged, train_cfg = _training_inputs(args)
     sweep_cfg = SweepConfig(
-        t_divs=_int_list(merged["t_divs"]),
+        t_divs=merged["t_divs"],
         eps_values=eps_grid(merged["eps_min"], merged["eps_max"], merged["eps_count"]),
-        widths=tuple(merged["widths"]), omega0=merged["omega0"])
+        widths=merged["widths"], omega0=merged["omega0"])
 
     records = sweep_greedy(snapshot, spec, sweep_cfg, train_cfg, jobs=merged["jobs"])
-    out_dir = _out_dir(args)
-    export_plot_data(records, out_dir / "plot_data.json")
-    return _write_records(out_dir, records, "sweep", merged, src, started)
+    return _write_records(_out_dir(args), records, "sweep", merged, src, started)
 
 
 def cmd_baseline(args) -> int:
     started = time.time()
-    snapshot, src = _resolve_snapshot(args)
-    spec = _resolve_spec(args)
-    train_cfg, merged = _train_config(args, spec.name, min_n=None, max_n=None, reps=5,
-                                      base_seed=0, jobs=1)
+    snapshot, src, spec, merged, train_cfg = _training_inputs(args)
     if merged["min_n"] is None or merged["max_n"] is None:
         raise SystemExit("baseline needs --min-n and --max-n")
     records = sweep_random(
         snapshot, spec, merged["min_n"], merged["max_n"], train_cfg,
         repetitions=merged["reps"], base_seed=merged["base_seed"],
-        jobs=merged["jobs"], widths=tuple(merged["widths"]), omega0=merged["omega0"])
+        jobs=merged["jobs"], widths=merged["widths"], omega0=merged["omega0"])
     return _write_records(_out_dir(args), records, "baseline", merged, src, started)
 
 
@@ -299,12 +342,9 @@ def cmd_cluster(args) -> int:
     records = read_results(results_path)
     if not records:
         raise ValueError(f"no records in {results_path}")
-    defaults = {"k": 20, "n_init": 100, "seed": 0}
-    merged = _merge_config(defaults, args)
+    merged = _merge_config(args)
     coefs = range(len(records[0].rel_errors)) if args.coef is None else [args.coef]
-    summaries = {ci: cluster_records(records, ci, k=merged["k"],
-                                     n_init=merged["n_init"], seed=merged["seed"])
-                 for ci in coefs}
+    summaries = {ci: cluster_records(records, ci, **merged) for ci in coefs}
     out_dir = _out_dir(args)
     if args.format == "json":
         payload = {str(ci): {"centroids": s.centroids.tolist(),
@@ -330,37 +370,50 @@ def cmd_cluster(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-def _add_common(sub, config: bool = True):
-    sub.add_argument("--out-dir", help="output directory (default $PDEGREEDY_OUT or .)")
-    if config:
-        sub.add_argument("--config", help="JSON config file; flags override it")
-
-
-def _add_snapshot_opts(sub):
-    sub.add_argument("--snapshot", help="snapshot file (matrix-text or .csv)")
-    sub.add_argument("--pde", help="preset name: " + ", ".join(sorted(PRESETS)))
-    sub.add_argument("--data-dir", help="directory searched for <pde>.txt "
-                                        "(default $PDEGREEDY_DATA or data)")
-
-
-def _add_train_opts(sub):
-    sub.add_argument("--spec-file", help="custom term library (JSON)")
-    sub.add_argument("--max-iter", type=int, dest="max_iter")
-    sub.add_argument("--lr", type=float, dest="learning_rate")
-    sub.add_argument("--mu1", type=float)
-    sub.add_argument("--mu2", type=float)
-    sub.add_argument("--step-size-up", type=int, dest="step_size_up")
-    sub.add_argument("--widths", help="comma-separated layer widths")
-    sub.add_argument("--omega0", type=float)
+# Path and selection flags: read by the commands that list them, never config keys.
+FLAGS = {
+    "--out-dir": dict(help="output directory (default $PDEGREEDY_OUT or .)"),
+    "--config": dict(help="JSON config file; flags override it"),
+    "--snapshot": dict(help="snapshot file (matrix-text or .csv)"),
+    "--pde": dict(help="preset name: " + ", ".join(sorted(PRESETS))),
+    "--data-dir": dict(help="where <pde>.txt is (default $PDEGREEDY_DATA or data)"),
+    "--spec-file": dict(help="custom term library (JSON)"),
+    "--t-div": dict(type=int, help="time divisions for greedy sampling"),
+    "--eps": dict(type=float, help="rank threshold for greedy sampling"),
+    "--random": dict(action="store_true", help="random baseline sampler"),
+    "--size": dict(type=int, help="random sample count"),
+    "--results": dict(required=True, help="records.json from a sweep"),
+    "--coef": dict(type=int, help="coefficient index (default: all)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+}
 
 
-def _add_sampler_opts(sub):
-    sub.add_argument("--t-div", type=int, help="time divisions for greedy sampling")
-    sub.add_argument("--eps", type=float, help="rank threshold for greedy sampling")
-    sub.add_argument("--random", action="store_true", help="random baseline sampler")
-    sub.add_argument("--size", type=int, help="random sample count")
-    sub.add_argument("--seed", type=int, help="seed (random sampler / net init)")
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    flags: tuple[str, ...]  # keys of FLAGS; "--config" where the command reads one
+    keys: tuple[str, ...]   # keys of OPTIONS
+
+
+_SNAPSHOT_FLAGS = ("--snapshot", "--pde", "--data-dir")
+_SAMPLER_FLAGS = ("--t-div", "--eps", "--random", "--size")
+_RUN_FLAGS = ("--config", *_SNAPSHOT_FLAGS, "--spec-file")
+
+COMMANDS = {
+    "generate": Command(cmd_generate, "integrate a preset PDE to a snapshot file",
+                        ("--config", "--pde", "--spec-file"),
+                        ("n", "m", "domain", "init", "seed", "rtol", "name")),
+    "sample": Command(cmd_sample, "select samples from a snapshot",
+                      (*_SNAPSHOT_FLAGS, *_SAMPLER_FLAGS), ("seed",)),
+    "train": Command(cmd_train, "recover coefficients from selected samples",
+                     (*_RUN_FLAGS, *_SAMPLER_FLAGS), TRAIN_KEYS),
+    "sweep": Command(cmd_sweep, "greedy (t_div, eps) sweep", _RUN_FLAGS,
+                     ("t_divs", "eps_min", "eps_max", "eps_count", *TRAIN_KEYS, "jobs")),
+    "baseline": Command(cmd_baseline, "size-matched random baseline", _RUN_FLAGS,
+                        ("min_n", "max_n", "reps", "base_seed", *TRAIN_KEYS, "jobs")),
+    "cluster": Command(cmd_cluster, "k-means summary of sweep records",
+                       ("--config", "--results", "--coef", "--format"), ("k", "n_init", "seed")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,67 +423,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "for PDE coefficient recovery.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("generate", help="integrate a preset PDE to a snapshot file")
-    _add_common(p)
-    p.add_argument("--pde", help="preset name")
-    p.add_argument("--spec-file", help="custom term library (JSON)")
-    p.add_argument("--n", type=int, help="spatial points")
-    p.add_argument("--m", type=int, help="time points")
-    p.add_argument("--domain", type=float, nargs=3, metavar=("XMIN", "XMAX", "TMAX"))
-    p.add_argument("--init", help="named initial condition")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--name", help="output stem (default pde name)")
-    p.set_defaults(func=cmd_generate)
-
-    p = subs.add_parser("sample", help="select samples from a snapshot")
-    _add_common(p, config=False)
-    _add_snapshot_opts(p)
-    _add_sampler_opts(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = subs.add_parser("train", help="recover coefficients from selected samples")
-    _add_common(p)
-    _add_snapshot_opts(p)
-    _add_sampler_opts(p)
-    _add_train_opts(p)
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("sweep", help="greedy (t_div, eps) sweep")
-    _add_common(p)
-    _add_snapshot_opts(p)
-    p.add_argument("--t-divs", dest="t_divs", help="comma-separated divisions")
-    p.add_argument("--eps-min", type=float, dest="eps_min")
-    p.add_argument("--eps-max", type=float, dest="eps_max")
-    p.add_argument("--eps-count", type=int, dest="eps_count")
-    _add_train_opts(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, help="worker pool size (default 1)")
-    p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser("baseline", help="size-matched random baseline")
-    _add_common(p)
-    _add_snapshot_opts(p)
-    p.add_argument("--min-n", type=int, dest="min_n")
-    p.add_argument("--max-n", type=int, dest="max_n")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--base-seed", type=int, dest="base_seed")
-    _add_train_opts(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=cmd_baseline)
-
-    p = subs.add_parser("cluster", help="k-means summary of sweep records")
-    _add_common(p)
-    p.add_argument("--results", required=True, help="records.json from a sweep")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n-init", type=int, dest="n_init")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--coef", type=int, help="coefficient index (default: all)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_cluster)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for flag in ("--out-dir", *command.flags):
+            sub.add_argument(flag, **FLAGS[flag])
+        for key in command.keys:
+            opt = OPTIONS[key]
+            sub.add_argument(opt.flag, dest=key, type=opt.type.parse, nargs=opt.type.nargs,
+                             help=opt.help)
+        sub.set_defaults(func=command.run)
     return parser
 
 
@@ -438,8 +439,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

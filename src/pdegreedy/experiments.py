@@ -188,6 +188,8 @@ def kmeans(points, k: int, n_init: int = 100, seed: int = 0) -> ClusterSummary:
         raise ValueError("points must be an (n, d) array")
     if not 1 <= k <= points.shape[0]:
         raise ValueError(f"k = {k} out of range [1, {points.shape[0]}]")
+    if n_init < 1:
+        raise ValueError(f"n_init must be >= 1, got {n_init}")
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
@@ -259,15 +261,3 @@ def read_results(path) -> list[ExperimentRecord]:
         out.append(ExperimentRecord(**raw))
     return out
 
-
-def export_plot_data(records: list[ExperimentRecord], path) -> None:
-    """Sample-count vs error series per t_div, as JSON."""
-    series: dict = {}
-    for rec in records:
-        key = f"t_div={rec.t_div}" if rec.t_div is not None else "random"
-        entry = series.setdefault(key, {"n_samples": [], "rel_errors": []})
-        entry["n_samples"].append(rec.n_samples)
-        entry["rel_errors"].append(list(rec.rel_errors))
-    with open(path, "w") as fh:
-        json.dump({"series": series}, fh, indent=1, sort_keys=True)
-        fh.write("\n")

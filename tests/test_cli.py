@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from pdegreedy import experiments, training
+from pdegreedy import cli, experiments, training
 from pdegreedy.cli import main
 from pdegreedy.experiments import ExperimentRecord, export_results
 from pdegreedy.siren import ParamGrad, load_checkpoint
@@ -226,6 +227,28 @@ class TestTrain:
                    "--t-div", "1", "--eps", "1e-2", "--max-iter", "1", "--widths", "2,6,1",
                    "--config", cfg_path, "--out-dir", tmp_path) == 0
 
+    def test_config_seed_reaches_random_sampler(self, tmp_path, data_dir):
+        # the merged seed draws the samples as well as the network
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 5}))
+        common = ("train", "--snapshot", data_dir / "burgers.txt", "--pde", "burgers",
+                  "--random", "--size", "10", "--max-iter", "3", "--widths", "2,8,1")
+        assert run(*common, "--config", cfg_path, "--out-dir", tmp_path / "config") == 0
+        assert run(*common, "--seed", "5", "--out-dir", tmp_path / "flag") == 0
+        for name in ("trajectory.csv", "checkpoint.txt"):
+            assert (tmp_path / "config" / name).read_bytes() == \
+                (tmp_path / "flag" / name).read_bytes()
+
+    def test_config_not_an_object_reported(self, tmp_path, data_dir, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps([1, 2]))
+        assert run("train", "--snapshot", data_dir / "burgers.txt", "--pde", "burgers",
+                   "--t-div", "1", "--eps", "1e-2", "--config", cfg_path,
+                   "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == \
+            f"error: {cfg_path}: expected a JSON object of config keys\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, data_dir):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))
@@ -244,7 +267,6 @@ class TestSweepBaselineCluster:
         records = json.loads((tmp_path / "records.json").read_text())
         assert len(records) == 80
         assert (tmp_path / "records.csv").exists()
-        assert (tmp_path / "plot_data.json").exists()
 
     def test_baseline_and_cluster_pipeline(self, tmp_path, data_dir):
         code = run("baseline", "--snapshot", data_dir / "burgers.txt",
@@ -343,6 +365,63 @@ class TestSweepBaselineCluster:
         assert run(*argv, *(() if coef is None else ("--coef", coef))) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "centroids.csv").exists()
+
+
+# Flags that are not config keys; the last four only for train and sample.
+PATH_FLAGS = {"--out-dir", "--config", "--snapshot", "--pde", "--data-dir", "--spec-file",
+              "--results", "--coef", "--format", "--t-div", "--eps", "--random", "--size"}
+SAMPLER_FLAGS = {"--t-div", "--eps", "--random", "--size"}
+# One --config value per declared type that the type must refuse.
+WRONG_TYPE = {"int": "3", "float": "1e-3", "str": 3, "int list": [2.5],
+              "3 floats": "-8,8,1", "int or null": 1.5}
+
+
+def _wrong_type_cases():
+    for command, entry in cli.COMMANDS.items():
+        if "--config" in entry.flags:
+            for key in entry.keys:
+                value = WRONG_TYPE[cli.OPTIONS[key].type.name]
+                yield pytest.param(command, key, value, id=f"{command}-{key}")
+    yield pytest.param("generate", "domain", [1, 2], id="generate-domain-two-values")
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_registered_flags_are_declared(self, command):
+        parser = cli.build_parser()
+        [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        registered = {a.option_strings[-1]: a.dest
+                      for a in subs.choices[command]._actions if a.dest != "help"}
+        keys = cli.COMMANDS[command].keys
+        for key in keys:
+            assert registered[cli.OPTIONS[key].flag] == key
+        others = set(registered) - {cli.OPTIONS[key].flag for key in keys}
+        assert others <= PATH_FLAGS
+        assert "--out-dir" in others
+        sampler = SAMPLER_FLAGS if command in ("train", "sample") else set()
+        assert others & SAMPLER_FLAGS == sampler
+
+    @pytest.mark.parametrize("command, key, value", _wrong_type_cases())
+    def test_config_value_of_wrong_type_refused(self, tmp_path, data_dir, capsys,
+                                                command, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        if command == "generate":
+            argv = ("--pde", "burgers")
+        elif command == "cluster":
+            records = [ExperimentRecord(sampler="random", pde="burgers", n_samples=10 + i,
+                                        rel_errors=(0.1 * i,), final_p=(-1.0,),
+                                        wall_time_s=0.0, size=10 + i, seed=i)
+                       for i in range(4)]
+            export_results(records, tmp_path / "records.json", format="json")
+            argv = ("--results", tmp_path / "records.json")
+        else:
+            argv = ("--snapshot", data_dir / "burgers.txt", "--pde", "burgers")
+            if command == "train":
+                argv += ("--t-div", "1", "--eps", "1e-2")
+        assert run(command, *argv, "--config", cfg_path, "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: expected ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

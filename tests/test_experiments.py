@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from pdegreedy import experiments, sampling, siren
-from pdegreedy.experiments import (SweepConfig, cluster_records, eps_grid,
-                                   export_plot_data, export_results, kmeans, lloyd,
-                                   read_results, sweep_greedy, sweep_random)
+from pdegreedy.experiments import (SweepConfig, cluster_records, eps_grid, export_results,
+                                   kmeans, lloyd, read_results, sweep_greedy, sweep_random)
 from pdegreedy.features import get_pde_spec, preset
 from pdegreedy.sampling import QdeimConfig, qdeim_sample
 from pdegreedy.siren import init_siren
@@ -141,6 +140,8 @@ class TestKmeans:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), k=4)
+        with pytest.raises(ValueError, match="n_init"):
+            kmeans(np.zeros((3, 2)), k=2, n_init=0)
 
     def test_cluster_records_20_centroids(self, greedy_records):
         summary = cluster_records(greedy_records, coef_index=0,
@@ -170,27 +171,6 @@ class TestPersistence:
             np.testing.assert_array_equal(np.array(a.final_p), np.array(b.final_p))
             np.testing.assert_allclose(np.array(a.rel_errors),
                                        np.array(b.rel_errors), equal_nan=True)
-
-    def test_plot_data_schema(self, greedy_records, tmp_path):
-        import jsonschema
-
-        path = tmp_path / "plot.json"
-        export_plot_data(greedy_records, path)
-        schema = {
-            "type": "object",
-            "required": ["series"],
-            "properties": {
-                "series": {"type": "object", "additionalProperties": {
-                    "type": "object",
-                    "required": ["n_samples", "rel_errors"],
-                    "properties": {
-                        "n_samples": {"type": "array", "items": {"type": "integer"}},
-                        "rel_errors": {"type": "array"},
-                    }}},
-            }}
-        payload = json.loads(path.read_text())
-        jsonschema.validate(payload, schema)
-        assert set(payload["series"]) == {f"t_div={d}" for d in (1, 2, 3, 4)}
 
 
 class TestConfigs:
