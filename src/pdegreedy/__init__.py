@@ -11,9 +11,8 @@ from .linalg import (PivotedQr, RankDeficiencyError, SvdConvergenceError,
                      SvdFactors, pivoted_qr, qr_least_squares, svd)
 from .sampling import (QdeimConfig, SampleSet, qdeim_sample, qdeim_window,
                        random_sample, sample_size_grid, select_rank)
-from .siren import (Jet, ParamGrad, SirenNet, forward, forward_jet,
-                    forward_jet_with_cache, init_siren, jet_backward,
-                    load_checkpoint, save_checkpoint)
+from .siren import (Jet, SirenNet, forward, forward_jet, forward_jet_with_cache,
+                    init_siren, jet_backward, load_checkpoint, save_checkpoint)
 from .snapshots import (IntegrationBlowupError, SnapshotMatrix, SnapshotParseError,
                         generate_synthetic, load_snapshot, save_snapshot,
                         subdivide_time)

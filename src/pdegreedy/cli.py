@@ -23,7 +23,7 @@ from .experiments import (SweepConfig, cluster_records, eps_grid, export_results
 from .features import PRESETS, get_pde_spec, load_pde_spec, preset
 from .linalg import blas_threads
 from .sampling import QdeimConfig, qdeim_sample, random_sample
-from .siren import DEFAULT_OMEGA0, DEFAULT_WIDTHS, init_siren, save_checkpoint
+from .siren import init_siren, save_checkpoint
 from .snapshots import generate_synthetic, load_snapshot, save_snapshot
 from .training import TrainConfig, summary_dict, train, write_trajectory_csv
 
@@ -88,15 +88,15 @@ OPTIONS = {
     "init": Option("--init", STR, lambda p: p.init, "named initial condition"),
     "rtol": Option("--rtol", FLOAT, 1e-8),
     "name": Option("--name", STR, lambda p: p.spec.name, "output stem (default pde name)"),
-    # training: TrainConfig's fields and the network
+    # training: TrainConfig's fields
     "max_iter": Option("--max-iter", INT, lambda p: p.max_iter),
     "learning_rate": Option("--lr", FLOAT, TrainConfig.learning_rate),
     "mu1": Option("--mu1", FLOAT, TrainConfig.mu1),
     "mu2": Option("--mu2", FLOAT, TrainConfig.mu2),
     "step_size_up": Option("--step-size-up", INT, TrainConfig.step_size_up),
     "seed": Option("--seed", INT, TrainConfig.seed, "generator, sampler, network or k-means"),
-    "widths": Option("--widths", INT_LIST, DEFAULT_WIDTHS, "comma-separated layer widths"),
-    "omega0": Option("--omega0", FLOAT, DEFAULT_OMEGA0),
+    "widths": Option("--widths", INT_LIST, TrainConfig.widths, "comma-separated layer widths"),
+    "omega0": Option("--omega0", FLOAT, TrainConfig.omega0),
     # sweep and baseline
     "t_divs": Option("--t-divs", INT_LIST, SweepConfig.t_divs, "comma-separated divisions"),
     "eps_min": Option("--eps-min", FLOAT, lambda p: p.eps_range[0]),
@@ -111,7 +111,7 @@ OPTIONS = {
     "k": Option("--k", INT, 20),
     "n_init": Option("--n-init", INT, 100),
 }
-TRAIN_KEYS = (*(f.name for f in dataclasses.fields(TrainConfig)), "widths", "omega0")
+TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 
 def _out_dir(args) -> Path:
@@ -200,7 +200,7 @@ def _training_inputs(args):
     snapshot, src = _resolve_snapshot(args)
     spec = _resolve_spec(args)
     merged = _merge_config(args, spec)
-    cfg = TrainConfig(**{f.name: merged[f.name] for f in dataclasses.fields(TrainConfig)})
+    cfg = TrainConfig(**{key: merged[key] for key in TRAIN_KEYS})
     return snapshot, src, spec, merged, cfg
 
 
@@ -274,12 +274,13 @@ def cmd_generate(args) -> int:
 def cmd_sample(args) -> int:
     started = time.time()
     snapshot, src = _resolve_snapshot(args)
-    samples = _select_samples(snapshot, args, _merge_config(args)["seed"])
+    seed = _merge_config(args)["seed"]
+    samples = _select_samples(snapshot, args, seed)
     out_dir = _out_dir(args)
     out_path = out_dir / "samples.csv"
     samples.export_csv(out_path)
     config = {"snapshot": str(src), "random": args.random, "t_div": args.t_div,
-              "eps": args.eps, "size": args.size, "seed": args.seed}
+              "eps": args.eps, "size": args.size, "seed": seed}
     _write_manifest(out_dir, "samples_manifest.json", "sample", config,
                     [src], started)
     print(f"wrote {out_path} ({len(samples)} samples, source={samples.source})")
@@ -290,7 +291,7 @@ def cmd_train(args) -> int:
     started = time.time()
     snapshot, src, spec, merged, cfg = _training_inputs(args)
     samples = _select_samples(snapshot, args, cfg.seed)
-    net = init_siren(merged["widths"], omega0=merged["omega0"], seed=cfg.seed)
+    net = init_siren(cfg.widths, omega0=cfg.omega0, seed=cfg.seed)
     result = train(net, samples, spec, snapshot.scales, cfg)
 
     out_dir = _out_dir(args)
@@ -315,8 +316,7 @@ def cmd_sweep(args) -> int:
     snapshot, src, spec, merged, train_cfg = _training_inputs(args)
     sweep_cfg = SweepConfig(
         t_divs=merged["t_divs"],
-        eps_values=eps_grid(merged["eps_min"], merged["eps_max"], merged["eps_count"]),
-        widths=merged["widths"], omega0=merged["omega0"])
+        eps_values=eps_grid(merged["eps_min"], merged["eps_max"], merged["eps_count"]))
 
     records = sweep_greedy(snapshot, spec, sweep_cfg, train_cfg, jobs=merged["jobs"])
     return _write_records(_out_dir(args), records, "sweep", merged, src, started)
@@ -329,8 +329,7 @@ def cmd_baseline(args) -> int:
         raise SystemExit("baseline needs --min-n and --max-n")
     records = sweep_random(
         snapshot, spec, merged["min_n"], merged["max_n"], train_cfg,
-        repetitions=merged["reps"], base_seed=merged["base_seed"],
-        jobs=merged["jobs"], widths=merged["widths"], omega0=merged["omega0"])
+        repetitions=merged["reps"], base_seed=merged["base_seed"], jobs=merged["jobs"])
     return _write_records(_out_dir(args), records, "baseline", merged, src, started)
 
 

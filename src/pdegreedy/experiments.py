@@ -14,8 +14,8 @@ import numpy as np
 
 from .features import PRESETS, PdeSpec, Preset, relative_error
 from .sampling import QdeimConfig, qdeim_sample, random_sample, sample_size_grid
-from .siren import (DEFAULT_OMEGA0, DEFAULT_WIDTHS, check_network, init_siren,
-                    jets_on_calling_thread)
+# DEFAULT_OMEGA0 and DEFAULT_WIDTHS are imported from here by benchmarks/bench_workloads.py.
+from .siren import DEFAULT_OMEGA0, DEFAULT_WIDTHS, init_siren, jets_on_calling_thread
 from .snapshots import SnapshotMatrix
 from .training import TrainConfig, train
 
@@ -35,8 +35,6 @@ class SweepConfig:
     t_divs: tuple[int, ...] = (1, 2, 3, 4)
     eps_values: tuple[float, ...] = eps_grid(*Preset().eps_range)
     repetitions: int = 5
-    widths: tuple[int, ...] = DEFAULT_WIDTHS
-    omega0: float = DEFAULT_OMEGA0
 
     def __post_init__(self):
         if not self.t_divs or not self.eps_values:
@@ -64,14 +62,14 @@ def _record(task) -> ExperimentRecord:
     """One run: train a fresh net on the drawn samples and record the outcome
     under the sampler settings ``keys``. A failed draw (its error string in
     place of the samples) or run becomes the record's error; the sweep goes on."""
-    sampler, samples, keys, spec, scales, train_cfg, widths, omega0 = task
+    sampler, samples, keys, spec, scales, train_cfg = task
     nan = tuple(np.full(len(spec.terms), np.nan))
     if isinstance(samples, str):
         return ExperimentRecord(sampler=sampler, pde=spec.name, n_samples=0,
                                 rel_errors=nan, final_p=nan, wall_time_s=0.0,
                                 error=samples, **keys)
     started = time.perf_counter()
-    net = init_siren(widths, omega0=omega0, seed=train_cfg.seed)
+    net = init_siren(train_cfg.widths, omega0=train_cfg.omega0, seed=train_cfg.seed)
     try:
         result = train(net, samples, spec, scales, train_cfg)
     except Exception as exc:
@@ -97,18 +95,17 @@ def _map_tasks(fn, tasks, jobs: int):
 
 
 def _run_sweep(sampler: str, draw, grid, spec: PdeSpec, scales, train_cfg: TrainConfig,
-               widths, omega0, jobs: int) -> list[ExperimentRecord]:
+               jobs: int) -> list[ExperimentRecord]:
     """One record per ``keys`` in ``grid``, trained on ``draw(**keys)``. Every
     set is drawn in this process: serially as its run starts, for a pool all
     before it starts, so no SVD overlaps or runs in a worker."""
-    check_network(widths, omega0)  # refuse before any sample set is drawn
 
     def task(keys):
         try:
             samples = draw(**keys)
         except Exception as exc:
             samples = f"{type(exc).__name__}: {exc}"
-        return sampler, samples, keys, spec, scales, train_cfg, widths, omega0
+        return sampler, samples, keys, spec, scales, train_cfg
 
     tasks = map(task, grid)
     return _map_tasks(_record, tasks if jobs <= 1 else list(tasks), jobs)
@@ -122,13 +119,12 @@ def sweep_greedy(s: SnapshotMatrix, spec: PdeSpec, sweep_cfg: SweepConfig,
     # the config is built in the draw, so a bad (t_div, eps) ends as its record's error
     return _run_sweep(
         "greedy", lambda t_div, eps_thr: qdeim_sample(s, QdeimConfig(t_div, eps_thr)),
-        grid, spec, s.scales, train_cfg, sweep_cfg.widths, sweep_cfg.omega0, jobs)
+        grid, spec, s.scales, train_cfg, jobs)
 
 
 def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
                  train_cfg: TrainConfig, repetitions: int = 5, base_seed: int = 0,
-                 jobs: int = 1, widths=DEFAULT_WIDTHS,
-                 omega0: float = DEFAULT_OMEGA0) -> list[ExperimentRecord]:
+                 jobs: int = 1) -> list[ExperimentRecord]:
     """Size-matched random baseline: 11 sizes x repetitions (55 by default).
 
     Seeds are not chosen by the caller per run but derived from base_seed
@@ -139,7 +135,7 @@ def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
     sizes = [size for size in sample_size_grid(min_n, max_n) for _ in range(repetitions)]
     grid = [{"size": size, "seed": base_seed + run} for run, size in enumerate(sizes)]
     return _run_sweep("random", functools.partial(random_sample, s), grid, spec, s.scales,
-                      train_cfg, widths, omega0, jobs)
+                      train_cfg, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -72,18 +72,6 @@ class SirenNet:
         return SirenNet(self.params.copy(), self.widths, self.omega0)
 
 
-@dataclass(frozen=True)
-class ParamGrad:
-    """Gradient with respect to SirenNet.params, laid out like it;
-    ``d_weights[l]`` and ``d_biases[l]`` are views of ``flat``."""
-
-    flat: np.ndarray
-    widths: tuple[int, ...]
-
-    d_weights = property(lambda self: _layer_views(self.flat, self.widths)[0])
-    d_biases = property(lambda self: _layer_views(self.flat, self.widths)[1])
-
-
 def _layer_views(flat: np.ndarray, widths) -> tuple[tuple[np.ndarray, ...], ...]:
     """Per-layer (weights, biases) views of a vector in checkpoint order;
     ValueError unless the vector has one entry per parameter."""
@@ -221,7 +209,10 @@ def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None):
 # ---------------------------------------------------------------------------
 # forward/backward internals
 
-BLOCK = 512  # points per block; on a 2-core VM kdv-large ran as fast at 256 and 1024
+# Points per block. Tuned on float64 stacks: on a 2-core VM kdv-large ran as fast
+# at 256 and 1024. Stacks of half the bytes per point (float32) need 512 against
+# 1024 measured again.
+BLOCK = 512
 
 _threads = None  # jet threads in this process; None: one per usable core
 _pool = None     # (pid, ThreadPoolExecutor), made by the first pass that needs it
@@ -419,8 +410,9 @@ def _top_stream(hidden_layer: int, order: int) -> int:
     return 1 if hidden_layer == 0 else order
 
 
-def jet_backward(net: SirenNet, cache, bar: Jet) -> ParamGrad:
-    """Reverse accumulation from jet cotangents to parameter gradients.
+def jet_backward(net: SirenNet, cache, bar: Jet) -> np.ndarray:
+    """Reverse accumulation from jet cotangents to the parameter gradient,
+    one float64 vector laid out like ``net.params``.
 
     Runs per sample block in that block's buffers: layer by layer, a sine
     stack is read for the weight gradient and the P_m coefficients, then
@@ -448,9 +440,9 @@ def jet_backward(net: SirenNet, cache, bar: Jet) -> ParamGrad:
                         _layer_views(rows[i], net.widths))
 
     _run_blocks(run, len(cache))
-    flat = rows.sum(axis=0)  # numpy adds the rows one after another, in block order
-    flat[:-(weights[-1].size + net.widths[-1])] *= net.omega0  # all but the output layer
-    return ParamGrad(flat, net.widths)
+    grad = rows.sum(axis=0)  # numpy adds the rows one after another, in block order
+    grad[:-(weights[-1].size + net.widths[-1])] *= net.omega0  # all but the output layer
+    return grad
 
 
 def _backward_block(cache, scaled, bar, factorials, order, out):

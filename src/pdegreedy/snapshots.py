@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -79,23 +80,16 @@ class SnapshotMatrix:
         return cls(u=u, x_phys=x, t_phys=t, name=name)
 
 
-def _round_half_even(num: int, den: int) -> int:
-    # exact round-half-to-even of num/den for non-negative integers
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
-        return q + 1
-    return q
-
-
 def subdivide_time(m: int, t_div: int) -> list[tuple[int, int]]:
     """Partition m columns into t_div near-equal contiguous windows.
 
-    Window i spans [round(i*m/t_div), round((i+1)*m/t_div)); the rounding
-    balances remainder columns across the windows.
+    Window i spans [round(i*m/t_div), round((i+1)*m/t_div)), rounded
+    exactly with ties to even; the rounding balances remainder columns
+    across the windows.
     """
     if not 1 <= t_div <= m:
         raise ValueError(f"t_div {t_div} out of range [1, {m}]")
-    bounds = [_round_half_even(i * m, t_div) for i in range(t_div + 1)]
+    bounds = [round(Fraction(i * m, t_div)) for i in range(t_div + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
 

@@ -11,7 +11,8 @@ import numpy as np
 from .features import (DomainScales, PdeSpec, build_theta, composite_loss_and_bar,
                        physical_u_t, relative_error, solve_parameters, total_loss)
 from .sampling import SampleSet
-from .siren import SirenNet, forward_jet_with_cache, jet_backward
+from .siren import (DEFAULT_OMEGA0, DEFAULT_WIDTHS, SirenNet, check_network,
+                    forward_jet_with_cache, jet_backward)
 
 DIVERGENCE_LIMIT = 1e8
 
@@ -24,6 +25,8 @@ class TrainConfig:
     mu2: float = 1.0
     max_iter: int = 1000
     seed: int = 0
+    widths: tuple[int, ...] = DEFAULT_WIDTHS
+    omega0: float = DEFAULT_OMEGA0
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -35,6 +38,7 @@ class TrainConfig:
         for name in ("mu1", "mu2"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        object.__setattr__(self, "widths", check_network(self.widths, self.omega0))
 
     @property
     def lr_bounds(self) -> tuple[float, float]:
@@ -143,7 +147,7 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
             diverged = True
             break
 
-        adam_step(net.params, jet_backward(net, cache, bar).flat, state, lr)
+        adam_step(net.params, jet_backward(net, cache, bar), state, lr)
 
     wall = time.perf_counter() - started
     trajectory = np.array(p_rows)

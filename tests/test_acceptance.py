@@ -21,7 +21,7 @@ from pdegreedy.features import (PRESETS, DomainScales, build_theta,
                                 preset, relative_error, solve_parameters)
 from pdegreedy.linalg import pivoted_qr, qr_least_squares, svd
 from pdegreedy.sampling import QdeimConfig, qdeim_sample, random_sample
-from pdegreedy.siren import (DEFAULT_WIDTHS, forward, forward_jet,
+from pdegreedy.siren import (DEFAULT_WIDTHS, _layer_views, forward, forward_jet,
                              forward_jet_with_cache, init_siren, jet_backward)
 from pdegreedy.snapshots import load_snapshot, save_snapshot
 from pdegreedy.training import TrainConfig, train
@@ -140,12 +140,10 @@ class TestCriterion4AllenCahn:
 class TestCriterion5ProtocolCounts:
     def test_sweep_baseline_cluster_counts(self, small_snapshot):
         spec = get_pde_spec("burgers")
-        fast = TrainConfig(max_iter=1)
-        sweep_cfg = SweepConfig(eps_values=eps_grid(*preset("burgers").eps_range),
-                                widths=(2, 6, 1))
+        fast = TrainConfig(max_iter=1, widths=(2, 6, 1))
+        sweep_cfg = SweepConfig(eps_values=eps_grid(*preset("burgers").eps_range))
         records = sweep_greedy(small_snapshot, spec, sweep_cfg, fast)
-        baseline = sweep_random(small_snapshot, spec, 10, 40, fast,
-                                widths=(2, 6, 1))
+        baseline = sweep_random(small_snapshot, spec, 10, 40, fast)
         summary = cluster_records(records, coef_index=0, k=20, n_init=100, seed=0)
         ok = report(
             "criterion 5 (protocol counts)",
@@ -215,9 +213,10 @@ class TestCriterion6Properties:
         grad = jet_backward(net, cache, bar)
         h = 1e-6
         worst = 0.0
+        d_weights, d_biases = _layer_views(grad, net.widths)
         for li in range(len(net.weights)):
-            for arr, garr in ((net.weights[li], grad.d_weights[li]),
-                              (net.biases[li], grad.d_biases[li])):
+            for arr, garr in ((net.weights[li], d_weights[li]),
+                              (net.biases[li], d_biases[li])):
                 flat, gflat = arr.reshape(-1), garr.reshape(-1)
                 for idx in range(flat.size):
                     orig = flat[idx]

@@ -7,7 +7,7 @@ import pytest
 from pdegreedy import cli, experiments, training
 from pdegreedy.cli import main
 from pdegreedy.experiments import ExperimentRecord, export_results
-from pdegreedy.siren import ParamGrad, load_checkpoint
+from pdegreedy.siren import load_checkpoint
 from pdegreedy.snapshots import load_snapshot, save_snapshot
 
 
@@ -72,6 +72,16 @@ class TestSample:
         lines = (tmp_path / "samples.csv").read_text().splitlines()
         assert len(lines) == 101
 
+    def test_manifest_records_the_seed_it_drew_with(self, tmp_path, data_dir):
+        # without --seed the random sampler draws with the default seed, 0
+        common = ("sample", "--snapshot", data_dir / "burgers.txt", "--random", "--size", "20")
+        assert run(*common, "--out-dir", tmp_path / "default") == 0
+        assert run(*common, "--seed", "0", "--out-dir", tmp_path / "zero") == 0
+        manifest = json.loads((tmp_path / "default" / "samples_manifest.json").read_text())
+        assert manifest["config"]["seed"] == 0
+        assert (tmp_path / "default" / "samples.csv").read_bytes() == \
+            (tmp_path / "zero" / "samples.csv").read_bytes()
+
     def test_missing_input_fails(self, tmp_path):
         with pytest.raises(SystemExit):
             run("sample", "--snapshot", tmp_path / "absent.txt",
@@ -121,7 +131,7 @@ class TestTrain:
 
     def test_nonfinite_gradient_reported(self, tmp_path, data_dir, capsys, monkeypatch):
         def nan_backward(net, cache, bar):
-            return ParamGrad(np.full(net.params.size, np.nan), net.widths)
+            return np.full(net.params.size, np.nan)
 
         monkeypatch.setattr(training, "jet_backward", nan_backward)
         code = run("train", "--snapshot", data_dir / "burgers.txt",
@@ -288,15 +298,15 @@ class TestSweepBaselineCluster:
         # train settings in --config: each record must equal the matching train run
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
-            "mu1": 0.5, "mu2": 0.25, "step_size_up": 5,
-            "max_iter": 2, "widths": "2,6,1", "learning_rate": 1e-3}))
+            "mu1": 0.5, "mu2": 0.25, "step_size_up": 5, "max_iter": 2, "widths": "2,6,1",
+            "omega0": 20.0, "seed": 3, "learning_rate": 1e-3}))
         snap = data_dir / "burgers.txt"
         common = ("--snapshot", snap, "--pde", "burgers", "--config", cfg_path)
         assert run("sweep", *common, "--t-divs", "2", "--eps-min", "1e-3",
                    "--eps-max", "1e-2", "--eps-count", "2",
                    "--out-dir", tmp_path / "sweep") == 0
-        assert run("baseline", *common, "--min-n", "10", "--max-n", "12",
-                   "--reps", "1", "--out-dir", tmp_path / "baseline") == 0
+        assert run("baseline", *common, "--min-n", "10", "--max-n", "12", "--reps", "1",
+                   "--base-seed", "3", "--out-dir", tmp_path / "baseline") == 0
         greedy = json.loads((tmp_path / "sweep" / "records.json").read_text())
         random = json.loads((tmp_path / "baseline" / "records.json").read_text())
         assert len(greedy) == 2 and len(random) == 3
@@ -305,11 +315,14 @@ class TestSweepBaselineCluster:
 
         assert run("train", *common, "--t-div", "2", "--eps", repr(greedy[0]["eps_thr"]),
                    "--out-dir", tmp_path / "g") == 0
-        assert run("train", *common, "--random", "--size", "10", "--seed", "0",
+        # the config's seed draws train's random samples; the baseline's first run draws
+        # with --base-seed
+        assert run("train", *common, "--random", "--size", "10",
                    "--out-dir", tmp_path / "r") == 0
         for record, out in ((greedy[0], "g"), (random[0], "r")):
             summary = json.loads((tmp_path / out / "summary.json").read_text())
-            assert record["final_p"] == summary["final_p"]
+            assert np.array(record["final_p"]).tobytes() == \
+                np.array(summary["final_p"]).tobytes()
 
     def test_sweep_rejects_bad_loss_weight_before_training(self, tmp_path, data_dir,
                                                            capsys):

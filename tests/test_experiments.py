@@ -23,8 +23,8 @@ FAST_WIDTHS = (2, 8, 8, 1)
 @pytest.fixture(scope="module")
 def greedy_records(small_snapshot):
     spec = get_pde_spec("burgers")
-    sweep_cfg = SweepConfig(eps_values=eps_grid(*preset("burgers").eps_range), widths=FAST_WIDTHS)
-    train_cfg = TrainConfig(max_iter=2)
+    sweep_cfg = SweepConfig(eps_values=eps_grid(*preset("burgers").eps_range))
+    train_cfg = TrainConfig(max_iter=2, widths=FAST_WIDTHS)
     return sweep_greedy(small_snapshot, spec, sweep_cfg, train_cfg)
 
 
@@ -47,8 +47,8 @@ class TestSweepGreedy:
 
     def test_single_pair_matches_direct_train(self, small_snapshot):
         spec = get_pde_spec("burgers")
-        cfg = SweepConfig(t_divs=(2,), eps_values=(1e-3,), widths=FAST_WIDTHS)
-        train_cfg = TrainConfig(max_iter=3, seed=6)
+        cfg = SweepConfig(t_divs=(2,), eps_values=(1e-3,))
+        train_cfg = TrainConfig(max_iter=3, seed=6, widths=FAST_WIDTHS)
         [record] = sweep_greedy(small_snapshot, spec, cfg, train_cfg)
 
         samples = qdeim_sample(small_snapshot, QdeimConfig(t_div=2, eps_thr=1e-3))
@@ -58,9 +58,9 @@ class TestSweepGreedy:
 
     def test_failures_recorded_not_raised(self, small_snapshot):
         spec = get_pde_spec("kdv")  # wrong physics for this data, still runs
-        bad_widths = (2, 2, 1)
-        cfg = SweepConfig(t_divs=(1,), eps_values=(0.5,), widths=bad_widths)
-        records = sweep_greedy(small_snapshot, spec, cfg, TrainConfig(max_iter=1))
+        cfg = SweepConfig(t_divs=(1,), eps_values=(0.5,))
+        train_cfg = TrainConfig(max_iter=1, widths=(2, 2, 1))
+        records = sweep_greedy(small_snapshot, spec, cfg, train_cfg)
         assert len(records) == 1  # a tiny rank can underdetermine the solve
         if records[0].error is not None:
             assert np.all(np.isnan(records[0].rel_errors))
@@ -70,7 +70,7 @@ class TestSweepRandom:
     def test_default_protocol_gives_55_records(self, small_snapshot):
         spec = get_pde_spec("burgers")
         records = sweep_random(small_snapshot, spec, 10, 40,
-                               TrainConfig(max_iter=1), widths=FAST_WIDTHS)
+                               TrainConfig(max_iter=1, widths=FAST_WIDTHS))
         assert len(records) == 55
         sizes = sorted({r.size for r in records})
         assert len(sizes) == 11 and sizes[0] == 10 and sizes[-1] == 40
@@ -78,21 +78,20 @@ class TestSweepRandom:
     def test_collapsed_grid_two_records(self, small_snapshot):
         spec = get_pde_spec("burgers")
         records = sweep_random(small_snapshot, spec, 1, 2,
-                               TrainConfig(max_iter=1), repetitions=1,
-                               widths=FAST_WIDTHS)
+                               TrainConfig(max_iter=1, widths=FAST_WIDTHS), repetitions=1)
         assert len(records) == 2
 
     @pytest.mark.parametrize("reps", [0, -1])
     def test_rejects_non_positive_repetitions(self, small_snapshot, reps):
         with pytest.raises(ValueError, match="repetitions"):
             sweep_random(small_snapshot, get_pde_spec("burgers"), 5, 10,
-                         TrainConfig(max_iter=1), repetitions=reps, widths=FAST_WIDTHS)
+                         TrainConfig(max_iter=1, widths=FAST_WIDTHS), repetitions=reps)
 
     def test_reproducible_with_base_seed(self, small_snapshot):
         spec = get_pde_spec("burgers")
-        kwargs = dict(repetitions=2, base_seed=5, widths=FAST_WIDTHS)
-        a = sweep_random(small_snapshot, spec, 5, 10, TrainConfig(max_iter=1), **kwargs)
-        b = sweep_random(small_snapshot, spec, 5, 10, TrainConfig(max_iter=1), **kwargs)
+        cfg = TrainConfig(max_iter=1, widths=FAST_WIDTHS)
+        a = sweep_random(small_snapshot, spec, 5, 10, cfg, repetitions=2, base_seed=5)
+        b = sweep_random(small_snapshot, spec, 5, 10, cfg, repetitions=2, base_seed=5)
         assert [r.seed for r in a] == [r.seed for r in b]
         np.testing.assert_array_equal(np.array([r.final_p for r in a]),
                                       np.array([r.final_p for r in b]))
@@ -197,8 +196,8 @@ class TestConfigs:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
         spec = get_pde_spec("burgers")
-        cfg = SweepConfig(t_divs=(1, 2), eps_values=(1e-2,), widths=FAST_WIDTHS)
-        train_cfg = TrainConfig(max_iter=2)
+        cfg = SweepConfig(t_divs=(1, 2), eps_values=(1e-2,))
+        train_cfg = TrainConfig(max_iter=2, widths=FAST_WIDTHS)
         serial = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=1)
         parallel = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=2)
         assert all(r.error is None for r in serial)
@@ -207,9 +206,8 @@ class TestConfigs:
 
     def test_parallel_jobs_match_serial(self, small_snapshot):
         spec = get_pde_spec("burgers")
-        cfg = SweepConfig(t_divs=(1, 2), eps_values=(1e-2, 1e-4),
-                          widths=FAST_WIDTHS)
-        train_cfg = TrainConfig(max_iter=1)
+        cfg = SweepConfig(t_divs=(1, 2), eps_values=(1e-2, 1e-4))
+        train_cfg = TrainConfig(max_iter=1, widths=FAST_WIDTHS)
         serial = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=1)
         parallel = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=2)
         assert [(r.t_div, r.eps_thr, r.n_samples) for r in serial] == \
@@ -239,8 +237,8 @@ class TestPoolWorkers:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
         spec = get_pde_spec("burgers")
-        cfg = SweepConfig(t_divs=(1, 2), eps_values=(1e-2, 1e-4), widths=FAST_WIDTHS)
-        train_cfg = TrainConfig(max_iter=1)
+        cfg = SweepConfig(t_divs=(1, 2), eps_values=(1e-2, 1e-4))
+        train_cfg = TrainConfig(max_iter=1, widths=FAST_WIDTHS)
         parallel = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=2)
         serial = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=1)
         assert [r.error for r in parallel] == [None] * 4
@@ -248,11 +246,11 @@ class TestPoolWorkers:
 
     def test_random_jobs_match_serial(self, small_snapshot):
         spec = get_pde_spec("burgers")
-        kwargs = dict(repetitions=2, base_seed=3, widths=FAST_WIDTHS)
-        serial = sweep_random(small_snapshot, spec, 5, 30, TrainConfig(max_iter=2),
-                              jobs=1, **kwargs)
-        parallel = sweep_random(small_snapshot, spec, 5, 30, TrainConfig(max_iter=2),
-                                jobs=2, **kwargs)
+        cfg = TrainConfig(max_iter=2, widths=FAST_WIDTHS)
+        serial = sweep_random(small_snapshot, spec, 5, 30, cfg, repetitions=2, base_seed=3,
+                              jobs=1)
+        parallel = sweep_random(small_snapshot, spec, 5, 30, cfg, repetitions=2, base_seed=3,
+                                jobs=2)
         assert len(serial) == 22 and all(r.error is None for r in serial)
         assert _fields(parallel) == _fields(serial)
         assert np.array([r.final_p for r in parallel]).tobytes() == \
@@ -261,8 +259,8 @@ class TestPoolWorkers:
     def test_failed_draw_keeps_its_position(self, small_snapshot):
         # eps_thr = 1.5 is no rank threshold: that draw fails, its neighbours train
         spec = get_pde_spec("burgers")
-        cfg = SweepConfig(t_divs=(1,), eps_values=(1e-2, 1.5, 1e-4), widths=FAST_WIDTHS)
-        train_cfg = TrainConfig(max_iter=1)
+        cfg = SweepConfig(t_divs=(1,), eps_values=(1e-2, 1.5, 1e-4))
+        train_cfg = TrainConfig(max_iter=1, widths=FAST_WIDTHS)
         parallel = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=2)
         assert [r.eps_thr for r in parallel] == [1e-2, 1.5, 1e-4]
         assert [r.error is None for r in parallel] == [True, False, True]

@@ -29,11 +29,17 @@ def small_blocks(monkeypatch):
 
 
 def loss_gradients(net, t, x, loss, max_x_order=3):
-    """(value, ParamGrad) of ``loss(jet) -> (value, bar)`` by one forward
-    and one backward pass."""
+    """(value, gradient vector) of ``loss(jet) -> (value, bar)`` by one
+    forward and one backward pass."""
     jet, cache = forward_jet_with_cache(net, t, x, max_x_order)
     value, bar = loss(jet)
     return value, jet_backward(net, cache, bar)
+
+
+def layer_grads(grad, net):
+    """Per-layer weight gradients, then bias gradients: views of ``grad``."""
+    d_weights, d_biases = siren._layer_views(grad, net.widths)
+    return d_weights + d_biases
 
 
 def single_neuron(w_t, w_x, b, w_out, b_out, omega0=30.0):
@@ -98,8 +104,7 @@ class TestParameterVector:
                 assert not np.shares_memory(other.params, net.params), name
         jet, cache = forward_jet_with_cache(net, rng.uniform(0, 1, 5), rng.uniform(-1, 1, 5))
         grad = jet_backward(net, cache, Jet(rng.standard_normal(jet.data.shape)))
-        for view in grad.d_weights + grad.d_biases:
-            assert np.shares_memory(grad.flat, view)
+        assert grad.dtype == np.float64 and grad.shape == net.params.shape
 
     def test_views_in_checkpoint_order(self):
         net = init_siren((2, 3, 1), seed=0)
@@ -265,8 +270,7 @@ class TestLossGradients:
 
         _, grad = loss_gradients(net, rng.uniform(0, 1, 3),
                                  rng.uniform(-1, 1, 3), const_loss)
-        for g in grad.d_weights + grad.d_biases:
-            assert np.all(g == 0.0)
+        assert np.all(grad == 0.0)
 
     def test_single_neuron_hand_gradient(self, small_blocks):
         omega0 = 30.0
@@ -284,11 +288,12 @@ class TestLossGradients:
             _, grad = loss_gradients(net, t0, x0, value_loss)
             z = omega0 * (w_t * t0 + w_x * x0 + b)
             cos_chain = w_out * omega0 * np.cos(z)
-            assert grad.d_weights[1][0, 0] == pytest.approx(np.sin(z).sum(), rel=1e-12)
-            assert grad.d_biases[1][0] == pytest.approx(n)
-            assert grad.d_weights[0][0, 0] == pytest.approx((cos_chain * t0).sum(), rel=1e-12)
-            assert grad.d_weights[0][0, 1] == pytest.approx((cos_chain * x0).sum(), rel=1e-12)
-            assert grad.d_biases[0][0] == pytest.approx(cos_chain.sum(), rel=1e-12)
+            d_weights, d_biases = siren._layer_views(grad, net.widths)
+            assert d_weights[1][0, 0] == pytest.approx(np.sin(z).sum(), rel=1e-12)
+            assert d_biases[1][0] == pytest.approx(n)
+            assert d_weights[0][0, 0] == pytest.approx((cos_chain * t0).sum(), rel=1e-12)
+            assert d_weights[0][0, 1] == pytest.approx((cos_chain * x0).sum(), rel=1e-12)
+            assert d_biases[0][0] == pytest.approx(cos_chain.sum(), rel=1e-12)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_jet_field_gradients_vs_finite_differences(self, rng, order, small_blocks):
@@ -310,9 +315,10 @@ class TestLossGradients:
 
         h = 1e-6
         worst = 0.0
+        d_weights, d_biases = siren._layer_views(grad, net.widths)
         for li in range(len(net.weights)):
-            for arr, garr in ((net.weights[li], grad.d_weights[li]),
-                              (net.biases[li], grad.d_biases[li])):
+            for arr, garr in ((net.weights[li], d_weights[li]),
+                              (net.biases[li], d_biases[li])):
                 flat = arr.reshape(-1)
                 gflat = garr.reshape(-1)
                 for idx in range(flat.size):
@@ -359,8 +365,7 @@ def jet_and_grad(net, t, x, bar, out=None):
 def assert_same_pass(first, second):
     (jet_a, grad_a), (jet_b, grad_b) = first, second
     assert np.array_equal(jet_a.data, jet_b.data)
-    for a, b in zip(grad_a.d_weights + grad_a.d_biases, grad_b.d_weights + grad_b.d_biases):
-        assert np.array_equal(a, b)
+    assert np.array_equal(grad_a, grad_b)
 
 
 class TestWorkspace:
@@ -420,8 +425,7 @@ def pass_digest(n=37, order=3):
     t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
     jet, grad, _ = jet_and_grad(net, t, x, mixed_bar(rng, n, order))
     digest = hashlib.sha256(jet.data.tobytes())
-    for g in grad.d_weights + grad.d_biases:
-        digest.update(g.tobytes())
+    digest.update(grad.tobytes())
     return digest.hexdigest()
 
 
@@ -467,8 +471,7 @@ class TestBlocks:
         assert [hi - lo for lo, hi in cache.bounds] == [4, 4, 4, 4, 4, 3]
         rows = np.abs(jet.data - ref_jet.data).max(axis=1)
         assert np.all(rows <= 1e-13 * np.abs(ref_jet.data).max(axis=1))
-        for g, ref in zip(grad.d_weights + grad.d_biases,
-                          ref_grad.d_weights + ref_grad.d_biases):
+        for g, ref in zip(layer_grads(grad, net), layer_grads(ref_grad, net)):
             assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_one_point_is_one_block(self, rng):

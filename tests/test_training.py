@@ -6,7 +6,7 @@ import pytest
 
 from pdegreedy.features import get_pde_spec, load_pde_spec
 from pdegreedy.sampling import QdeimConfig, qdeim_sample, random_sample
-from pdegreedy.siren import ParamGrad, forward_jet, init_siren
+from pdegreedy.siren import _layer_views, forward_jet, init_siren
 from pdegreedy.training import (AdamState, TrainConfig, adam_step, cyclic_lr,
                                 summary_dict, train, write_trajectory_csv)
 
@@ -47,6 +47,16 @@ class TestCyclicLr:
         with pytest.raises(ValueError, match="step_size_up must be >= 1"):
             TrainConfig(step_size_up=value)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_omega0_validated_at_construction(self, value):
+        with pytest.raises(ValueError, match="omega0 must be finite and > 0"):
+            TrainConfig(omega0=value)
+
+    def test_widths_validated_at_construction(self):
+        with pytest.raises(ValueError, match="every width must be >= 1"):
+            TrainConfig(widths=(2, 0, 1))
+        assert TrainConfig(widths=[2, np.int64(8), 1]).widths == (2, 8, 1)
+
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
@@ -86,17 +96,17 @@ class TestAdam:
         net = init_siren((2, 7, 5, 1), seed=3)
         state = AdamState.like(net.params)
         adam_step(net.params, rng.standard_normal(net.params.size), state, lr=0.01)
-        grad = ParamGrad(rng.standard_normal(net.params.size), net.widths)
-        grad.d_biases[-1][-1] = np.nan
+        grad = rng.standard_normal(net.params.size)
+        _layer_views(grad, net.widths)[1][-1][-1] = np.nan
         before = [a.tobytes() for a in (net.params, state.m, state.v)]
         with pytest.raises(FloatingPointError, match="step 2"):
-            adam_step(net.params, grad.flat, state, lr=0.01)
+            adam_step(net.params, grad, state, lr=0.01)
         assert [a.tobytes() for a in (net.params, state.m, state.v)] == before
         assert state.step == 1
 
         fresh = AdamState.like(net.params)
         with pytest.raises(FloatingPointError, match="step 1"):
-            adam_step(net.params, grad.flat, fresh, lr=0.01)
+            adam_step(net.params, grad, fresh, lr=0.01)
         assert fresh.step == 0 and not fresh.m.any() and not fresh.v.any()
         assert net.params.tobytes() == before[0]
 
