@@ -65,7 +65,7 @@ class OptionType(NamedTuple):
 
 
 INT = OptionType("int", int, lambda v: _of(int, v))
-FLOAT = OptionType("float", float, lambda v: _of((int, float), v))  # an int stands for a float
+FLOAT = OptionType("float", float, lambda v: float(_of((int, float), v)))  # ints become floats
 STR = OptionType("str", str, lambda v: _of(str, v))
 INT_LIST = OptionType("int list", str, _ints)
 THREE_FLOATS = OptionType("3 floats", float, _three_floats, nargs=3)
@@ -190,7 +190,7 @@ def _merge_config(args, spec=None) -> dict:
         typ = OPTIONS[key].type
         try:
             merged[key] = typ.cast(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{key}: expected {typ.name}, got {value!r}") from None
     return merged
 
@@ -229,8 +229,7 @@ def _resolve_snapshot(args):
         raise SystemExit("need --snapshot (or --pde with a data directory)")
     if not path.exists():
         raise SystemExit(f"snapshot file not found: {path}")
-    fmt = "csv" if path.suffix.lower() == ".csv" else "matrix-text"
-    return load_snapshot(path, format=fmt), path
+    return load_snapshot(path), path
 
 
 def _select_samples(snapshot, args, seed: int):
@@ -249,8 +248,8 @@ def _select_samples(snapshot, args, seed: int):
 def _write_records(out_dir: Path, records, command: str, merged: dict, src,
                    started: float) -> int:
     """CSV and JSON records plus the manifest; exit status 1 if any run failed."""
-    export_results(records, out_dir / "records.csv", format="csv")
-    export_results(records, out_dir / "records.json", format="json")
+    export_results(records, out_dir / "records.csv")
+    export_results(records, out_dir / "records.json")
     _write_manifest(out_dir, f"{command}_manifest.json", command, merged, [src], started)
     failures = sum(1 for r in records if r.error is not None)
     print(f"wrote {len(records)} records ({failures} failed)")
@@ -261,7 +260,7 @@ def cmd_generate(args) -> int:
     spec = _resolve_spec(args)
     merged = _merge_config(args, spec)
     started = time.time()
-    snapshot = generate_synthetic(spec, **merged)
+    snapshot = generate_synthetic(spec, **{k: v for k, v in merged.items() if k != "name"})
     out_dir = _out_dir(args)
     out_path = out_dir / f"{merged['name']}.txt"
     save_snapshot(snapshot, out_path)
@@ -283,7 +282,8 @@ def cmd_sample(args) -> int:
               "eps": args.eps, "size": args.size, "seed": seed}
     _write_manifest(out_dir, "samples_manifest.json", "sample", config,
                     [src], started)
-    print(f"wrote {out_path} ({len(samples)} samples, source={samples.source})")
+    print(f"wrote {out_path} ({len(samples)} samples, "
+          f"source={'random' if args.random else 'greedy'})")
     return 0
 
 

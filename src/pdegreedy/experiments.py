@@ -9,6 +9,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +35,7 @@ def eps_grid(eps_min: float, eps_max: float, count: int = 20) -> tuple[float, ..
 class SweepConfig:
     t_divs: tuple[int, ...] = (1, 2, 3, 4)
     eps_values: tuple[float, ...] = eps_grid(*Preset().eps_range)
+    # only benchmarks/bench_workloads.py passes this; sweep_random takes its own
     repetitions: int = 5
 
     def __post_init__(self):
@@ -145,11 +147,14 @@ def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
 class ClusterSummary:
     centroids: np.ndarray  # (k, 2): (n_samples, rel_error)
     inertia: float
-    k: int
     n_init: int
 
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
 
-def lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int = 300):
+
+def lloyd(points: np.ndarray, centroids: np.ndarray):
     """Lloyd iterations from the given centroids until assignments settle.
 
     Returns (centroids, labels, inertia_history); the history is recorded
@@ -160,7 +165,7 @@ def lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int = 300):
     centroids = np.array(centroids, dtype=float)
     labels = None
     history = []
-    for _ in range(max_iter):
+    for _ in range(300):  # a cap; assignments settle long before
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(points.shape[0]), new_labels].sum()))
@@ -193,7 +198,7 @@ def kmeans(points, k: int, n_init: int = 100, seed: int = 0) -> ClusterSummary:
         centroids, _, history = lloyd(points, start)
         if best is None or history[-1] < best[1]:
             best = (centroids, history[-1])
-    return ClusterSummary(centroids=best[0], inertia=best[1], k=k, n_init=n_init)
+    return ClusterSummary(centroids=best[0], inertia=best[1], n_init=n_init)
 
 
 def cluster_records(records: list[ExperimentRecord], coef_index: int, k: int = 20,
@@ -218,9 +223,11 @@ CSV_FIELDS = ["sampler", "pde", "t_div", "eps_thr", "size", "seed",
               "n_samples", "coef_index", "rel_error", "wall_time_s"]
 
 
-def export_results(records: list[ExperimentRecord], path, format: str = "csv") -> None:
-    """CSV: one row per (record, coefficient). JSON: lossless record dump."""
-    if format == "csv":
+def export_results(records: list[ExperimentRecord], path) -> None:
+    """By the path's suffix: ``.csv`` writes one row per (record, coefficient),
+    ``.json`` a lossless record dump. Any other suffix raises ValueError."""
+    suffix = Path(path).suffix.lower()
+    if suffix == ".csv":
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
             writer.writeheader()
@@ -237,23 +244,27 @@ def export_results(records: list[ExperimentRecord], path, format: str = "csv") -
                         "rel_error": "%.17g" % err,
                         "wall_time_s": "%.6f" % rec.wall_time_s,
                     })
-    elif format == "json":
+    elif suffix == ".json":
         payload = [dataclasses.asdict(rec) for rec in records]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
     else:
-        raise ValueError(f"unknown results format {format!r}")
+        raise ValueError(f"{path}: results are written to a .csv or .json file")
 
 
 def read_results(path) -> list[ExperimentRecord]:
-    """Load a JSON export back into records."""
+    """Load a JSON export back into records. A file that is not a list of
+    records raises ValueError naming it."""
     with open(path) as fh:
-        payload = json.load(fh)
-    out = []
-    for raw in payload:
-        raw["rel_errors"] = tuple(float(v) for v in raw["rel_errors"])
-        raw["final_p"] = tuple(float(v) for v in raw["final_p"])
-        out.append(ExperimentRecord(**raw))
-    return out
+        try:
+            payload = json.load(fh)
+            if not isinstance(payload, list):
+                raise TypeError(f"top level is a {type(payload).__name__}")
+            return [ExperimentRecord(**{**raw, "rel_errors": tuple(map(float, raw["rel_errors"])),
+                                        "final_p": tuple(map(float, raw["final_p"]))})
+                    for raw in payload]
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: not a list of experiment records "
+                             f"({type(exc).__name__}: {exc})") from None
 

@@ -44,15 +44,14 @@ class FeatureTerm:
         return max(order for order, _ in self.factors)
 
 
-def term(*factors, label: str = "") -> FeatureTerm:
-    """Shorthand: term((0, 1), (1, 1)) is u * u_x."""
-    if not label:
-        names = []
-        for order, power in factors:
-            base = "u" if order == 0 else "u_" + "x" * order
-            names.append(base if power == 1 else f"{base}^{power}")
-        label = "*".join(names)
-    return FeatureTerm(factors=tuple((int(o), int(p)) for o, p in factors), label=label)
+def term(*factors) -> FeatureTerm:
+    """Shorthand: term((0, 1), (1, 1)) is u * u_x, labelled "u*u_x"."""
+    names = []
+    for order, power in factors:
+        base = "u" if order == 0 else "u_" + "x" * order
+        names.append(base if power == 1 else f"{base}^{power}")
+    return FeatureTerm(factors=tuple((int(o), int(p)) for o, p in factors),
+                       label="*".join(names))
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,7 @@ def mse_loss(u_samples, u_pred) -> float:
     return float(np.mean((u_samples - u_pred) ** 2))
 
 
-def total_loss(mse: float, deri: float, mu1: float = 1.0, mu2: float = 1.0) -> float:
+def total_loss(mse: float, deri: float, mu1: float, mu2: float) -> float:
     for name, mu in (("mu1", mu1), ("mu2", mu2)):
         if not 0.0 < mu <= 1.0:
             raise ValueError(f"{name} must lie in (0, 1], got {mu}")

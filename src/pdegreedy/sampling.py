@@ -27,7 +27,7 @@ class QdeimConfig:
 
 @dataclass
 class SampleSet:
-    """Selected (t, x, u) triples with their provenance.
+    """Selected (t, x, u) triples; a greedy set also keeps its pivots.
 
     Coordinates are the normalized axes of the parent snapshot; the
     index arrays point back into the snapshot grid.
@@ -41,8 +41,6 @@ class SampleSet:
     t_idx: np.ndarray
     spatial_pivots: list[list[int]] = field(default_factory=list)
     temporal_pivots: list[list[int]] = field(default_factory=list)
-    source: str = "greedy"
-    seed: int | None = None
 
     def __post_init__(self):
         lengths = {arr.shape[0] for arr in
@@ -124,8 +122,7 @@ def qdeim_sample(s: SnapshotMatrix, cfg: QdeimConfig) -> SampleSet:
     return SampleSet(
         t_norm=s.t_norm[t_idx], x_norm=s.x_norm[x_idx], u=s.u[x_idx, t_idx],
         window_id=window_id, x_idx=x_idx, t_idx=t_idx,
-        spatial_pivots=spatial_pivots, temporal_pivots=temporal_pivots,
-        source="greedy")
+        spatial_pivots=spatial_pivots, temporal_pivots=temporal_pivots)
 
 
 def random_sample(s: SnapshotMatrix, size: int, seed: int) -> SampleSet:
@@ -139,8 +136,7 @@ def random_sample(s: SnapshotMatrix, size: int, seed: int) -> SampleSet:
     return SampleSet(
         t_norm=s.t_norm[t_idx], x_norm=s.x_norm[x_idx], u=s.u[x_idx, t_idx],
         window_id=np.zeros(size, dtype=int),
-        x_idx=np.asarray(x_idx, dtype=int), t_idx=np.asarray(t_idx, dtype=int),
-        spatial_pivots=[], temporal_pivots=[], source="random", seed=seed)
+        x_idx=np.asarray(x_idx, dtype=int), t_idx=np.asarray(t_idx, dtype=int))
 
 
 def sample_size_grid(min_n: int, max_n: int) -> list[int]:

@@ -30,7 +30,6 @@ class SnapshotMatrix:
     u: np.ndarray        # (n, m)
     x_phys: np.ndarray   # (n,), strictly increasing
     t_phys: np.ndarray   # (m,), strictly increasing
-    name: str = ""
 
     def __post_init__(self):
         n, m = self.u.shape
@@ -73,11 +72,9 @@ class SnapshotMatrix:
         )
 
     @classmethod
-    def from_physical(cls, u, x, t, name: str = "") -> "SnapshotMatrix":
-        u = np.asarray(u, dtype=float)
-        x = np.asarray(x, dtype=float).reshape(-1)
-        t = np.asarray(t, dtype=float).reshape(-1)
-        return cls(u=u, x_phys=x, t_phys=t, name=name)
+    def from_physical(cls, u, x, t) -> "SnapshotMatrix":
+        return cls(u=np.asarray(u, dtype=float), x_phys=np.asarray(x, dtype=float).reshape(-1),
+                   t_phys=np.asarray(t, dtype=float).reshape(-1))
 
 
 def subdivide_time(m: int, t_div: int) -> list[tuple[int, int]]:
@@ -96,16 +93,15 @@ def subdivide_time(m: int, t_div: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # file formats
 
-def save_snapshot(s: SnapshotMatrix, path, format: str = "matrix-text") -> None:
-    """Write a snapshot; matrix-text round-trips at 17 significant digits."""
-    if format == "matrix-text":
-        with open(path, "w") as fh:
-            fh.write(f"{s.n} {s.m}\n")
-            fh.write(" ".join("%.17g" % v for v in s.x_phys) + "\n")
-            fh.write(" ".join("%.17g" % v for v in s.t_phys) + "\n")
-            for row in s.u:
-                fh.write(" ".join("%.17g" % v for v in row) + "\n")
-    elif format == "csv":
+def _is_csv(path) -> bool:
+    """A ``.csv`` suffix (any case) means long-format CSV; any other, matrix-text."""
+    return Path(path).suffix.lower() == ".csv"
+
+
+def save_snapshot(s: SnapshotMatrix, path) -> None:
+    """Write a snapshot in the format its suffix picks; both round-trip at 17
+    significant digits."""
+    if _is_csv(path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "t", "u"])
@@ -114,21 +110,19 @@ def save_snapshot(s: SnapshotMatrix, path, format: str = "matrix-text") -> None:
                     writer.writerow(["%.17g" % s.x_phys[i], "%.17g" % s.t_phys[j],
                                      "%.17g" % s.u[i, j]])
     else:
-        raise ValueError(f"unknown snapshot format {format!r}")
+        with open(path, "w") as fh:
+            fh.write(f"{s.n} {s.m}\n")
+            fh.write(" ".join("%.17g" % v for v in s.x_phys) + "\n")
+            fh.write(" ".join("%.17g" % v for v in s.t_phys) + "\n")
+            for row in s.u:
+                fh.write(" ".join("%.17g" % v for v in row) + "\n")
 
 
-def load_snapshot(path, format: str = "matrix-text", name: str | None = None) -> SnapshotMatrix:
-    """Read a snapshot file (matrix-text or csv)."""
-    if name is None:
-        name = Path(path).stem
-    if format == "matrix-text":
-        u, x, t = _read_matrix_text(path)
-    elif format == "csv":
-        u, x, t = _read_csv(path)
-    else:
-        raise ValueError(f"unknown snapshot format {format!r}")
+def load_snapshot(path) -> SnapshotMatrix:
+    """Read a snapshot file in the format its suffix picks."""
+    u, x, t = (_read_csv if _is_csv(path) else _read_matrix_text)(path)
     try:
-        return SnapshotMatrix.from_physical(u, x, t, name=name)
+        return SnapshotMatrix.from_physical(u, x, t)
     except ValueError as exc:
         raise SnapshotParseError(f"{path}: {exc}") from exc
 
@@ -249,8 +243,7 @@ RHS_CALL_BUDGET = 20_000
 
 
 def generate_synthetic(spec: PdeSpec, n: int, m: int, domain, init: str = "gaussian",
-                       seed: int = 0, rtol: float = 1e-8,
-                       name: str | None = None) -> SnapshotMatrix:
+                       seed: int = 0, rtol: float = 1e-8) -> SnapshotMatrix:
     """Integrate du/dt = sum_j p_j term_j(u, u_x, ...) on a periodic grid.
 
     Spatial derivatives are spectral; time stepping is adaptive explicit
@@ -335,6 +328,4 @@ def generate_synthetic(spec: PdeSpec, n: int, m: int, domain, init: str = "gauss
                 raise IntegrationBlowupError(t[j + 1])
             cols.append(u)
 
-    return SnapshotMatrix.from_physical(
-        np.column_stack(cols), x, t,
-        name=name if name is not None else f"{spec.name}-synthetic")
+    return SnapshotMatrix.from_physical(np.column_stack(cols), x, t)

@@ -15,6 +15,7 @@ from .siren import (DEFAULT_OMEGA0, DEFAULT_WIDTHS, SirenNet, check_network,
                     forward_jet_with_cache, jet_backward)
 
 DIVERGENCE_LIMIT = 1e8
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,16 @@ class TrainResult:
     p_trajectory: np.ndarray   # (iterations, n_terms)
     loss_history: np.ndarray   # (iterations, 3): mse, deri, total
     lr_history: np.ndarray     # (iterations,)
-    final_p: np.ndarray
     wall_time: float
-    iterations: int
     diverged: bool = False
+
+    @property
+    def final_p(self) -> np.ndarray:
+        return self.p_trajectory[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.p_trajectory)
 
 
 def cyclic_lr(iteration: int, cfg: TrainConfig) -> float:
@@ -80,8 +87,7 @@ class AdamState:
                    scratch=(np.empty_like(params), np.empty_like(params)))
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
     """Standard bias-corrected Adam update of the parameter vector, in place,
     with the state's scratch buffers for the intermediate terms. A non-finite
     gradient raises FloatingPointError before the parameters or the state change."""
@@ -89,22 +95,22 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
     if not (np.isfinite(grads.min()) and np.isfinite(grads.max())):
         raise FloatingPointError(f"non-finite gradient at adam step {state.step + 1}")
     state.step += 1
-    correction1 = 1.0 - beta1 ** state.step
-    correction2 = 1.0 - beta2 ** state.step
+    correction1 = 1.0 - BETA1 ** state.step
+    correction2 = 1.0 - BETA2 ** state.step
     m, v, (step, denom) = state.m, state.v, state.scratch
-    m *= beta1
-    np.multiply(1.0 - beta1, grads, out=step)
+    m *= BETA1
+    np.multiply(1.0 - BETA1, grads, out=step)
     m += step
-    v *= beta2
-    np.multiply(1.0 - beta2, grads, out=step)
+    v *= BETA2
+    np.multiply(1.0 - BETA2, grads, out=step)
     step *= grads
     v += step
-    # params -= lr * (m / correction1) / (sqrt(v / correction2) + eps)
+    # params -= lr * (m / correction1) / (sqrt(v / correction2) + EPS)
     np.divide(m, correction1, out=step)
     step *= lr
     np.divide(v, correction2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += EPS
     step /= denom
     params -= step
 
@@ -149,15 +155,11 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
 
         adam_step(net.params, jet_backward(net, cache, bar), state, lr)
 
-    wall = time.perf_counter() - started
-    trajectory = np.array(p_rows)
     return TrainResult(
-        p_trajectory=trajectory,
+        wall_time=time.perf_counter() - started,
+        p_trajectory=np.array(p_rows),
         loss_history=np.array(loss_rows),
         lr_history=np.array(lrs),
-        final_p=trajectory[-1].copy(),
-        wall_time=wall,
-        iterations=trajectory.shape[0],
         diverged=diverged,
     )
 
@@ -178,14 +180,14 @@ def write_trajectory_csv(result: TrainResult, path) -> None:
                 + ["%.17g" % v for v in result.p_trajectory[i]])
 
 
-def summary_dict(result: TrainResult, spec: PdeSpec | None = None) -> dict:
+def summary_dict(result: TrainResult, spec: PdeSpec) -> dict:
     out = {
         "final_p": [float(v) for v in result.final_p],
         "iterations": result.iterations,
         "diverged": result.diverged,
         "wall_time_s": result.wall_time,
     }
-    if spec is not None and spec.true_p is not None:
+    if spec.true_p is not None:
         errs = relative_error(spec.true_p, result.final_p)
         out["rel_errors"] = [None if np.isnan(e) else float(e) for e in errs]
         out["term_labels"] = list(spec.labels)

@@ -55,20 +55,22 @@ class TestGenerate:
 
 
 class TestSample:
-    def test_greedy_sample_csv(self, tmp_path, data_dir):
+    def test_greedy_sample_csv(self, tmp_path, data_dir, capsys):
         code = run("sample", "--snapshot", data_dir / "burgers.txt",
                    "--t-div", "2", "--eps", "1e-3", "--out-dir", tmp_path)
         assert code == 0
+        assert capsys.readouterr().out.endswith(" samples, source=greedy)\n")
         lines = (tmp_path / "samples.csv").read_text().splitlines()
         assert lines[0] == "window,t_index,x_index,t,x,u"
         assert len(lines) > 1
         assert (tmp_path / "samples_manifest.json").exists()
 
-    def test_random_sample_size(self, tmp_path, data_dir):
+    def test_random_sample_size(self, tmp_path, data_dir, capsys):
         code = run("sample", "--snapshot", data_dir / "burgers.txt",
                    "--random", "--size", "100", "--seed", "7",
                    "--out-dir", tmp_path)
         assert code == 0
+        assert capsys.readouterr().out.endswith(" (100 samples, source=random)\n")
         lines = (tmp_path / "samples.csv").read_text().splitlines()
         assert len(lines) == 101
 
@@ -115,6 +117,16 @@ class TestSample:
 
 
 class TestTrain:
+    def test_snapshot_saved_as_csv_trains_alike(self, tmp_path, data_dir, small_snapshot):
+        # the suffix picks the format on save and on load
+        save_snapshot(small_snapshot, tmp_path / "snap.csv")
+        for snap in (tmp_path / "snap.csv", data_dir / "burgers.txt"):
+            assert run("train", "--snapshot", snap, "--pde", "burgers", "--t-div", "1",
+                       "--eps", "1e-2", "--max-iter", "2", "--widths", "2,6,1",
+                       "--out-dir", tmp_path / snap.suffix[1:]) == 0
+        assert (tmp_path / "csv" / "trajectory.csv").read_bytes() == \
+            (tmp_path / "txt" / "trajectory.csv").read_bytes()
+
     def test_single_iteration_outputs(self, tmp_path, data_dir):
         code = run("train", "--snapshot", data_dir / "burgers.txt",
                    "--pde", "burgers", "--t-div", "2", "--eps", "1e-3",
@@ -231,11 +243,16 @@ class TestTrain:
         assert not (tmp_path / "out").exists()  # refused before any output
 
     def test_config_int_accepted_for_float(self, tmp_path, data_dir):
+        # an int in --config runs and is recorded as the float the flag gives
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"omega0": 30, "mu2": 1}))
-        assert run("train", "--snapshot", data_dir / "burgers.txt", "--pde", "burgers",
-                   "--t-div", "1", "--eps", "1e-2", "--max-iter", "1", "--widths", "2,6,1",
-                   "--config", cfg_path, "--out-dir", tmp_path) == 0
+        common = ("train", "--snapshot", data_dir / "burgers.txt", "--pde", "burgers",
+                  "--t-div", "1", "--eps", "1e-2", "--max-iter", "1", "--widths", "2,6,1")
+        assert run(*common, "--config", cfg_path, "--out-dir", tmp_path / "config") == 0
+        assert run(*common, "--omega0", "30", "--mu2", "1", "--out-dir", tmp_path / "flag") == 0
+        configs = [json.loads((tmp_path / route / "train_manifest.json").read_text())["config"]
+                   for route in ("config", "flag")]
+        assert json.dumps(configs[0]) == json.dumps(configs[1])  # 30.0 both, not 30
 
     def test_config_seed_reaches_random_sampler(self, tmp_path, data_dir):
         # the merged seed draws the samples as well as the network
@@ -266,6 +283,13 @@ class TestTrain:
             run("train", "--snapshot", data_dir / "burgers.txt",
                 "--pde", "burgers", "--t-div", "1", "--eps", "1e-2",
                 "--config", cfg_path, "--out-dir", tmp_path)
+
+
+def _records(count):
+    return [ExperimentRecord(sampler="random", pde="burgers", n_samples=10 + i,
+                             rel_errors=(0.1 * i, 0.2), final_p=(-1.0, 0.1),
+                             wall_time_s=0.0, size=10 + i, seed=i)
+            for i in range(count)]
 
 
 class TestSweepBaselineCluster:
@@ -366,13 +390,22 @@ class TestSweepBaselineCluster:
         payload = json.loads((tmp_path / "centroids.json").read_text())
         assert len(payload["0"]["centroids"]) == 3
 
-    @pytest.mark.parametrize("n_records, coef", [(0, None), (4, 5), (4, -1)])
-    def test_cluster_rejects_bad_input(self, tmp_path, capsys, n_records, coef):
-        records = [ExperimentRecord(sampler="random", pde="burgers", n_samples=10 + i,
-                                    rel_errors=(0.1 * i, 0.2), final_p=(-1.0, 0.1),
-                                    wall_time_s=0.0, size=10 + i, seed=i)
-                   for i in range(n_records)]
-        export_results(records, tmp_path / "records.json", format="json")
+    def test_cluster_reads_exported_records(self, tmp_path):
+        export_results(_records(4), tmp_path / "records.json")
+        assert run("cluster", "--results", tmp_path / "records.json", "--k", "2",
+                   "--n-init", "2", "--coef", "0", "--out-dir", tmp_path) == 0
+        assert len((tmp_path / "centroids.csv").read_text().splitlines()) == 3
+
+    # an int payload is that many exported records
+    @pytest.mark.parametrize("payload, coef", [
+        (0, None), (4, 5), (4, -1),
+        pytest.param({"final_p": [-1.0, 0.1], "iterations": 1}, None, id="train-summary"),
+        pytest.param([{"sampler": "greedy"}], None, id="record-without-errors")])
+    def test_cluster_rejects_bad_input(self, tmp_path, capsys, payload, coef):
+        if isinstance(payload, int):
+            export_results(_records(payload), tmp_path / "records.json")
+        else:
+            (tmp_path / "records.json").write_text(json.dumps(payload))
         argv = ["cluster", "--results", tmp_path / "records.json", "--k", "2",
                 "--n-init", "2", "--out-dir", tmp_path]
         assert run(*argv, *(() if coef is None else ("--coef", coef))) == 1
@@ -396,6 +429,7 @@ def _wrong_type_cases():
                 value = WRONG_TYPE[cli.OPTIONS[key].type.name]
                 yield pytest.param(command, key, value, id=f"{command}-{key}")
     yield pytest.param("generate", "domain", [1, 2], id="generate-domain-two-values")
+    yield pytest.param("train", "omega0", 10 ** 400, id="train-omega0-int-beyond-float")
 
 
 class TestOptionTable:
@@ -422,11 +456,7 @@ class TestOptionTable:
         if command == "generate":
             argv = ("--pde", "burgers")
         elif command == "cluster":
-            records = [ExperimentRecord(sampler="random", pde="burgers", n_samples=10 + i,
-                                        rel_errors=(0.1 * i,), final_p=(-1.0,),
-                                        wall_time_s=0.0, size=10 + i, seed=i)
-                       for i in range(4)]
-            export_results(records, tmp_path / "records.json", format="json")
+            export_results(_records(4), tmp_path / "records.json")
             argv = ("--results", tmp_path / "records.json")
         else:
             argv = ("--snapshot", data_dir / "burgers.txt", "--pde", "burgers")

@@ -152,16 +152,22 @@ class TestKmeans:
 class TestPersistence:
     def test_csv_row_count_and_schema(self, greedy_records, tmp_path):
         path = tmp_path / "records.csv"
-        export_results(greedy_records, path, format="csv")
+        export_results(greedy_records, path)
         lines = path.read_text().splitlines()
         n_coefs = len(greedy_records[0].rel_errors)
         assert lines[0] == ("sampler,pde,t_div,eps_thr,size,seed,"
                             "n_samples,coef_index,rel_error,wall_time_s")
         assert len(lines) - 1 == 80 * n_coefs
 
+    def test_other_suffix_refused(self, greedy_records, tmp_path):
+        path = tmp_path / "records.txt"
+        with pytest.raises(ValueError, match="records.txt"):
+            export_results(greedy_records, path)
+        assert not path.exists()
+
     def test_json_round_trip(self, greedy_records, tmp_path):
         path = tmp_path / "records.json"
-        export_results(greedy_records, path, format="json")
+        export_results(greedy_records, path)
         back = read_results(path)
         assert len(back) == len(greedy_records)
         for a, b in zip(greedy_records, back):

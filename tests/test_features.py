@@ -196,12 +196,12 @@ class TestLosses:
 
     def test_total_loss(self):
         assert total_loss(2.0, 3.0, 1.0, 1.0) == 5.0
-        assert total_loss(0.0, 0.0) == 0.0
+        assert total_loss(0.0, 0.0, 1.0, 1.0) == 0.0
         assert total_loss(2.0, 3.0, 0.5, 0.25) == pytest.approx(1.75)
         with pytest.raises(ValueError):
-            total_loss(1.0, 1.0, mu1=0.0)
+            total_loss(1.0, 1.0, mu1=0.0, mu2=1.0)
         with pytest.raises(ValueError):
-            total_loss(1.0, 1.0, mu2=1.5)
+            total_loss(1.0, 1.0, mu1=1.0, mu2=1.5)
 
 
 class TestRelativeError:

@@ -17,7 +17,7 @@ from pdegreedy.snapshots import (IntegrationBlowupError, SnapshotMatrix,
 
 def tiny_snapshot():
     return SnapshotMatrix.from_physical(
-        np.array([[1.0, 2.0], [3.0, 4.0]]), [-1.0, 1.0], [0.0, 1.0], name="tiny")
+        np.array([[1.0, 2.0], [3.0, 4.0]]), [-1.0, 1.0], [0.0, 1.0])
 
 
 class TestNormalization:
@@ -105,8 +105,9 @@ class TestFileFormats:
     def test_csv_round_trip(self, tmp_path):
         s = tiny_snapshot()
         path = tmp_path / "tiny.csv"
-        save_snapshot(s, path, format="csv")
-        back = load_snapshot(path, format="csv")
+        save_snapshot(s, path)
+        assert path.read_text().startswith("x,t,u\n")
+        back = load_snapshot(path)
         np.testing.assert_array_equal(back.u, s.u)
 
     def test_missing_file(self, tmp_path):
@@ -136,9 +137,9 @@ class TestFileFormats:
             load_snapshot(path)
 
     @settings(max_examples=50, derandomize=True, deadline=None)
-    @given(st.sampled_from(["matrix-text", "csv"]), st.integers(2, 5), st.integers(2, 5),
+    @given(st.sampled_from([".csv", ".CSV", ".txt"]), st.integers(2, 5), st.integers(2, 5),
            st.data())
-    def test_round_trip_exact_bytes(self, format, n, m, data):
+    def test_round_trip_exact_bytes(self, suffix, n, m, data):
         def axis(length):
             return sorted(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=length,
                                              max_size=length, unique=True)))
@@ -147,9 +148,10 @@ class TestFileFormats:
                                min_size=n * m, max_size=n * m))
         s = SnapshotMatrix.from_physical(np.reshape(u, (n, m)), x, t)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "snap"
-            save_snapshot(s, path, format=format)
-            back = load_snapshot(path, format=format)
+            path = Path(tmp) / f"snap{suffix}"
+            save_snapshot(s, path)
+            assert path.read_text().startswith("x,t,u\n") == (suffix != ".txt")
+            back = load_snapshot(path)
         for field in ("u", "x_phys", "t_phys"):
             assert getattr(back, field).tobytes() == getattr(s, field).tobytes()
 
@@ -157,7 +159,7 @@ class TestFileFormats:
         path = tmp_path / "bad.csv"
         path.write_text("x,t,u\n0,0,1\n0,1,2\n1,0,3\n")
         with pytest.raises(SnapshotParseError):
-            load_snapshot(path, format="csv")
+            load_snapshot(path)
 
 
 class TestGenerator:

@@ -7,8 +7,8 @@ import pytest
 from pdegreedy.features import get_pde_spec, load_pde_spec
 from pdegreedy.sampling import QdeimConfig, qdeim_sample, random_sample
 from pdegreedy.siren import _layer_views, forward_jet, init_siren
-from pdegreedy.training import (AdamState, TrainConfig, adam_step, cyclic_lr,
-                                summary_dict, train, write_trajectory_csv)
+from pdegreedy.training import (BETA1, BETA2, EPS, AdamState, TrainConfig, adam_step,
+                                cyclic_lr, summary_dict, train, write_trajectory_csv)
 
 
 class TestCyclicLr:
@@ -116,11 +116,12 @@ class TestAdam:
         ref = params.copy()
         m, v = np.zeros(size), np.zeros(size)
         state = AdamState.like(params)
-        b1, b2, eps = 0.8, 0.99, 1e-6
+        b1, b2, eps = BETA1, BETA2, EPS
+        assert (b1, b2, eps) == (0.9, 0.999, 1e-8)
         for step in range(1, 7):
             grads = rng.standard_normal(size) * 10.0 ** rng.integers(-4, 3, size)
             lr = 10.0 ** rng.uniform(-4, -1)
-            adam_step(params, grads, state, lr, b1, b2, eps)
+            adam_step(params, grads, state, lr)
             c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
             m *= b1
             m += (1.0 - b1) * grads
@@ -203,6 +204,8 @@ class TestTrain:
         result = train(net, samples, spec, snapshot.scales, cfg)
         assert result.diverged
         assert result.iterations < 50
+        assert result.iterations == len(result.p_trajectory) == len(result.loss_history)
+        np.testing.assert_array_equal(result.final_p, result.p_trajectory[-1])
 
     def test_fourth_order_custom_spec(self, toy_problem, tmp_path):
         snapshot, _, samples = toy_problem
@@ -235,7 +238,7 @@ class TestTrain:
         sliced = type(empty)(
             t_norm=empty.t_norm[:0], x_norm=empty.x_norm[:0], u=empty.u[:0],
             window_id=empty.window_id[:0], x_idx=empty.x_idx[:0],
-            t_idx=empty.t_idx[:0], source="random")
+            t_idx=empty.t_idx[:0])
         net = init_siren((2, 8, 1), seed=0)
         with pytest.raises(ValueError):
             train(net, sliced, spec, snapshot.scales, TrainConfig(max_iter=1))
