@@ -27,9 +27,9 @@ the cores to themselves, every block computes the same bytes on any
 thread and output does not depend on the core count.
 
 The cache of ``forward_jet_with_cache`` holds, per block, a list of
-ndarrays: the input streams, per hidden layer its pre-activation streams
-(cos(a_0) in the value slot) and its sine streams, the output streams and
-one scratch buffer. A cache serves one ``jet_backward`` call per forward
+views of one flat buffer: the input streams, per hidden layer its
+pre-activation streams (cos(a_0) in the value slot) and its sine
+streams, the output streams and one scratch buffer. A cache serves one ``jet_backward`` call per forward
 pass; that call works in the cache's own buffers, turning each sine stack
 into its cotangents once the stack has been read. Passing the cache back
 as ``out=`` lets the next forward pass reuse its buffers, so a training
@@ -186,7 +186,7 @@ def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None):
     if isinstance(out, _JetCache) and [[b.shape for b in block] for block in out] == shapes:
         cache = out
     else:
-        cache = _JetCache([np.empty(shape) for shape in block] for block in shapes)
+        cache = _JetCache.allocate(shapes)
     cache.bounds, cache.armed = bounds, True
 
     weights, biases = net.weights, net.biases
@@ -227,6 +227,20 @@ class _JetCache(list):
 
     armed = False
     bounds: list[tuple[int, int]]
+
+    @classmethod
+    def allocate(cls, shapes) -> "_JetCache":
+        """Views of one flat buffer, one per shape in ``shapes`` (a list per
+        block), so a whole cache is one allocation and one free."""
+        flat = np.empty(sum(math.prod(shape) for block in shapes for shape in block))
+        cache, pos = cls(), 0
+        for block in shapes:
+            views = []
+            for shape in block:
+                views.append(flat[pos:pos + math.prod(shape)].reshape(shape))
+                pos += math.prod(shape)
+            cache.append(views)
+        return cache
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
