@@ -15,6 +15,12 @@ s_k = sum_j (j/k) a_j cos_{k-j}.
 Parameter gradients of any scalar loss over a batch of jets come from
 reverse accumulation over the same streams.
 
+The streams run at the dtype of their cache: float64 unless
+``forward_jet_with_cache`` is given ``dtype=np.float32``, as training's
+passes are. Inputs, weights as the kernel reads them (omega0 W, omega0 b)
+and block cotangents take that dtype; the Jet, the per-block gradients
+and their sum are float64 either way.
+
 Both passes run over contiguous blocks of about ``BLOCK`` points (at
 least two blocks once n >= 2), so each block's stacks stay in cache
 instead of streaming from memory. The Jet still covers the whole batch;
@@ -168,13 +174,17 @@ def forward_jet(net: SirenNet, t, x, max_x_order: int = 3) -> Jet:
     return forward_jet_with_cache(net, t, x, max_x_order)[0]
 
 
-def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None):
+def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None, *,
+                           dtype=np.float64):
     """Jet plus the recorded intermediates needed by jet_backward.
 
     Returns ``(Jet, cache)``; the cache holds one buffer list per sample
-    block and serves one jet_backward call. Passing an earlier cache as
-    ``out`` reuses its buffers when the network widths, the number of
-    points and the order match; otherwise a new cache is made.
+    block and serves one jet_backward call. ``dtype`` is the precision of
+    the cache, so of the Taylor streams, the weights as the kernel reads
+    them and the backward pass; the Jet is float64 either way. Passing an
+    earlier cache as ``out`` reuses its buffers when the network widths,
+    the number of points, the order and the dtype match; otherwise a new
+    cache is made.
     """
     order = max_x_order
     if order < 1:  # the input stack needs an x-stream slot
@@ -183,21 +193,20 @@ def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None):
     bounds = _blocks(t_arr.shape[0])
 
     shapes = [_cache_shapes(net.widths, hi - lo, order) for lo, hi in bounds]
-    if isinstance(out, _JetCache) and [[b.shape for b in block] for block in out] == shapes:
+    if (isinstance(out, _JetCache) and out[0][0].dtype == dtype
+            and [[b.shape for b in block] for block in out] == shapes):
         cache = out
     else:
-        cache = _JetCache.allocate(shapes)
+        cache = _JetCache.allocate(shapes, dtype)
     cache.bounds, cache.armed = bounds, True
 
-    weights, biases = net.weights, net.biases
-    hidden = [(net.omega0 * w, net.omega0 * b)  # a = omega0 (W c + b)
-              for w, b in zip(weights[:-1], biases[:-1])]
+    *hidden, (w_out, b_out) = _kernel_layers(net, dtype)
     factorials = _factorials(order)
     data = np.empty((order + 2, t_arr.shape[0]))
 
     def run(i):
         lo, hi = bounds[i]
-        o = _forward_block(cache[i], hidden, weights[-1], biases[-1],
+        o = _forward_block(cache[i], hidden, w_out, b_out,
                            t_arr[lo:hi], x_arr[lo:hi], order)
         # into a new array: the next pass through this cache overwrites o
         np.multiply(o, factorials, out=data[:, lo:hi])
@@ -209,9 +218,10 @@ def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None):
 # ---------------------------------------------------------------------------
 # forward/backward internals
 
-# Points per block. Tuned on float64 stacks: on a 2-core VM kdv-large ran as fast
-# at 256 and 1024. Stacks of half the bytes per point (float32) need 512 against
-# 1024 measured again.
+# Points per block. On a 2-core VM, 10 562 training points ran as fast at 256,
+# 512 and 1024 on float32 stacks (medians 63.7 k, 63.8 k and 62.0 k sample-iters/s
+# over 6 rounds, quartiles overlapping), as on float64 ones. Below 2 * 256 points
+# every one of these sizes gives the same two blocks.
 BLOCK = 512
 
 _threads = None  # jet threads in this process; None: one per usable core
@@ -229,10 +239,10 @@ class _JetCache(list):
     bounds: list[tuple[int, int]]
 
     @classmethod
-    def allocate(cls, shapes) -> "_JetCache":
+    def allocate(cls, shapes, dtype) -> "_JetCache":
         """Views of one flat buffer, one per shape in ``shapes`` (a list per
         block), so a whole cache is one allocation and one free."""
-        flat = np.empty(sum(math.prod(shape) for block in shapes for shape in block))
+        flat = np.empty(sum(math.prod(shape) for block in shapes for shape in block), dtype)
         cache, pos = cls(), 0
         for block in shapes:
             views = []
@@ -302,6 +312,15 @@ def _run_blocks(run, count: int) -> None:
         wait(futures)  # the stripes write into buffers the caller owns
     for f in futures:
         f.result()
+
+
+def _kernel_layers(net: SirenNet, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (weights, biases) as the kernel reads them, in ``dtype``:
+    times omega0 on hidden layers (a = omega0 (W c + b)), as stored on the
+    linear output layer."""
+    scales = [net.omega0] * (len(net.weights) - 1) + [1.0]
+    return [(np.asarray(s * w, dtype), np.asarray(s * b, dtype))
+            for s, w, b in zip(scales, net.weights, net.biases)]
 
 
 def _cache_shapes(widths, n: int, order: int) -> list[tuple[int, ...]]:
@@ -428,9 +447,10 @@ def jet_backward(net: SirenNet, cache, bar: Jet) -> np.ndarray:
     """Reverse accumulation from jet cotangents to the parameter gradient,
     one float64 vector laid out like ``net.params``.
 
-    Runs per sample block in that block's buffers: layer by layer, a sine
-    stack is read for the weight gradient and the P_m coefficients, then
-    overwritten by its cotangents. The blocks' gradients are summed in
+    Runs per sample block in that block's buffers, at the cache's dtype:
+    layer by layer, a sine stack is read for the weight gradient and the
+    P_m coefficients, then overwritten by its cotangents. Each block's
+    gradient lands in float64, and the blocks' gradients are summed in
     block order. One call per forward pass.
     """
     if not getattr(cache, "armed", False):
@@ -442,9 +462,7 @@ def jet_backward(net: SirenNet, cache, bar: Jet) -> np.ndarray:
                          f"recorded at order {order} over {n} points")
     cache.armed = False
 
-    # hidden layers: a = omega0 (W c + b); the output layer is linear
-    weights = net.weights
-    scaled = [net.omega0 * w for w in weights[:-1]] + [weights[-1]]
+    scaled = [w for w, _ in _kernel_layers(net, cache[0][0].dtype)]
     factorials = _factorials(order)
     rows = np.empty((len(cache), net.params.size))  # one gradient per block
 
@@ -455,7 +473,7 @@ def jet_backward(net: SirenNet, cache, bar: Jet) -> np.ndarray:
 
     _run_blocks(run, len(cache))
     grad = rows.sum(axis=0)  # numpy adds the rows one after another, in block order
-    grad[:-(weights[-1].size + net.widths[-1])] *= net.omega0  # all but the output layer
+    grad[:-(scaled[-1].size + net.widths[-1])] *= net.omega0  # all but the output layer
     return grad
 
 

@@ -123,7 +123,9 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
     feature library and the time derivative, recovers p by the QR solve
     (held constant while differentiating), and takes one Adam step on the
     weighted sum of the data-fit and residual losses. The network is
-    updated in place.
+    updated in place. The jet passes run on float32 Taylor streams; the
+    jets they return, the library, the solve, the losses, the gradient
+    and Adam are float64.
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
@@ -134,10 +136,11 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
 
     p_rows, loss_rows, lrs = [], [], []
     diverged = False
-    cache = None  # one jet workspace, reused by every iteration
+    cache = None  # one float32 jet workspace, reused by every iteration
     started = time.perf_counter()
     for it in range(cfg.max_iter):
-        jets, cache = forward_jet_with_cache(net, t, x, max_x_order=order, out=cache)
+        jets, cache = forward_jet_with_cache(net, t, x, max_x_order=order, out=cache,
+                                             dtype=np.float32)
         theta = build_theta(jets, spec, scales)
         u_t = physical_u_t(jets, scales)
         p_vec = solve_parameters(theta, u_t)

@@ -357,8 +357,9 @@ def mixed_bar(rng, n, order):
     return Jet(rng.standard_normal((order + 2, n)))
 
 
-def jet_and_grad(net, t, x, bar, out=None):
-    jet, cache = forward_jet_with_cache(net, t, x, max_x_order=bar.max_x_order, out=out)
+def jet_and_grad(net, t, x, bar, out=None, dtype=np.float64):
+    jet, cache = forward_jet_with_cache(net, t, x, max_x_order=bar.max_x_order, out=out,
+                                        dtype=dtype)
     return jet, jet_backward(net, cache, bar), cache
 
 
@@ -386,20 +387,22 @@ class TestWorkspace:
         # the second pass did not write through the first pass's jet
         assert np.array_equal(jet0.data, kept)
 
-    @pytest.mark.parametrize("change", ["n", "order", "widths"])
+    @pytest.mark.parametrize("change", ["n", "order", "widths", "dtype"])
     def test_mismatched_cache_is_replaced(self, rng, change):
         net = init_siren((2, 9, 7, 1), seed=5)
         t, x = rng.uniform(0, 1, 10), rng.uniform(-1, 1, 10)
         _, _, cache = jet_and_grad(net, t, x, mixed_bar(rng, 10, 2))
         order = 3 if change == "order" else 2
+        dtype = np.float32 if change == "dtype" else np.float64
         if change == "n":
             t, x = t[:6], x[:6]
         if change == "widths":
             net = init_siren((2, 9, 6, 1), seed=5)
         bar = mixed_bar(rng, len(t), order)
-        jet, grad, new = jet_and_grad(net, t, x, bar, out=cache)
+        jet, grad, new = jet_and_grad(net, t, x, bar, out=cache, dtype=dtype)
         assert new is not cache
-        fresh_jet, fresh_grad, _ = jet_and_grad(net, t, x, bar)
+        assert new[0][0].dtype == dtype
+        fresh_jet, fresh_grad, _ = jet_and_grad(net, t, x, bar, dtype=dtype)
         assert_same_pass((jet, grad), (fresh_jet, fresh_grad))
 
     def test_reused_pass_allocates_under_half_a_stack(self, rng):
@@ -442,18 +445,20 @@ class TestBlocks:
         n = 2000  # four blocks at the default block size
         t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
         bar = mixed_bar(rng, n, 3)
-        passes = []
+        passes = {np.float64: [], np.float32: []}
         for threads in (1, 2):
             monkeypatch.setattr(siren, "_threads", threads)
             for after_svd in (False, True):
                 if after_svd:
                     linalg.svd(rng.standard_normal((300, 120)))
-                assert linalg.blas_threads()["numpy"] in (None, 1)
-                jet, grad, cache = jet_and_grad(net, t, x, bar)
-                passes.append((jet, grad))
-                assert len(cache) == 4
-        for other in passes[1:]:
-            assert_same_pass(passes[0], other)
+                for dtype, same in passes.items():
+                    assert linalg.blas_threads()["numpy"] in (None, 1)
+                    jet, grad, cache = jet_and_grad(net, t, x, bar, dtype=dtype)
+                    same.append((jet, grad))
+                    assert len(cache) == 4
+        for same in passes.values():
+            for other in same[1:]:
+                assert_same_pass(same[0], other)
 
     @pytest.mark.parametrize("order", [1, 3, 4])
     def test_blocked_pass_matches_one_block(self, rng, monkeypatch, order):
@@ -502,6 +507,23 @@ class TestBlocks:
         finally:
             if child.is_alive():
                 child.terminate()
+
+
+class TestFloat32Pass:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_float64_pass(self, rng, order):
+        net = init_siren(siren.DEFAULT_WIDTHS, seed=order)
+        n = 2000
+        t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
+        bar = mixed_bar(rng, n, order)
+        ref_jet, ref_grad, _ = jet_and_grad(net, t, x, bar)
+        jet, grad, cache = jet_and_grad(net, t, x, bar, dtype=np.float32)
+        assert {a.dtype for block in cache for a in block} == {np.dtype(np.float32)}
+        assert jet.data.dtype == grad.dtype == np.float64
+        assert grad.shape == net.params.shape
+        rows = np.abs(jet.data - ref_jet.data).max(axis=1)
+        assert np.all(rows <= 1e-5 * np.abs(ref_jet.data).max(axis=1))
+        assert np.linalg.norm(grad - ref_grad) <= 1e-5 * np.linalg.norm(ref_grad)
 
 
 class TestCheckpoint:

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from pdegreedy import training
 from pdegreedy.features import get_pde_spec, load_pde_spec
 from pdegreedy.sampling import QdeimConfig, qdeim_sample, random_sample
-from pdegreedy.siren import _layer_views, forward_jet, init_siren
+from pdegreedy.siren import (_layer_views, forward_jet, forward_jet_with_cache, init_siren,
+                             jet_backward)
 from pdegreedy.training import (BETA1, BETA2, EPS, AdamState, TrainConfig, adam_step,
                                 cyclic_lr, summary_dict, train, write_trajectory_csv)
 
@@ -179,6 +181,29 @@ class TestTrain:
         result = train(net, samples, spec, snapshot.scales,
                        TrainConfig(max_iter=1))
         assert result.iterations == 1
+
+    def test_jet_streams_float32_params_and_gradient_float64(self, toy_problem, monkeypatch):
+        snapshot, spec, samples = toy_problem
+        seen = []
+
+        def spy_forward(*args, **kwargs):
+            jets, cache = forward_jet_with_cache(*args, **kwargs)
+            seen.append(("forward", jets.data.dtype,
+                         {a.dtype for block in cache for a in block}))
+            return jets, cache
+
+        def spy_backward(net, cache, bar):
+            grad = jet_backward(net, cache, bar)
+            seen.append(("backward", net.params.dtype, grad.dtype))
+            return grad
+
+        monkeypatch.setattr(training, "forward_jet_with_cache", spy_forward)
+        monkeypatch.setattr(training, "jet_backward", spy_backward)
+        net = init_siren((2, 8, 8, 1), seed=0)
+        train(net, samples, spec, snapshot.scales, TrainConfig(max_iter=2))
+        f64, f32 = np.dtype(np.float64), np.dtype(np.float32)
+        assert seen == [("forward", f64, {f32}), ("backward", f64, f64)] * 2
+        assert net.params.dtype == f64
 
     def test_teacher_student_deri_decreases(self, small_snapshot, rng):
         # data emitted by an exactly-representable function: windowed means
