@@ -35,11 +35,11 @@ thread and output does not depend on the core count.
 The cache of ``forward_jet_with_cache`` holds, per block, a list of
 views of one flat buffer: the input streams, per hidden layer its
 pre-activation streams (cos(a_0) in the value slot) and its sine
-streams, the output streams and one scratch buffer. A cache serves one ``jet_backward`` call per forward
-pass; that call works in the cache's own buffers, turning each sine stack
-into its cotangents once the stack has been read. Passing the cache back
-as ``out=`` lets the next forward pass reuse its buffers, so a training
-loop allocates them once.
+streams, the output streams and one scratch buffer. A cache serves one
+``jet_backward`` call per forward pass; that call works in the cache's
+own buffers, turning each sine stack into its cotangents once the stack
+has been read. Passing the cache back as ``out=`` lets the next forward
+pass reuse its buffers, so a training loop allocates them once.
 """
 
 from __future__ import annotations
@@ -245,11 +245,11 @@ class _JetCache(list):
         flat = np.empty(sum(math.prod(shape) for block in shapes for shape in block), dtype)
         cache, pos = cls(), 0
         for block in shapes:
-            views = []
+            cache.append([])
             for shape in block:
-                views.append(flat[pos:pos + math.prod(shape)].reshape(shape))
-                pos += math.prod(shape)
-            cache.append(views)
+                size = math.prod(shape)
+                cache[-1].append(flat[pos:pos + size].reshape(shape))
+                pos += size
         return cache
 
 
