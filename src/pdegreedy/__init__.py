@@ -9,7 +9,7 @@ from .features import (DomainScales, FeatureTerm, PdeSpec, PRESETS, Preset,
                        solve_parameters, term, total_loss)
 from .linalg import (PivotedQr, RankDeficiencyError, SvdConvergenceError,
                      SvdFactors, pivoted_qr, qr_least_squares, svd)
-from .sampling import (QdeimConfig, SampleSet, qdeim_sample, qdeim_window,
+from .sampling import (QdeimConfig, SampleSet, qdeim_grid, qdeim_sample, qdeim_window,
                        random_sample, sample_size_grid, select_rank)
 from .siren import (Jet, SirenNet, forward, forward_jet, forward_jet_with_cache,
                     init_siren, jet_backward, load_checkpoint, save_checkpoint)

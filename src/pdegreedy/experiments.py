@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .features import PRESETS, PdeSpec, Preset, relative_error
-from .sampling import QdeimConfig, qdeim_sample, random_sample, sample_size_grid
+# qdeim_sample is bound here for the probes of benchmarks/bench_workloads.py; sweeps use qdeim_grid.
+from .sampling import SampleSet, qdeim_grid, qdeim_sample, random_sample, sample_size_grid
 # DEFAULT_OMEGA0 and DEFAULT_WIDTHS are imported from here by benchmarks/bench_workloads.py.
 from .siren import DEFAULT_OMEGA0, DEFAULT_WIDTHS, init_siren, jets_on_calling_thread
 from .snapshots import SnapshotMatrix
@@ -58,6 +59,7 @@ class ExperimentRecord:
     size: int | None = None
     seed: int | None = None
     error: str | None = None
+    same_as: float | None = None       # a repeated greedy set: its first eps_thr
 
 
 def _record(task) -> ExperimentRecord:
@@ -96,32 +98,88 @@ def _map_tasks(fn, tasks, jobs: int):
         return list(pool.map(fn, tasks))
 
 
-def _run_sweep(sampler: str, draw, grid, spec: PdeSpec, scales, train_cfg: TrainConfig,
-               jobs: int) -> list[ExperimentRecord]:
-    """One record per ``keys`` in ``grid``, trained on ``draw(**keys)``. Every
-    set is drawn in this process: serially as its run starts, for a pool all
-    before it starts, so no SVD overlaps or runs in a worker."""
+def _run_sweep(sampler: str, draws, spec: PdeSpec, scales,
+               train_cfg: TrainConfig, jobs: int) -> list[ExperimentRecord]:
+    """One record per ``(keys, samples)`` in ``draws``, in draw order;
+    ``samples`` is a SampleSet or the exception its draw raised, which
+    becomes the record's error.
 
-    def task(keys):
+    A greedy set with the per-window pivots of an earlier one is not trained
+    again: its record is the earlier one's under its own keys, with
+    ``wall_time_s`` 0.0 and ``same_as`` the earlier ``eps_thr``. Every set is
+    drawn in this process, so no SVD overlaps or runs in a worker: serially
+    as its run starts; for a pool all before it starts, and the largest sets
+    are submitted first."""
+    plan = []     # per draw: (index of the run whose record it takes, keys)
+    first = {}    # pivot key -> index of the run that trained that set
+
+    def runs():
+        count = 0
+        for keys, samples in draws:
+            key = _pivot_key(samples)
+            if key in first:
+                plan.append((first[key], keys))
+                continue
+            if key is not None:
+                first[key] = count
+            plan.append((count, keys))
+            count += 1
+            if isinstance(samples, Exception):
+                samples = f"{type(samples).__name__}: {samples}"
+            yield sampler, samples, keys, spec, scales, train_cfg
+
+    if jobs <= 1:
+        trained = _map_tasks(_record, runs(), jobs)
+    else:
+        tasks = list(runs())
+        # the longest runs start first, so none is left running alone at the end
+        order = sorted(range(len(tasks)), key=lambda i: -_n_samples(tasks[i][1]))
+        trained = [None] * len(tasks)
+        for i, record in zip(order, _map_tasks(_record, [tasks[i] for i in order], jobs)):
+            trained[i] = record
+    records, seen = [], set()
+    for index, keys in plan:
+        record = trained[index]
+        if index in seen:
+            record = dataclasses.replace(record, **keys, wall_time_s=0.0,
+                                         same_as=record.eps_thr)
+        seen.add(index)
+        records.append(record)
+    return records
+
+
+def _pivot_key(samples):
+    """What makes two greedy sets one: their per-window pivot lists. None
+    for a random set or a failed draw, which are never shared."""
+    if not isinstance(samples, SampleSet) or not samples.spatial_pivots:
+        return None
+    return (tuple(map(tuple, samples.spatial_pivots)),
+            tuple(map(tuple, samples.temporal_pivots)))
+
+
+def _n_samples(samples) -> int:
+    return 0 if isinstance(samples, str) else len(samples)
+
+
+def _draws(draw, grid):
+    """``(keys, draw(**keys))`` per keys in ``grid``; a draw that raises
+    gives its exception in place of the samples."""
+    for keys in grid:
         try:
-            samples = draw(**keys)
-        except Exception as exc:
-            samples = f"{type(exc).__name__}: {exc}"
-        return sampler, samples, keys, spec, scales, train_cfg
-
-    tasks = map(task, grid)
-    return _map_tasks(_record, tasks if jobs <= 1 else list(tasks), jobs)
+            yield keys, draw(**keys)
+        except Exception as exc:  # the run's record carries it
+            yield keys, exc
 
 
 def sweep_greedy(s: SnapshotMatrix, spec: PdeSpec, sweep_cfg: SweepConfig,
                  train_cfg: TrainConfig, jobs: int = 1) -> list[ExperimentRecord]:
-    """One record per (t_div, eps) pair; 4 x 20 = 80 with the defaults."""
+    """One record per (t_div, eps) pair; 4 x 20 = 80 with the defaults. Each
+    distinct sample set is trained once (see ``_run_sweep``)."""
     grid = [{"t_div": t_div, "eps_thr": eps}
             for t_div in sweep_cfg.t_divs for eps in sweep_cfg.eps_values]
-    # the config is built in the draw, so a bad (t_div, eps) ends as its record's error
-    return _run_sweep(
-        "greedy", lambda t_div, eps_thr: qdeim_sample(s, QdeimConfig(t_div, eps_thr)),
-        grid, spec, s.scales, train_cfg, jobs)
+    # a bad (t_div, eps) ends as its record's error
+    draws = zip(grid, qdeim_grid(s, sweep_cfg.t_divs, sweep_cfg.eps_values))
+    return _run_sweep("greedy", draws, spec, s.scales, train_cfg, jobs)
 
 
 def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
@@ -136,8 +194,8 @@ def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     sizes = [size for size in sample_size_grid(min_n, max_n) for _ in range(repetitions)]
     grid = [{"size": size, "seed": base_seed + run} for run, size in enumerate(sizes)]
-    return _run_sweep("random", functools.partial(random_sample, s), grid, spec, s.scales,
-                      train_cfg, jobs)
+    return _run_sweep("random", _draws(functools.partial(random_sample, s), grid), spec,
+                      s.scales, train_cfg, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +218,11 @@ def lloyd(points: np.ndarray, centroids: np.ndarray):
     Returns (centroids, labels, inertia_history); the history is recorded
     once per assignment step and never increases. An emptied cluster is
     reseeded at the point farthest from its assigned centroid.
+
+    A centroid is its members' coordinates summed in point order, over the
+    member count: the bytes of ``members.mean(axis=0)`` for points of two or
+    more dimensions. (For one-dimensional points numpy's mean sums pairwise,
+    so the last bits may differ from it.)
     """
     points = np.asarray(points, dtype=float)
     centroids = np.array(centroids, dtype=float)
@@ -172,13 +235,14 @@ def lloyd(points: np.ndarray, centroids: np.ndarray):
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(centroids.shape[0]):
-            members = points[labels == c]
-            if members.shape[0]:
-                centroids[c] = members.mean(axis=0)
-            else:
-                worst = np.argmax(d2[np.arange(points.shape[0]), labels])
-                centroids[c] = points[worst]
+        k = centroids.shape[0]
+        counts = np.bincount(labels, minlength=k)
+        sums = np.column_stack([np.bincount(labels, weights=col, minlength=k)
+                                for col in points.T])
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
+        if not filled.all():
+            centroids[~filled] = points[np.argmax(d2[np.arange(points.shape[0]), labels])]
     return centroids, labels, history
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,33 +89,79 @@ def select_rank(sigma, eps_thr: float) -> int:
     return int(np.argmax(deficit < eps_thr)) + 1
 
 
-def qdeim_window(u_window, eps_thr: float):
-    """Spatial and temporal pivot indices for one snapshot block.
+def qdeim_window(u_window, eps_values) -> list[tuple[list[int], list[int]]]:
+    """Spatial and temporal pivot indices for one snapshot block, one pair
+    per rank threshold in ``eps_values``.
 
-    Ranks the block by its singular values, then pivots the transposed
-    left and right singular-vector blocks so the chosen rows index space
-    and the chosen columns index time.
+    One SVD ranks the block at every threshold; each distinct rank r then
+    pivots the transposed leading r left and right singular vectors once,
+    so the chosen rows index space and the chosen columns index time. The
+    pivots depend only on those vectors and r, so thresholds of one rank
+    share one pair.
     """
     u_window = np.asarray(u_window, dtype=float)
     if u_window.size == 0:
         raise ValueError("empty window")
     factors = svd(u_window)
-    r = select_rank(factors.singular_values, eps_thr)
-    z_r = factors.left[:, :r]      # (n, r)
-    y_r_t = factors.right_t[:r, :]  # (r, m)
-    spatial = pivoted_qr(z_r.T).pivots[:r]
-    temporal = pivoted_qr(y_r_t).pivots[:r]
-    return [int(i) for i in spatial], [int(j) for j in temporal]
+    by_rank, pairs = {}, []
+    for eps_thr in eps_values:
+        r = select_rank(factors.singular_values, eps_thr)
+        if r not in by_rank:
+            z_r = factors.left[:, :r]      # (n, r)
+            y_r_t = factors.right_t[:r, :]  # (r, m)
+            by_rank[r] = ([int(i) for i in pivoted_qr(z_r.T).pivots[:r]],
+                          [int(j) for j in pivoted_qr(y_r_t).pivots[:r]])
+        pairs.append(by_rank[r])
+    return pairs
+
+
+def qdeim_grid(s: SnapshotMatrix, t_divs, eps_values) -> Iterator[SampleSet | Exception]:
+    """Greedy sample sets over the (t_div, eps) grid, t_div-major: one item
+    per pair, the set or the exception that pair raised.
+
+    Each t_div's windows are factored once for all thresholds (see
+    ``qdeim_window``), one t_div at a time as the items are drawn. A bad
+    threshold fails its own pair; a bad t_div, or a window that cannot be
+    factored, fails every threshold of that t_div.
+    """
+    eps_values = tuple(eps_values)
+    for t_div in t_divs:
+        configs = []
+        for eps_thr in eps_values:
+            try:
+                configs.append(QdeimConfig(t_div, eps_thr))
+            except Exception as exc:  # this pair's item
+                configs.append(exc)
+        valid = [c.eps_thr for c in configs if isinstance(c, QdeimConfig)]
+        try:
+            bounds = subdivide_time(s.m, t_div) if valid else []
+            windows = [qdeim_window(s.u[:, start:end], valid) for start, end in bounds]
+        except Exception as exc:  # every valid pair's item
+            failed = exc
+        else:
+            failed = None
+        k = 0  # index of the next valid pair
+        for cfg in configs:
+            if isinstance(cfg, Exception) or failed is not None:
+                yield cfg if isinstance(cfg, Exception) else failed
+                continue
+            yield _pivot_grid(s, [list(w[k][0]) for w in windows],
+                              [[start + j for j in w[k][1]]
+                               for (start, _), w in zip(bounds, windows)])
+            k += 1
 
 
 def qdeim_sample(s: SnapshotMatrix, cfg: QdeimConfig) -> SampleSet:
-    """Greedy sample set: per window, the spatial x temporal pivot grid,
-    spatial-major (each spatial pivot runs over every temporal pivot)."""
-    spatial_pivots, temporal_pivots = [], []
-    for start, end in subdivide_time(s.m, cfg.t_div):
-        spatial, temporal_local = qdeim_window(s.u[:, start:end], cfg.eps_thr)
-        spatial_pivots.append(spatial)
-        temporal_pivots.append([start + j for j in temporal_local])
+    """Greedy sample set of one (t_div, eps) config: per window, the spatial
+    x temporal pivot grid, spatial-major (each spatial pivot runs over every
+    temporal pivot)."""
+    [samples] = qdeim_grid(s, (cfg.t_div,), (cfg.eps_thr,))
+    if isinstance(samples, Exception):
+        raise samples
+    return samples
+
+
+def _pivot_grid(s: SnapshotMatrix, spatial_pivots, temporal_pivots) -> SampleSet:
     pivots = list(zip(spatial_pivots, temporal_pivots))
     x_idx = np.concatenate([np.repeat(sp, len(tp)) for sp, tp in pivots])
     t_idx = np.concatenate([np.tile(tp, len(sp)) for sp, tp in pivots])

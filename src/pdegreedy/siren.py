@@ -40,6 +40,8 @@ streams, the output streams and one scratch buffer. A cache serves one
 own buffers, turning each sine stack into its cotangents once the stack
 has been read. Passing the cache back as ``out=`` lets the next forward
 pass reuse its buffers, so a training loop allocates them once.
+``forward_jet`` runs the same blocks without a cache: each stripe works in
+one block's buffers, allocated before the stripes start.
 """
 
 from __future__ import annotations
@@ -170,8 +172,19 @@ def forward(net: SirenNet, t, x):
 
 def forward_jet(net: SirenNet, t, x, max_x_order: int = 3) -> Jet:
     """Exact jet (u, u_x, ..., d^K u/dx^K, u_t) at the given points; a
-    scalar (t, x) gives a one-point jet."""
-    return forward_jet_with_cache(net, t, x, max_x_order)[0]
+    scalar (t, x) gives a one-point jet.
+
+    A forward-only pass over the blocks of ``forward_jet_with_cache``, so the
+    same bytes, that keeps nothing for a backward pass: each stripe of blocks
+    reuses one block's buffers, so no cache of the whole batch is built.
+    """
+    t_arr, x_arr, bounds = _pass_inputs(t, x, max_x_order)
+    shapes = [_cache_shapes(net.widths, hi - lo, max_x_order) for lo, hi in bounds]
+    stripes = min(len(bounds), jet_threads())
+    size = max(sum(math.prod(shape) for shape in block) for block in shapes)
+    flats = [np.empty(size) for _ in range(stripes)]  # block i runs on stripe i mod stripes
+    return _forward_pass(net, t_arr, x_arr, max_x_order, bounds,
+                         lambda i: _views(flats[i % stripes], shapes[i]), np.float64, stripes)
 
 
 def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None, *,
@@ -186,33 +199,15 @@ def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None, 
     the number of points, the order and the dtype match; otherwise a new
     cache is made.
     """
-    order = max_x_order
-    if order < 1:  # the input stack needs an x-stream slot
-        raise ValueError(f"max_x_order must be >= 1, got {order}")
-    t_arr, x_arr, _ = _broadcast_inputs(t, x)
-    bounds = _blocks(t_arr.shape[0])
-
-    shapes = [_cache_shapes(net.widths, hi - lo, order) for lo, hi in bounds]
+    t_arr, x_arr, bounds = _pass_inputs(t, x, max_x_order)
+    shapes = [_cache_shapes(net.widths, hi - lo, max_x_order) for lo, hi in bounds]
     if (isinstance(out, _JetCache) and out[0][0].dtype == dtype
             and [[b.shape for b in block] for block in out] == shapes):
         cache = out
     else:
         cache = _JetCache.allocate(shapes, dtype)
     cache.bounds, cache.armed = bounds, True
-
-    *hidden, (w_out, b_out) = _kernel_layers(net, dtype)
-    factorials = _factorials(order)
-    data = np.empty((order + 2, t_arr.shape[0]))
-
-    def run(i):
-        lo, hi = bounds[i]
-        o = _forward_block(cache[i], hidden, w_out, b_out,
-                           t_arr[lo:hi], x_arr[lo:hi], order)
-        # into a new array: the next pass through this cache overwrites o
-        np.multiply(o, factorials, out=data[:, lo:hi])
-
-    _run_blocks(run, len(bounds))
-    return Jet(data), cache
+    return _forward_pass(net, t_arr, x_arr, max_x_order, bounds, cache.__getitem__, dtype), cache
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +240,20 @@ class _JetCache(list):
         flat = np.empty(sum(math.prod(shape) for block in shapes for shape in block), dtype)
         cache, pos = cls(), 0
         for block in shapes:
-            cache.append([])
-            for shape in block:
-                size = math.prod(shape)
-                cache[-1].append(flat[pos:pos + size].reshape(shape))
-                pos += size
+            size = sum(math.prod(shape) for shape in block)
+            cache.append(_views(flat[pos:pos + size], block))
+            pos += size
         return cache
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one per shape."""
+    views, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[pos:pos + size].reshape(shape))
+        pos += size
+    return views
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
@@ -299,12 +302,12 @@ def _stripe(run, first: int, step: int, count: int) -> None:
         run(i)
 
 
-def _run_blocks(run, count: int) -> None:
+def _run_blocks(run, count: int, stripes: int | None = None) -> None:
     """``run(i)`` for every block i, with block i on stripe i mod T of
-    T = jet_threads() stripes: the calling thread takes stripe 0, pool
-    threads the others. numpy's ufuncs and matmul release the GIL, so the
-    stripes run on separate cores."""
-    stripes = min(count, jet_threads())
+    T = ``stripes`` stripes, by default min(count, jet_threads()): the
+    calling thread takes stripe 0, pool threads the others. numpy's ufuncs
+    and matmul release the GIL, so the stripes run on separate cores."""
+    stripes = stripes or min(count, jet_threads())
     futures = [_executor().submit(_stripe, run, s, stripes, count) for s in range(1, stripes)]
     try:
         _stripe(run, 0, stripes, count)
@@ -335,6 +338,32 @@ def _cache_shapes(widths, n: int, order: int) -> list[tuple[int, ...]]:
 def _scratch(cache, count: int, n: int, width: int) -> np.ndarray:
     """``count`` (n, width) views of the flat scratch, shared by layers of any width."""
     return cache[-1][:count * n * width].reshape(count, n, width)
+
+
+def _pass_inputs(t, x, order: int):
+    """(t, x) as equal-length 1-d arrays and the sample blocks of a jet pass
+    over them at x-order ``order``."""
+    if order < 1:  # the input stack needs an x-stream slot
+        raise ValueError(f"max_x_order must be >= 1, got {order}")
+    t_arr, x_arr, _ = _broadcast_inputs(t, x)
+    return t_arr, x_arr, _blocks(t_arr.shape[0])
+
+
+def _forward_pass(net, t_arr, x_arr, order, bounds, buffers, dtype, stripes=None) -> Jet:
+    """The jet over the sample blocks ``bounds``, block i computed in the
+    buffer list ``buffers(i)`` at ``dtype``; ``stripes`` as in _run_blocks."""
+    *hidden, (w_out, b_out) = _kernel_layers(net, dtype)
+    factorials = _factorials(order)
+    data = np.empty((order + 2, t_arr.shape[0]))
+
+    def run(i):
+        lo, hi = bounds[i]
+        o = _forward_block(buffers(i), hidden, w_out, b_out, t_arr[lo:hi], x_arr[lo:hi], order)
+        # into a new array: the next pass through these buffers overwrites o
+        np.multiply(o, factorials, out=data[:, lo:hi])
+
+    _run_blocks(run, len(bounds), stripes)
+    return Jet(data)
 
 
 def _broadcast_inputs(t, x):

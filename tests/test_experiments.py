@@ -66,6 +66,57 @@ class TestSweepGreedy:
             assert np.all(np.isnan(records[0].rel_errors))
 
 
+DUPLICATED = SweepConfig(t_divs=(3, 4), eps_values=(1e-14, 1e-12, 1e-4))  # 1e-12 repeats 1e-14
+
+
+def _keys(records):
+    """Every record field but the wall time and the repeat mark."""
+    return [json.dumps({**dataclasses.asdict(r), "wall_time_s": None, "same_as": None})
+            for r in records]
+
+
+class TestDeduplication:
+    def test_equals_per_config_sweep(self, small_snapshot):
+        spec = get_pde_spec("burgers")
+        train_cfg = TrainConfig(max_iter=2, widths=FAST_WIDTHS)
+        records = sweep_greedy(small_snapshot, spec, DUPLICATED, train_cfg)
+        per_config = [record for t_div in DUPLICATED.t_divs for eps in DUPLICATED.eps_values
+                      for record in sweep_greedy(small_snapshot, spec,
+                                                 SweepConfig(t_divs=(t_div,), eps_values=(eps,)),
+                                                 train_cfg)]
+        assert _keys(records) == _keys(per_config)
+        assert [r.same_as for r in records] == [None, 1e-14, None, None, 1e-14, None]
+        assert [r.wall_time_s == 0.0 for r in records] == [False, True, False] * 2
+        assert all(r.same_as is None for r in per_config)
+
+    def test_pool_sweep_marks_the_same_repeats(self, small_snapshot):
+        spec = get_pde_spec("burgers")
+        train_cfg = TrainConfig(max_iter=1, widths=FAST_WIDTHS)
+        serial = sweep_greedy(small_snapshot, spec, DUPLICATED, train_cfg, jobs=1)
+        parallel = sweep_greedy(small_snapshot, spec, DUPLICATED, train_cfg, jobs=2)
+        assert _fields(parallel) == _fields(serial)
+
+    def test_one_svd_per_window(self, small_snapshot, monkeypatch):
+        calls, real = [], sampling.svd
+        monkeypatch.setattr(sampling, "svd", lambda a: calls.append(a.shape) or real(a))
+        cfg = SweepConfig(t_divs=(1, 2, 3, 4), eps_values=(1e-14, 1e-6, 1e-2))
+        records = sweep_greedy(small_snapshot, get_pde_spec("burgers"), cfg,
+                               TrainConfig(max_iter=1, widths=FAST_WIDTHS))
+        assert len(records) == 12 and len(calls) == 1 + 2 + 3 + 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_t_div_fails_each_eps_in_place(self, small_snapshot, jobs):
+        cfg = SweepConfig(t_divs=(1, 0, 99, 2), eps_values=(1e-2, 1e-4))
+        records = sweep_greedy(small_snapshot, get_pde_spec("burgers"), cfg,
+                               TrainConfig(max_iter=1, widths=FAST_WIDTHS), jobs=jobs)
+        assert [(r.t_div, r.eps_thr) for r in records] == \
+            [(t, e) for t in cfg.t_divs for e in cfg.eps_values]
+        assert [r.error is None for r in records] == [True] * 2 + [False] * 4 + [True] * 2
+        assert all(r.error.startswith("ValueError: t_div must be >= 1") for r in records[2:4])
+        assert all(r.error.startswith("ValueError: t_div 99 out of range") for r in records[4:6])
+        assert all(r.n_samples == 0 and r.same_as is None for r in records[2:6])
+
+
 class TestSweepRandom:
     def test_default_protocol_gives_55_records(self, small_snapshot):
         spec = get_pde_spec("burgers")
@@ -136,6 +187,42 @@ class TestKmeans:
             _, _, history = lloyd(pts, start)
             assert summary.inertia <= history[-1] + 1e-12
 
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_lloyd_bytes_equal_per_cluster_mean_loop(self, rng, dims):
+        def reference(points, centroids):
+            # the per-cluster loop the bincount update replaced
+            centroids, labels, history = np.array(centroids, dtype=float), None, []
+            for _ in range(300):
+                d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+                new_labels = np.argmin(d2, axis=1)
+                history.append(float(d2[np.arange(points.shape[0]), new_labels].sum()))
+                if labels is not None and np.array_equal(new_labels, labels):
+                    break
+                labels = new_labels
+                for c in range(centroids.shape[0]):
+                    members = points[labels == c]
+                    if members.shape[0]:
+                        centroids[c] = members.mean(axis=0)
+                    else:
+                        worst = np.argmax(d2[np.arange(points.shape[0]), labels])
+                        centroids[c] = points[worst]
+            return centroids, labels, history
+
+        emptied = 0
+        for trial in range(60):
+            n = int(rng.integers(20, 300))
+            points = rng.standard_normal((n, dims)) * rng.uniform(0.1, 1e4, dims)
+            k = int(rng.integers(2, 21))
+            # every third start lies far off the points, so clusters empty
+            start = (rng.standard_normal((k, dims)) * 1e5 if trial % 3 == 0
+                     else points[rng.choice(n, k, replace=False)])
+            first = np.argmin(((points[:, None, :] - start[None]) ** 2).sum(axis=2), axis=1)
+            emptied += len(np.unique(first)) < k
+            got, want = lloyd(points, start), reference(points, start)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+        assert emptied >= 10
+
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), k=4)
@@ -176,6 +263,18 @@ class TestPersistence:
             np.testing.assert_array_equal(np.array(a.final_p), np.array(b.final_p))
             np.testing.assert_allclose(np.array(a.rel_errors),
                                        np.array(b.rel_errors), equal_nan=True)
+
+
+    def test_records_without_same_as_load(self, greedy_records, tmp_path):
+        # records.json as written before sweeps marked repeated sets
+        payload = [dataclasses.asdict(r) for r in greedy_records[:3]]
+        for raw in payload:
+            del raw["same_as"]
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps(payload))
+        back = read_results(path)
+        assert [r.same_as for r in back] == [None] * 3
+        assert [r.eps_thr for r in back] == [r.eps_thr for r in greedy_records[:3]]
 
 
 class TestConfigs:
@@ -261,6 +360,22 @@ class TestPoolWorkers:
         assert _fields(parallel) == _fields(serial)
         assert np.array([r.final_p for r in parallel]).tobytes() == \
             np.array([r.final_p for r in serial]).tobytes()
+
+    def test_largest_sets_submitted_first(self, small_snapshot, monkeypatch):
+        submitted = []
+
+        def serial_map(fn, tasks, jobs):
+            submitted.extend(len(task[1]) for task in tasks)
+            return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(experiments, "_map_tasks", serial_map)
+        spec = get_pde_spec("burgers")
+        train_cfg = TrainConfig(max_iter=1, widths=FAST_WIDTHS)
+        parallel = sweep_greedy(small_snapshot, spec, DUPLICATED, train_cfg, jobs=2)
+        assert submitted == sorted(submitted, reverse=True) and len(submitted) == 4
+        monkeypatch.undo()
+        assert _fields(parallel) == _fields(sweep_greedy(small_snapshot, spec, DUPLICATED,
+                                                         train_cfg, jobs=1))
 
     def test_failed_draw_keeps_its_position(self, small_snapshot):
         # eps_thr = 1.5 is no rank threshold: that draw fails, its neighbours train

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from pdegreedy import PRESETS, sampling
+from pdegreedy.experiments import eps_grid
 from pdegreedy.linalg import svd
-from pdegreedy.sampling import (QdeimConfig, SampleSet, qdeim_sample, qdeim_window,
+from pdegreedy.sampling import (QdeimConfig, SampleSet, qdeim_grid, qdeim_sample, qdeim_window,
                                 random_sample, sample_size_grid, select_rank)
 from pdegreedy.snapshots import SnapshotMatrix, subdivide_time
 
@@ -44,18 +46,18 @@ class TestQdeimWindow:
     def test_rank_one_argmax(self, rng):
         a = rng.standard_normal(7)
         b = rng.standard_normal(5)
-        spatial, temporal = qdeim_window(np.outer(a, b), 1e-6)
+        [(spatial, temporal)] = qdeim_window(np.outer(a, b), [1e-6])
         assert spatial == [int(np.argmax(np.abs(a)))]
         assert temporal == [int(np.argmax(np.abs(b)))]
 
     def test_identity_full_rank(self):
-        spatial, temporal = qdeim_window(np.eye(4), 1e-12)
+        [(spatial, temporal)] = qdeim_window(np.eye(4), [1e-12])
         assert sorted(spatial) == [0, 1, 2, 3]
         assert sorted(temporal) == [0, 1, 2, 3]
 
     def test_matches_projection_oracle(self, rng):
         u = rng.standard_normal((6, 5))
-        spatial, temporal = qdeim_window(u, 0.05)
+        [(spatial, temporal)] = qdeim_window(u, [0.05])
         f = svd(u)
         r = len(spatial)
         assert spatial == greedy_pivot_oracle(f.left[:, :r].T)[:r]
@@ -64,7 +66,7 @@ class TestQdeimWindow:
     def test_rank_deficient_window_bounded_by_numerical_rank(self, rng):
         u = (np.outer(rng.standard_normal(8), rng.standard_normal(6))
              + np.outer(rng.standard_normal(8), rng.standard_normal(6)))
-        spatial, _ = qdeim_window(u, 1e-12)
+        [(spatial, _)] = qdeim_window(u, [1e-12])
         assert len(spatial) <= 2
 
 
@@ -120,6 +122,66 @@ class TestQdeimSample:
             rows = list(csv.reader(fh))
         assert rows[0] == ["window", "t_index", "x_index", "t", "x", "u"]
         assert len(rows) - 1 == len(ss)
+
+
+def _set_bytes(ss: SampleSet):
+    arrays = (ss.t_norm, ss.x_norm, ss.u, ss.window_id, ss.x_idx, ss.t_idx)
+    return [a.dtype.str + a.tobytes().hex() for a in arrays], \
+        ss.spatial_pivots, ss.temporal_pivots
+
+
+class TestQdeimGrid:
+    @pytest.mark.parametrize("pde", sorted(PRESETS))
+    def test_equals_per_config_sampler(self, request, pde):
+        snapshot = request.getfixturevalue(f"{pde.replace('-', '_')}_snapshot")
+        t_divs, eps_values = (1, 3, 4), eps_grid(*PRESETS[pde].eps_range, 6)
+        grid = list(qdeim_grid(snapshot, t_divs, eps_values))
+        assert len(grid) == len(t_divs) * len(eps_values)
+        configs = [QdeimConfig(t, e) for t in t_divs for e in eps_values]
+        for cfg, ss in zip(configs, grid):
+            assert _set_bytes(ss) == _set_bytes(qdeim_sample(snapshot, cfg))
+
+    def test_one_svd_per_window_one_qr_pair_per_rank(self, small_snapshot, monkeypatch):
+        calls = {"svd": 0, "pivoted_qr": 0}
+
+        def counted(name):
+            real = getattr(sampling, name)
+
+            def call(a):
+                calls[name] += 1
+                return real(a)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(sampling, name, counted(name))
+        sets = list(qdeim_grid(small_snapshot, (1, 2, 3, 4), np.logspace(-12, -1, 12)))
+        ranks = {(len(ss.spatial_pivots), w, len(sp))
+                 for ss in sets for w, sp in enumerate(ss.spatial_pivots)}
+        assert calls == {"svd": 10, "pivoted_qr": 2 * len(ranks)}
+
+    def test_failures_keep_their_position(self, small_snapshot):
+        # t_div 0 and 99 > m fail every threshold, eps 1.5 only itself
+        items = list(qdeim_grid(small_snapshot, (0, 2, 99), (1e-2, 1.5)))
+        assert [type(i).__name__ for i in items] == \
+            ["ValueError", "ValueError", "SampleSet", "ValueError", "ValueError", "ValueError"]
+        assert [str(items[i]).split(",")[0] for i in (0, 1, 3, 4, 5)] == [
+            "t_div must be >= 1", "t_div must be >= 1", "eps_thr must lie in (0",
+            "t_div 99 out of range [1", "eps_thr must lie in (0"]
+
+    def test_failed_svd_fails_its_t_div(self, small_snapshot, monkeypatch):
+        real = sampling.svd
+
+        def svd_fails_on_narrow_windows(a):
+            if a.shape[1] < 10:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(a)
+
+        monkeypatch.setattr(sampling, "svd", svd_fails_on_narrow_windows)
+        items = list(qdeim_grid(small_snapshot, (1, 3), (1e-2, 1e-4)))
+        assert [isinstance(i, SampleSet) for i in items] == [True, True, False, False]
+        assert items[2] is items[3]
+        with pytest.raises(np.linalg.LinAlgError):
+            qdeim_sample(small_snapshot, QdeimConfig(t_div=3, eps_thr=1e-2))
 
 
 class TestRandomSample:

@@ -509,6 +509,34 @@ class TestBlocks:
                 child.terminate()
 
 
+class TestForwardOnlyJet:
+    @pytest.mark.parametrize("order", [1, 3, 4])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_bytes_equal_the_cached_pass(self, rng, monkeypatch, order, threads):
+        monkeypatch.setattr(siren, "_threads", threads)
+        net = init_siren((2, 9, 7, 8, 1), seed=8)
+        for n in (1, 2, 7, 511, 513, 1500, 2600):  # 1 to 6 blocks, last one shorter
+            t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
+            expected = forward_jet_with_cache(net, t, x, order)[0].data
+            assert forward_jet(net, t, x, order).data.tobytes() == expected.tobytes()
+
+    def test_no_whole_batch_cache(self, rng, monkeypatch):
+        monkeypatch.setattr(siren, "_threads", 2)
+        net = init_siren((2, 64, 64, 1), seed=9)
+        n, order = 8 * siren.BLOCK, 3  # eight blocks over two stripes
+        t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
+        shapes = siren._cache_shapes(net.widths, n, order)
+        cache_bytes = 8 * sum(math.prod(shape) for shape in shapes)
+        tracemalloc.start()
+        try:
+            forward_jet(net, t, x, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two stripes' block buffers are a quarter of the cache, the jet far less
+        assert peak < 0.35 * cache_bytes, f"{peak / cache_bytes:.2f} caches"
+
+
 class TestFloat32Pass:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_matches_float64_pass(self, rng, order):
