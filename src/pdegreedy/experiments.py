@@ -132,8 +132,9 @@ def _run_sweep(sampler: str, draws, spec: PdeSpec, scales,
         trained = _map_tasks(_record, runs(), jobs)
     else:
         tasks = list(runs())
+        sizes = [0 if isinstance(task[1], str) else len(task[1]) for task in tasks]
         # the longest runs start first, so none is left running alone at the end
-        order = sorted(range(len(tasks)), key=lambda i: -_n_samples(tasks[i][1]))
+        order = sorted(range(len(tasks)), key=lambda i: -sizes[i])
         trained = [None] * len(tasks)
         for i, record in zip(order, _map_tasks(_record, [tasks[i] for i in order], jobs)):
             trained[i] = record
@@ -155,10 +156,6 @@ def _pivot_key(samples):
         return None
     return (tuple(map(tuple, samples.spatial_pivots)),
             tuple(map(tuple, samples.temporal_pivots)))
-
-
-def _n_samples(samples) -> int:
-    return 0 if isinstance(samples, str) else len(samples)
 
 
 def _draws(draw, grid):
