@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -137,18 +138,14 @@ def qdeim_grid(s: SnapshotMatrix, t_divs, eps_values) -> Iterator[SampleSet | Ex
             bounds = subdivide_time(s.m, t_div) if valid else []
             windows = [qdeim_window(s.u[:, start:end], valid) for start, end in bounds]
         except Exception as exc:  # every valid pair's item
-            failed = exc
-        else:
-            failed = None
-        k = 0  # index of the next valid pair
+            sets = itertools.repeat(exc)
+        else:  # the k-th valid pair's set, built as it is drawn
+            sets = (_pivot_grid(s, [list(w[k][0]) for w in windows],
+                                [[start + j for j in w[k][1]]
+                                 for (start, _), w in zip(bounds, windows)])
+                    for k in range(len(valid)))
         for cfg in configs:
-            if isinstance(cfg, Exception) or failed is not None:
-                yield cfg if isinstance(cfg, Exception) else failed
-                continue
-            yield _pivot_grid(s, [list(w[k][0]) for w in windows],
-                              [[start + j for j in w[k][1]]
-                               for (start, _), w in zip(bounds, windows)])
-            k += 1
+            yield cfg if isinstance(cfg, Exception) else next(sets)
 
 
 def qdeim_sample(s: SnapshotMatrix, cfg: QdeimConfig) -> SampleSet:
