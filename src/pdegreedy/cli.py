@@ -345,26 +345,23 @@ def cmd_cluster(args) -> int:
     coefs = range(len(records[0].rel_errors)) if args.coef is None else [args.coef]
     summaries = {ci: cluster_records(records, ci, **merged) for ci in coefs}
     out_dir = _out_dir(args)
-    if args.format == "json":
-        payload = {str(ci): {"centroids": s.centroids.tolist(),
-                             "inertia": s.inertia, "k": s.k, "n_init": s.n_init}
-                   for ci, s in summaries.items()}
-        out_path = out_dir / "centroids.json"
-        with open(out_path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    else:
-        out_path = out_dir / "centroids.csv"
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["coef_index", "n_samples", "rel_error"])
-            for ci, s in summaries.items():
-                for row in s.centroids:
-                    writer.writerow([ci, "%.17g" % row[0], "%.17g" % row[1]])
+    payload = {str(ci): {"centroids": s.centroids.tolist(),
+                         "inertia": s.inertia, "k": s.k, "n_init": s.n_init}
+               for ci, s in summaries.items()}
+    with open(out_dir / "centroids.json", "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    with open(out_dir / "centroids.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["coef_index", "n_samples", "rel_error"])
+        for ci, s in summaries.items():
+            for row in s.centroids:
+                writer.writerow([ci, "%.17g" % row[0], "%.17g" % row[1]])
     _write_manifest(out_dir, "cluster_manifest.json", "cluster",
                     {**merged, "results": str(results_path), "coef": args.coef},
                     [results_path], started)
-    print(f"wrote {out_path} ({sum(s.k for s in summaries.values())} centroids)")
+    print(f"wrote {out_dir / 'centroids.csv'} and centroids.json "
+          f"({sum(s.k for s in summaries.values())} centroids)")
     return 0
 
 
@@ -383,7 +380,6 @@ FLAGS = {
     "--size": dict(type=int, help="random sample count"),
     "--results": dict(required=True, help="records.json from a sweep"),
     "--coef": dict(type=int, help="coefficient index (default: all)"),
-    "--format": dict(choices=("csv", "json"), default="csv"),
 }
 
 
@@ -411,7 +407,7 @@ COMMANDS = {
     "baseline": Command(cmd_baseline, "size-matched random baseline", _RUN_FLAGS,
                         ("min_n", "max_n", "reps", "base_seed", *TRAIN_KEYS, "jobs")),
     "cluster": Command(cmd_cluster, "k-means summary of sweep records",
-                       ("--config", "--results", "--coef", "--format"), ("k", "n_init", "seed")),
+                       ("--config", "--results", "--coef"), ("k", "n_init", "seed")),
 }
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .features import PRESETS, PdeSpec, Preset, relative_error
 # qdeim_sample is bound here for the probes of benchmarks/bench_workloads.py; sweeps use qdeim_grid.
-from .sampling import SampleSet, qdeim_grid, qdeim_sample, random_sample, sample_size_grid
+from .sampling import qdeim_grid, qdeim_sample, random_sample, sample_size_grid
 # DEFAULT_OMEGA0 and DEFAULT_WIDTHS are imported from here by benchmarks/bench_workloads.py.
 from .siren import DEFAULT_OMEGA0, DEFAULT_WIDTHS, init_siren, jets_on_calling_thread
 from .snapshots import SnapshotMatrix
@@ -64,14 +64,10 @@ class ExperimentRecord:
 
 def _record(task) -> ExperimentRecord:
     """One run: train a fresh net on the drawn samples and record the outcome
-    under the sampler settings ``keys``. A failed draw (its error string in
-    place of the samples) or run becomes the record's error; the sweep goes on."""
+    under the sampler settings ``keys``. A failed run becomes the record's
+    error; the sweep goes on."""
     sampler, samples, keys, spec, scales, train_cfg = task
     nan = tuple(np.full(len(spec.terms), np.nan))
-    if isinstance(samples, str):
-        return ExperimentRecord(sampler=sampler, pde=spec.name, n_samples=0,
-                                rel_errors=nan, final_p=nan, wall_time_s=0.0,
-                                error=samples, **keys)
     started = time.perf_counter()
     net = init_siren(train_cfg.widths, omega0=train_cfg.omega0, seed=train_cfg.seed)
     try:
@@ -98,74 +94,51 @@ def _map_tasks(fn, tasks, jobs: int):
         return list(pool.map(fn, tasks))
 
 
-def _run_sweep(sampler: str, draws, spec: PdeSpec, scales,
+def _run_sweep(sampler: str, grid, sets, spec: PdeSpec, scales,
                train_cfg: TrainConfig, jobs: int) -> list[ExperimentRecord]:
-    """One record per ``(keys, samples)`` in ``draws``, in draw order;
-    ``samples`` is a SampleSet or the exception its draw raised, which
-    becomes the record's error.
+    """One record per keys in ``grid``, in grid order, for the sample set or
+    the exception its draw raised at the same place in ``sets``.
 
-    A greedy set with the per-window pivots of an earlier one is not trained
-    again: its record is the earlier one's under its own keys, with
-    ``wall_time_s`` 0.0 and ``same_as`` the earlier ``eps_thr``. Every set is
-    drawn in this process, so no SVD overlaps or runs in a worker: serially
-    as its run starts; for a pool all before it starts, and the largest sets
-    are submitted first."""
-    plan = []     # per draw: (index of the run whose record it takes, keys)
-    first = {}    # pivot key -> index of the run that trained that set
-
-    def runs():
-        count = 0
-        for keys, samples in draws:
-            key = _pivot_key(samples)
-            if key in first:
-                plan.append((first[key], keys))
-                continue
-            if key is not None:
-                first[key] = count
-            plan.append((count, keys))
-            count += 1
-            if isinstance(samples, Exception):
-                samples = f"{type(samples).__name__}: {samples}"
-            yield sampler, samples, keys, spec, scales, train_cfg
-
-    if jobs <= 1:
-        trained = _map_tasks(_record, runs(), jobs)
-    else:
-        tasks = list(runs())
-        sizes = [0 if isinstance(task[1], str) else len(task[1]) for task in tasks]
-        # the longest runs start first, so none is left running alone at the end
-        order = sorted(range(len(tasks)), key=lambda i: -sizes[i])
-        trained = [None] * len(tasks)
-        for i, record in zip(order, _map_tasks(_record, [tasks[i] for i in order], jobs)):
-            trained[i] = record
-    records, seen = [], set()
-    for index, keys in plan:
-        record = trained[index]
-        if index in seen:
-            record = dataclasses.replace(record, **keys, wall_time_s=0.0,
-                                         same_as=record.eps_thr)
-        seen.add(index)
+    Every set is drawn before the first run, in this process, so no SVD
+    overlaps a run or runs in a worker. A failed draw becomes its error
+    record here. Each distinct set object is trained once, the largest
+    first, so no long run starts last. A repeat (a greedy set ``qdeim_grid``
+    shares between thresholds) takes its source's record under its own keys,
+    with ``wall_time_s`` 0.0 and ``same_as`` the source's ``eps_thr``."""
+    first = {}    # id of each distinct set -> (the set, the keys it is first drawn at)
+    for keys, samples in zip(grid, sets):
+        if not isinstance(samples, Exception):
+            first.setdefault(id(samples), (samples, keys))
+    runs = sorted(first.values(), key=lambda run: -len(run[0]))
+    trained = _map_tasks(_record, [(sampler, samples, keys, spec, scales, train_cfg)
+                                   for samples, keys in runs], jobs)
+    by_set = {id(samples): record for (samples, _), record in zip(runs, trained)}
+    nan = tuple(np.full(len(spec.terms), np.nan))
+    records = []
+    for keys, samples in zip(grid, sets):
+        if isinstance(samples, Exception):
+            record = ExperimentRecord(sampler=sampler, pde=spec.name, n_samples=0,
+                                      rel_errors=nan, final_p=nan, wall_time_s=0.0,
+                                      error=f"{type(samples).__name__}: {samples}", **keys)
+        else:
+            record = by_set[id(samples)]
+            if first[id(samples)][1] is not keys:
+                record = dataclasses.replace(record, **keys, wall_time_s=0.0,
+                                             same_as=record.eps_thr)
         records.append(record)
     return records
 
 
-def _pivot_key(samples):
-    """What makes two greedy sets one: their per-window pivot lists. None
-    for a random set or a failed draw, which are never shared."""
-    if not isinstance(samples, SampleSet) or not samples.spatial_pivots:
-        return None
-    return (tuple(map(tuple, samples.spatial_pivots)),
-            tuple(map(tuple, samples.temporal_pivots)))
-
-
-def _draws(draw, grid):
-    """``(keys, draw(**keys))`` per keys in ``grid``; a draw that raises
-    gives its exception in place of the samples."""
+def _draws(draw, grid) -> list:
+    """``draw(**keys)`` per keys in ``grid``; a draw that raises gives its
+    exception in place of the samples."""
+    sets = []
     for keys in grid:
         try:
-            yield keys, draw(**keys)
+            sets.append(draw(**keys))
         except Exception as exc:  # the run's record carries it
-            yield keys, exc
+            sets.append(exc)
+    return sets
 
 
 def sweep_greedy(s: SnapshotMatrix, spec: PdeSpec, sweep_cfg: SweepConfig,
@@ -175,8 +148,8 @@ def sweep_greedy(s: SnapshotMatrix, spec: PdeSpec, sweep_cfg: SweepConfig,
     grid = [{"t_div": t_div, "eps_thr": eps}
             for t_div in sweep_cfg.t_divs for eps in sweep_cfg.eps_values]
     # a bad (t_div, eps) ends as its record's error
-    draws = zip(grid, qdeim_grid(s, sweep_cfg.t_divs, sweep_cfg.eps_values))
-    return _run_sweep("greedy", draws, spec, s.scales, train_cfg, jobs)
+    sets = qdeim_grid(s, sweep_cfg.t_divs, sweep_cfg.eps_values)
+    return _run_sweep("greedy", grid, sets, spec, s.scales, train_cfg, jobs)
 
 
 def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
@@ -191,8 +164,8 @@ def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     sizes = [size for size in sample_size_grid(min_n, max_n) for _ in range(repetitions)]
     grid = [{"size": size, "seed": base_seed + run} for run, size in enumerate(sizes)]
-    return _run_sweep("random", _draws(functools.partial(random_sample, s), grid), spec,
-                      s.scales, train_cfg, jobs)
+    return _run_sweep("random", grid, _draws(functools.partial(random_sample, s), grid),
+                      spec, s.scales, train_cfg, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +254,7 @@ def cluster_records(records: list[ExperimentRecord], coef_index: int, k: int = 2
 # persistence
 
 CSV_FIELDS = ["sampler", "pde", "t_div", "eps_thr", "size", "seed",
-              "n_samples", "coef_index", "rel_error", "wall_time_s"]
+              "n_samples", "coef_index", "rel_error", "wall_time_s", "same_as"]
 
 
 def export_results(records: list[ExperimentRecord], path) -> None:
@@ -304,6 +277,7 @@ def export_results(records: list[ExperimentRecord], path) -> None:
                         "coef_index": ci,
                         "rel_error": "%.17g" % err,
                         "wall_time_s": "%.6f" % rec.wall_time_s,
+                        "same_as": "" if rec.same_as is None else "%.17g" % rec.same_as,
                     })
     elif suffix == ".json":
         payload = [dataclasses.asdict(rec) for rec in records]

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import csv
-import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,16 +114,18 @@ def qdeim_window(u_window, eps_values) -> list[tuple[list[int], list[int]]]:
     return pairs
 
 
-def qdeim_grid(s: SnapshotMatrix, t_divs, eps_values) -> Iterator[SampleSet | Exception]:
+def qdeim_grid(s: SnapshotMatrix, t_divs, eps_values) -> list[SampleSet | Exception]:
     """Greedy sample sets over the (t_div, eps) grid, t_div-major: one item
     per pair, the set or the exception that pair raised.
 
     Each t_div's windows are factored once for all thresholds (see
-    ``qdeim_window``), one t_div at a time as the items are drawn. A bad
-    threshold fails its own pair; a bad t_div, or a window that cannot be
-    factored, fails every threshold of that t_div.
+    ``qdeim_window``). The pivots depend only on the window and its rank, so
+    thresholds that give every window of a t_div the same rank get the same
+    ``SampleSet`` object. A bad threshold fails its own pair; a bad t_div, or
+    a window that cannot be factored, fails every threshold of that t_div.
     """
     eps_values = tuple(eps_values)
+    items, by_ranks = [], {}  # (t_div, per-window ranks) -> the set they select
     for t_div in t_divs:
         configs = []
         for eps_thr in eps_values:
@@ -138,14 +138,20 @@ def qdeim_grid(s: SnapshotMatrix, t_divs, eps_values) -> Iterator[SampleSet | Ex
             bounds = subdivide_time(s.m, t_div) if valid else []
             windows = [qdeim_window(s.u[:, start:end], valid) for start, end in bounds]
         except Exception as exc:  # every valid pair's item
-            sets = itertools.repeat(exc)
-        else:  # the k-th valid pair's set, built as it is drawn
-            sets = (_pivot_grid(s, [list(w[k][0]) for w in windows],
-                                [[start + j for j in w[k][1]]
-                                 for (start, _), w in zip(bounds, windows)])
-                    for k in range(len(valid)))
-        for cfg in configs:
-            yield cfg if isinstance(cfg, Exception) else next(sets)
+            items += [c if isinstance(c, Exception) else exc for c in configs]
+            continue
+        pivots = iter(zip(*windows))  # per valid pair, its (spatial, temporal) per window
+        for item in configs:
+            if isinstance(item, QdeimConfig):
+                pairs = next(pivots)
+                key = (t_div, tuple(len(sp) for sp, _ in pairs))
+                if key not in by_ranks:
+                    by_ranks[key] = _pivot_grid(s, [list(sp) for sp, _ in pairs],
+                                                [[start + j for j in tp]
+                                                 for (start, _), (_, tp) in zip(bounds, pairs)])
+                item = by_ranks[key]
+            items.append(item)
+    return items
 
 
 def qdeim_sample(s: SnapshotMatrix, cfg: QdeimConfig) -> SampleSet:

@@ -20,7 +20,7 @@ from pdegreedy.features import (PRESETS, DomainScales, build_theta,
                                 composite_loss_and_bar, get_pde_spec, physical_u_t,
                                 preset, relative_error, solve_parameters)
 from pdegreedy.linalg import pivoted_qr, qr_least_squares, svd
-from pdegreedy.sampling import QdeimConfig, qdeim_sample, random_sample
+from pdegreedy.sampling import QdeimConfig, qdeim_grid, qdeim_sample, random_sample
 from pdegreedy.siren import (DEFAULT_WIDTHS, _layer_views, forward, forward_jet,
                              forward_jet_with_cache, init_siren, jet_backward)
 from pdegreedy.snapshots import load_snapshot, save_snapshot
@@ -75,17 +75,16 @@ class TestCriterion1SampleCounts:
                 assert ok
             else:
                 # substitute: the pairing identity |samples| = sum_w r_w^2
-                # over the full (t_div, eps) grid, under 10 s per dataset
+                # over the full (t_div, eps) grid, under 10 s per dataset,
+                # drawn by the sampler sweeps use (one SVD per window)
                 snapshot = generated[pde]
                 sweep = SweepConfig(eps_values=eps_grid(*preset(pde).eps_range))
                 started = time.perf_counter()
-                for t_div in (1, 2, 3, 4):
-                    for eps in sweep.eps_values:
-                        ss = qdeim_sample(snapshot,
-                                          QdeimConfig(t_div=t_div, eps_thr=eps))
-                        expected_count = sum(len(sp) ** 2
-                                             for sp in ss.spatial_pivots)
-                        assert len(ss) == expected_count
+                sets = qdeim_grid(snapshot, (1, 2, 3, 4), sweep.eps_values)
+                assert len(sets) == 80
+                for ss in sets:
+                    expected_count = sum(len(sp) ** 2 for sp in ss.spatial_pivots)
+                    assert len(ss) == expected_count
                 elapsed = time.perf_counter() - started
                 ok = report(
                     f"criterion 1 ({pde}, synthetic substitute)",

@@ -384,11 +384,12 @@ class TestSweepBaselineCluster:
             "--pde", "burgers", "--min-n", "5", "--max-n", "16", "--reps", "1",
             "--max-iter", "1", "--widths", "2,6,1", "--out-dir", tmp_path)
         code = run("cluster", "--results", tmp_path / "records.json",
-                   "--k", "3", "--n-init", "5", "--format", "json",
-                   "--out-dir", tmp_path)
+                   "--k", "3", "--n-init", "5", "--out-dir", tmp_path)
         assert code == 0
         payload = json.loads((tmp_path / "centroids.json").read_text())
         assert len(payload["0"]["centroids"]) == 3
+        rows = (tmp_path / "centroids.csv").read_text().splitlines()
+        assert len(rows) == 1 + sum(len(c["centroids"]) for c in payload.values())
 
     def test_cluster_reads_exported_records(self, tmp_path):
         export_results(_records(4), tmp_path / "records.json")
@@ -415,7 +416,7 @@ class TestSweepBaselineCluster:
 
 # Flags that are not config keys; the last four only for train and sample.
 PATH_FLAGS = {"--out-dir", "--config", "--snapshot", "--pde", "--data-dir", "--spec-file",
-              "--results", "--coef", "--format", "--t-div", "--eps", "--random", "--size"}
+              "--results", "--coef", "--t-div", "--eps", "--random", "--size"}
 SAMPLER_FLAGS = {"--t-div", "--eps", "--random", "--size"}
 # One --config value per declared type that the type must refuse.
 WRONG_TYPE = {"int": "3", "float": "1e-3", "str": 3, "int list": [2.5],

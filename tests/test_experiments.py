@@ -243,7 +243,7 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         n_coefs = len(greedy_records[0].rel_errors)
         assert lines[0] == ("sampler,pde,t_div,eps_thr,size,seed,"
-                            "n_samples,coef_index,rel_error,wall_time_s")
+                            "n_samples,coef_index,rel_error,wall_time_s,same_as")
         assert len(lines) - 1 == 80 * n_coefs
 
     def test_other_suffix_refused(self, greedy_records, tmp_path):
@@ -361,21 +361,22 @@ class TestPoolWorkers:
         assert np.array([r.final_p for r in parallel]).tobytes() == \
             np.array([r.final_p for r in serial]).tobytes()
 
-    def test_largest_sets_submitted_first(self, small_snapshot, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_largest_sets_submitted_first(self, small_snapshot, monkeypatch, jobs):
         submitted = []
 
-        def serial_map(fn, tasks, jobs):
+        def serial_map(fn, tasks, workers):
             submitted.extend(len(task[1]) for task in tasks)
             return [fn(task) for task in tasks]
 
         monkeypatch.setattr(experiments, "_map_tasks", serial_map)
         spec = get_pde_spec("burgers")
         train_cfg = TrainConfig(max_iter=1, widths=FAST_WIDTHS)
-        parallel = sweep_greedy(small_snapshot, spec, DUPLICATED, train_cfg, jobs=2)
+        ordered = sweep_greedy(small_snapshot, spec, DUPLICATED, train_cfg, jobs=jobs)
         assert submitted == sorted(submitted, reverse=True) and len(submitted) == 4
         monkeypatch.undo()
-        assert _fields(parallel) == _fields(sweep_greedy(small_snapshot, spec, DUPLICATED,
-                                                         train_cfg, jobs=1))
+        assert _fields(ordered) == _fields(sweep_greedy(small_snapshot, spec, DUPLICATED,
+                                                        train_cfg, jobs=1))
 
     def test_failed_draw_keeps_its_position(self, small_snapshot):
         # eps_thr = 1.5 is no rank threshold: that draw fails, its neighbours train

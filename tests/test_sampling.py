@@ -1,4 +1,5 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -158,6 +159,13 @@ class TestQdeimGrid:
         ranks = {(len(ss.spatial_pivots), w, len(sp))
                  for ss in sets for w, sp in enumerate(ss.spatial_pivots)}
         assert calls == {"svd": 10, "pivoted_qr": 2 * len(ranks)}
+
+    def test_equal_pivots_share_one_set(self, small_snapshot):
+        sets = qdeim_grid(small_snapshot, (1, 2, 3, 4), np.logspace(-14, -1, 14))
+        pivots = [(ss.spatial_pivots, ss.temporal_pivots) for ss in sets]
+        assert len({id(ss) for ss in sets}) < len(sets)  # some thresholds repeat ranks
+        for a, b in itertools.combinations(range(len(sets)), 2):
+            assert (sets[a] is sets[b]) == (pivots[a] == pivots[b])
 
     def test_failures_keep_their_position(self, small_snapshot):
         # t_div 0 and 99 > m fail every threshold, eps 1.5 only itself
