@@ -26,22 +26,31 @@ least two blocks once n >= 2), so each block's stacks stay in cache
 instead of streaming from memory. The Jet still covers the whole batch;
 the backward pass takes each block's slice of the jet cotangents and sums
 the blocks' gradients in block order. Blocks are striped over one thread
-per usable core, the calling thread taking the first stripe; numpy's
-ufuncs and matmul release the GIL. numpy's BLAS pool reads one thread
-whenever a pass runs (``linalg`` sets it at import), so the stripes have
-the cores to themselves, every block computes the same bytes on any
-thread and output does not depend on the core count.
+per usable core, the calling thread taking the first stripe; a pass over
+fewer than 200 points runs as one stripe, where a second thread costs
+more than it saves. numpy's ufuncs and matmul release the GIL. numpy's
+BLAS pool reads one thread whenever a pass runs (``linalg`` sets it at
+import), so the stripes have the cores to themselves, every block
+computes the same bytes on any thread and output does not depend on the
+core count.
 
 The cache of ``forward_jet_with_cache`` holds, per block, a list of
-views of one flat buffer: the input streams, per hidden layer its
+views of one flat buffer with only what ``jet_backward`` reads: the input
+streams, layer 0's sine streams, per further hidden layer its
 pre-activation streams (cos(a_0) in the value slot) and its sine
-streams, the output streams and one scratch buffer. A cache serves one
-``jet_backward`` call per forward pass; that call works in the cache's
-own buffers, turning each sine stack into its cotangents once the stack
-has been read. Passing the cache back as ``out=`` lets the next forward
-pass reuse its buffers, so a training loop allocates them once.
-``forward_jet`` runs the same blocks without a cache: each stripe works in
-one block's buffers, allocated before the stripes start.
+streams, and the output streams. The same flat buffer holds one work
+buffer per stripe, for what no block needs once its pass is done: a
+pre-activation stack and the scratch (a temporary and P_1..P_{K-1}).
+Layer 0's pre-activation stack lives there: the input streams have two
+columns, so ``jet_backward`` rebuilds it with the forward pass's GEMM,
+then cos of its value slot, instead of keeping it per block. A cache
+serves one ``jet_backward`` call per forward pass; that call works in the
+cache's own buffers, turning each sine stack into its cotangents once the
+stack has been read. Passing the cache back as ``out=`` lets the next
+forward pass reuse its buffers, so a training loop allocates them once.
+``forward_jet`` runs the same blocks without a cache: each stripe has its
+work buffer, one sine stack and the input and output stacks, and every
+layer of every block reuses them.
 """
 
 from __future__ import annotations
@@ -164,10 +173,15 @@ def forward(net: SirenNet, t, x):
     """Evaluate u = net(t, x); scalar or elementwise over equal-length arrays."""
     t_arr, x_arr, scalar = _broadcast_inputs(t, x)
     a = np.column_stack([t_arr, x_arr])
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = np.sin(net.omega0 * (a @ w.T + b))
-    out = (a @ net.weights[-1].T + net.biases[-1])[:, 0]
-    return float(out[0]) if scalar else out
+    *hidden, (w_out, b_out) = zip(net.weights, net.biases)
+    for w, b in hidden:
+        a = a @ w.T  # the layer's one buffer, computed in place from here
+        a += b
+        a *= net.omega0
+        np.sin(a, out=a)
+    u = a @ w_out.T
+    u += b_out
+    return float(u[0, 0]) if scalar else u[:, 0]
 
 
 def forward_jet(net: SirenNet, t, x, max_x_order: int = 3) -> Jet:
@@ -175,16 +189,24 @@ def forward_jet(net: SirenNet, t, x, max_x_order: int = 3) -> Jet:
     scalar (t, x) gives a one-point jet.
 
     A forward-only pass over the blocks of ``forward_jet_with_cache``, so the
-    same bytes, that keeps nothing for a backward pass: each stripe of blocks
-    reuses one block's buffers, so no cache of the whole batch is built.
+    same bytes, that keeps nothing for a backward pass: each stripe has its
+    work buffer, one sine stack and the input and output stacks, and every
+    layer of every block reuses them, so no cache of the whole batch is built.
     """
     t_arr, x_arr, bounds = _pass_inputs(t, x, max_x_order)
-    shapes = [_cache_shapes(net.widths, hi - lo, max_x_order) for lo, hi in bounds]
-    stripes = min(len(bounds), jet_threads())
-    size = max(sum(math.prod(shape) for shape in block) for block in shapes)
-    flats = [np.empty(size) for _ in range(stripes)]  # block i runs on stripe i mod stripes
-    return _forward_pass(net, t_arr, x_arr, max_x_order, bounds,
-                         lambda i: _views(flats[i % stripes], shapes[i]), np.float64, stripes)
+    stripes, n, hidden = _stripes(bounds), bounds[0][1], net.widths[1:-1]
+    streams = max_x_order + 2
+    sizes = _work_sizes(net.widths, n, max_x_order) + [
+        streams * n * max(hidden, default=0), streams * n * 2, streams * n]
+    flats = [_views(np.empty(sum(sizes)), [(size,) for size in sizes]) for _ in range(stripes)]
+
+    def buffers(i):  # block i runs on stripe i mod stripes
+        pre, scratch, sine, c, out = flats[i % stripes]
+        shape = (streams, bounds[i][1] - bounds[i][0])
+        layers = [(_take(pre, shape + (w,)), _take(sine, shape + (w,))) for w in hidden]
+        return _take(c, shape + (2,)), layers, _take(out, shape + (1,)), scratch
+
+    return _forward_pass(net, t_arr, x_arr, max_x_order, bounds, buffers, np.float64, stripes)
 
 
 def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None, *,
@@ -196,18 +218,25 @@ def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None, 
     the cache, so of the Taylor streams, the weights as the kernel reads
     them and the backward pass; the Jet is float64 either way. Passing an
     earlier cache as ``out`` reuses its buffers when the network widths,
-    the number of points, the order and the dtype match; otherwise a new
-    cache is made.
+    the number of points, the order, the dtype and the number of stripes
+    match; otherwise a new cache is made.
     """
     t_arr, x_arr, bounds = _pass_inputs(t, x, max_x_order)
     shapes = [_cache_shapes(net.widths, hi - lo, max_x_order) for lo, hi in bounds]
-    if (isinstance(out, _JetCache) and out[0][0].dtype == dtype
+    stripes = _stripes(bounds)
+    if (isinstance(out, _JetCache) and out[0][0].dtype == dtype and len(out.work) == stripes
             and [[b.shape for b in block] for block in out] == shapes):
         cache = out
     else:
-        cache = _JetCache.allocate(shapes, dtype)
+        cache = _JetCache.allocate(
+            shapes, _work_sizes(net.widths, bounds[0][1], max_x_order), stripes, dtype)
     cache.bounds, cache.armed = bounds, True
-    return _forward_pass(net, t_arr, x_arr, max_x_order, bounds, cache.__getitem__, dtype), cache
+
+    def buffers(i):
+        block, (pre, scratch) = cache[i], cache.work[i % stripes]
+        return block[0], _hidden_stacks(block, pre), block[-1], scratch
+
+    return _forward_pass(net, t_arr, x_arr, max_x_order, bounds, buffers, dtype, stripes), cache
 
 
 # ---------------------------------------------------------------------------
@@ -225,24 +254,27 @@ _pool = None     # (pid, ThreadPoolExecutor), made by the first pass that needs 
 
 class _JetCache(list):
     """Buffers of one jet pass, one list per sample block: [input stack,
-    then per hidden layer its pre-activation stack A and sine stack S,
-    output stack, flat scratch], each at the block's size. ``bounds``
+    layer 0's sine stack S, then per further hidden layer its
+    pre-activation stack A and sine stack S, output stack], each at the
+    block's size. ``work`` holds one [pre-activation, scratch] pair of flat
+    buffers per stripe, block i using stripe i mod len(work)'s. ``bounds``
     holds the blocks' sample ranges; ``armed`` is set by a forward pass
     and cleared by the jet_backward call that uses it."""
 
     armed = False
     bounds: list[tuple[int, int]]
+    work: list[list[np.ndarray]]
 
     @classmethod
-    def allocate(cls, shapes, dtype) -> "_JetCache":
-        """Views of one flat buffer, one per shape in ``shapes`` (a list per
-        block), so a whole cache is one allocation and one free."""
-        flat = np.empty(sum(math.prod(shape) for block in shapes for shape in block), dtype)
-        cache, pos = cls(), 0
-        for block in shapes:
-            size = sum(math.prod(shape) for shape in block)
-            cache.append(_views(flat[pos:pos + size], block))
-            pos += size
+    def allocate(cls, shapes, work_sizes, stripes: int, dtype) -> "_JetCache":
+        """Views of one flat buffer: one per shape in ``shapes`` (a list per
+        block), then ``stripes`` work buffers of ``work_sizes``, so a whole
+        cache is one allocation and one free."""
+        flat_shapes = [shape for block in shapes for shape in block]
+        flat_shapes += [(size,) for size in work_sizes] * stripes
+        views = iter(_views(np.empty(sum(map(math.prod, flat_shapes)), dtype), flat_shapes))
+        cache = cls([[next(views) for _ in block] for block in shapes])
+        cache.work = [[next(views) for _ in work_sizes] for _ in range(stripes)]
         return cache
 
 
@@ -256,12 +288,25 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
+def _take(flat: np.ndarray, shape) -> np.ndarray:
+    """The first prod(shape) entries of ``flat`` as an array of ``shape``."""
+    return flat[:math.prod(shape)].reshape(shape)
+
+
 def _blocks(n: int) -> list[tuple[int, int]]:
     """Contiguous sample ranges of a pass over n points: max(2, ceil(n /
     BLOCK)) blocks of one size, the last one possibly shorter. One point
     (or none) is one block."""
     size = max(1, math.ceil(n / max(2, math.ceil(n / BLOCK))))
     return [(lo, min(lo + size, n)) for lo in range(0, max(n, 1), size)]
+
+
+def _stripes(bounds) -> int:
+    """Stripes of a pass over the sample blocks ``bounds``: one per jet
+    thread, at most one per block, and one below 200 points. On a 2-core VM
+    two stripes were slower at 47, 91 and 150 points and faster at 242
+    (interleaved runs of 60 training iterations)."""
+    return 1 if bounds[-1][1] < 200 else min(len(bounds), jet_threads())
 
 
 def jet_threads() -> int:
@@ -302,12 +347,10 @@ def _stripe(run, first: int, step: int, count: int) -> None:
         run(i)
 
 
-def _run_blocks(run, count: int, stripes: int | None = None) -> None:
-    """``run(i)`` for every block i, with block i on stripe i mod T of
-    T = ``stripes`` stripes, by default min(count, jet_threads()): the
-    calling thread takes stripe 0, pool threads the others. numpy's ufuncs
-    and matmul release the GIL, so the stripes run on separate cores."""
-    stripes = stripes or min(count, jet_threads())
+def _run_blocks(run, count: int, stripes: int) -> None:
+    """``run(i)`` for every block i, with block i on stripe i mod ``stripes``:
+    the calling thread takes stripe 0, pool threads the others. numpy's
+    ufuncs and matmul release the GIL, so the stripes run on separate cores."""
     futures = [_executor().submit(_stripe, run, s, stripes, count) for s in range(1, stripes)]
     try:
         _stripe(run, 0, stripes, count)
@@ -327,17 +370,27 @@ def _kernel_layers(net: SirenNet, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _cache_shapes(widths, n: int, order: int) -> list[tuple[int, ...]]:
-    streams, hidden = order + 2, widths[1:-1]
-    shapes = [(streams, n, widths[0])]
-    for width in hidden:
-        shapes += [(streams, n, width)] * 2
-    # scratch: the forward pass needs a temporary and P_1..P_{K-1}
-    return shapes + [(streams, n, widths[-1]), (order * n * max(hidden, default=0),)]
+    """A cached block's stacks over n points: input, layer 0's sine stack,
+    (A, S) per further hidden layer, output."""
+    streams = order + 2
+    pairs = [(streams, n, width) for width in widths[1:-1] for _ in range(2)]  # (A, S) each
+    return [(streams, n, widths[0])] + pairs[1:] + [(streams, n, widths[-1])]
 
 
-def _scratch(cache, count: int, n: int, width: int) -> np.ndarray:
-    """``count`` (n, width) views of the flat scratch, shared by layers of any width."""
-    return cache[-1][:count * n * width].reshape(count, n, width)
+def _work_sizes(widths, n: int, order: int) -> list[int]:
+    """Flat sizes of a stripe's work buffer over blocks of at most n points:
+    a pre-activation stack at the widest hidden width, then the scratch, a
+    temporary and P_1..P_{K-1} (order (n, width) buffers)."""
+    widest = max(widths[1:-1], default=0)
+    return [(order + 2) * n * widest, order * n * widest]
+
+
+def _hidden_stacks(block, pre) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each hidden layer's (pre-activation, sine) stacks of a cached block;
+    layer 0's pre-activation is a view of the stripe's work buffer ``pre``."""
+    sines = block[1:-1:2]
+    pres = [_take(pre, sines[0].shape)] + block[2:-1:2] if sines else []
+    return list(zip(pres, sines))
 
 
 def _pass_inputs(t, x, order: int):
@@ -349,16 +402,17 @@ def _pass_inputs(t, x, order: int):
     return t_arr, x_arr, _blocks(t_arr.shape[0])
 
 
-def _forward_pass(net, t_arr, x_arr, order, bounds, buffers, dtype, stripes=None) -> Jet:
-    """The jet over the sample blocks ``bounds``, block i computed in the
-    buffer list ``buffers(i)`` at ``dtype``; ``stripes`` as in _run_blocks."""
+def _forward_pass(net, t_arr, x_arr, order, bounds, buffers, dtype, stripes) -> Jet:
+    """The jet over the sample blocks ``bounds`` at ``dtype``, block i
+    computed in the buffers ``buffers(i)`` (_forward_block's first four
+    arguments) on stripe i mod ``stripes``."""
     *hidden, (w_out, b_out) = _kernel_layers(net, dtype)
     factorials = _factorials(order)
     data = np.empty((order + 2, t_arr.shape[0]))
 
     def run(i):
         lo, hi = bounds[i]
-        o = _forward_block(buffers(i), hidden, w_out, b_out, t_arr[lo:hi], x_arr[lo:hi], order)
+        o = _forward_block(*buffers(i), hidden, w_out, b_out, t_arr[lo:hi], x_arr[lo:hi], order)
         # into a new array: the next pass through these buffers overwrites o
         np.multiply(o, factorials, out=data[:, lo:hi])
 
@@ -375,23 +429,23 @@ def _broadcast_inputs(t, x):
     return t_arr, x_arr, scalar
 
 
-def _forward_block(cache, hidden, w_out, b_out, t, x, order):
-    """One block's jet pass into its buffers ``cache``; ``hidden`` holds
-    each hidden layer's (omega0 W, omega0 b). Returns the output streams."""
+def _forward_block(c, layers, out, scratch, hidden, w_out, b_out, t, x, order):
+    """One block's jet pass: ``c`` takes the input stack, ``layers`` holds
+    each hidden layer's (pre-activation, sine) stacks, ``out`` takes the
+    output stack and ``scratch`` is flat; ``hidden`` holds each hidden
+    layer's (omega0 W, omega0 b). Returns the output streams."""
     n = t.shape[0]
     # c[k], k <= order: k-th Taylor coefficient in x; c[-1]: t tangent.
-    c = cache[0]
     c[...] = 0.0
     c[0, :, 0], c[0, :, 1] = t, x
     c[1, :, 1] = 1.0
     c[-1, :, 0] = 1.0
-    for layer, (w, b) in enumerate(hidden):
-        a, s = cache[1 + 2 * layer], cache[2 + 2 * layer]
+    for layer, ((w, b), (a, s)) in enumerate(zip(hidden, layers)):
         _affine(c, w, b, out=a)
-        _sine_streams(a, s, _scratch(cache, order, n, w.shape[0]), order,
+        _sine_streams(a, s, _take(scratch, (order, n, w.shape[0])), order,
                       _top_stream(layer, order))
         c = s
-    return _affine(c, w_out, b_out, out=cache[-2])[..., 0]
+    return _affine(c, w_out, b_out, out=out)[..., 0]
 
 
 def _affine(c, w, b, out):
@@ -478,9 +532,11 @@ def jet_backward(net: SirenNet, cache, bar: Jet) -> np.ndarray:
 
     Runs per sample block in that block's buffers, at the cache's dtype:
     layer by layer, a sine stack is read for the weight gradient and the
-    P_m coefficients, then overwritten by its cotangents. Each block's
-    gradient lands in float64, and the blocks' gradients are summed in
-    block order. One call per forward pass.
+    P_m coefficients, then overwritten by its cotangents. Layer 0's
+    pre-activation stack is rebuilt from the cached input streams and the
+    network's weights, so the network must be as the forward pass read it.
+    Each block's gradient lands in float64, and the blocks' gradients are
+    summed in block order. One call per forward pass.
     """
     if not getattr(cache, "armed", False):
         raise ValueError("spent cache: a forward_jet_with_cache cache serves "
@@ -491,40 +547,48 @@ def jet_backward(net: SirenNet, cache, bar: Jet) -> np.ndarray:
                          f"recorded at order {order} over {n} points")
     cache.armed = False
 
-    scaled = [w for w, _ in _kernel_layers(net, cache[0][0].dtype)]
+    kernel = _kernel_layers(net, cache[0][0].dtype)
     factorials = _factorials(order)
     rows = np.empty((len(cache), net.params.size))  # one gradient per block
+    stripes = len(cache.work)
 
     def run(i):
         lo, hi = cache.bounds[i]
-        _backward_block(cache[i], scaled, bar.data[:, lo:hi], factorials, order,
-                        _layer_views(rows[i], net.widths))
+        _backward_block(cache[i], cache.work[i % stripes], kernel, bar.data[:, lo:hi],
+                        factorials, order, _layer_views(rows[i], net.widths))
 
-    _run_blocks(run, len(cache))
+    _run_blocks(run, len(cache), stripes)
     grad = rows.sum(axis=0)  # numpy adds the rows one after another, in block order
-    grad[:-(scaled[-1].size + net.widths[-1])] *= net.omega0  # all but the output layer
+    grad[:-(kernel[-1][0].size + net.widths[-1])] *= net.omega0  # all but the output layer
     return grad
 
 
-def _backward_block(cache, scaled, bar, factorials, order, out):
-    """One block's reverse pass in its buffers ``cache``, from the block's
-    jet cotangents ``bar``; ``scaled`` holds each layer's weights times its
-    scale. Writes the block's weight and bias gradients, without the scale,
-    into the (weights, biases) views ``out``."""
-    n = cache[0].shape[1]
-    bs = cache[-2]  # the output stack turns into its cotangents
+def _backward_block(block, work, kernel, bar, factorials, order, out):
+    """One block's reverse pass in its buffers ``block`` and its stripe's
+    ``work``, from the block's jet cotangents ``bar``; ``kernel`` holds each
+    layer's (weights, biases) times its scale. Writes the block's weight and
+    bias gradients, without the scale, into the (weights, biases) views
+    ``out``."""
+    pre, scratch = work
+    layers = _hidden_stacks(block, pre)
+    inputs = [block[0]] + [s for _, s in layers]  # each layer's input stack
+    n = block[0].shape[1]
+    bs = block[-1]  # the output stack turns into its cotangents
     np.multiply(bar, factorials, out=bs[..., 0])
     d_weights, d_biases = out
-    for layer in range(len(scaled) - 1, -1, -1):
+    for layer in range(len(kernel) - 1, -1, -1):
         # bs: cotangents of this layer's pre-activation streams, c: its input
-        c = cache[2 * layer]
+        c = inputs[layer]
         flat = bs.reshape(-1, bs.shape[-1])
         np.matmul(flat.T, c.reshape(-1, c.shape[-1]), out=d_weights[layer])
         bs[0].sum(axis=0, out=d_biases[layer])
         if layer == 0:
             break
-        a, w = cache[2 * layer - 1], scaled[layer]
-        tmp = _scratch(cache, 1, n, w.shape[1])[0]
+        a, w = layers[layer - 1][0], kernel[layer][0]
+        if layer == 1:  # layer 0's pre-activation, as _forward_block left it
+            _affine(inputs[0], *kernel[0], out=a)
+            np.cos(a[0], out=a[0])
+        tmp = _take(scratch, (n, w.shape[1]))
         _sine_reverse_coeffs(a, c, order, _top_stream(layer - 1, order), tmp)
         np.matmul(flat, w, out=c.reshape(-1, c.shape[-1]))
         _sine_cotangents(c, a, order, tmp)

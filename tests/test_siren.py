@@ -155,6 +155,17 @@ class TestForward:
         expected += net.biases[-1][0]
         assert forward(net, t0, x0) == pytest.approx(expected, rel=1e-13)
 
+    def test_bytes_equal_the_array_expression(self, rng):
+        # each layer is computed in place in one buffer; the bytes are those
+        # of the plain expression with a new array per operation
+        net = init_siren((2, 32, 24, 1), seed=11)
+        t, x = rng.uniform(0, 1, 3000), rng.uniform(-1, 1, 3000)
+        a = np.column_stack([t, x])
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            a = np.sin(net.omega0 * (a @ w.T + b))
+        expected = (a @ net.weights[-1].T + net.biases[-1])[:, 0]
+        assert forward(net, t, x).tobytes() == expected.tobytes()
+
     def test_batch_matches_scalar(self, rng):
         net = init_siren((2, 8, 1), seed=2)
         t = rng.uniform(0, 1, 5)
@@ -387,23 +398,53 @@ class TestWorkspace:
         # the second pass did not write through the first pass's jet
         assert np.array_equal(jet0.data, kept)
 
-    @pytest.mark.parametrize("change", ["n", "order", "widths", "dtype"])
-    def test_mismatched_cache_is_replaced(self, rng, change):
+    @pytest.mark.parametrize("change", ["n", "order", "widths", "dtype", "stripes"])
+    def test_mismatched_cache_is_replaced(self, rng, monkeypatch, change):
+        if change == "stripes" and linalg.blas_threads()["numpy"] is None:
+            pytest.skip("one jet thread where numpy's BLAS pool is not found")
         net = init_siren((2, 9, 7, 1), seed=5)
-        t, x = rng.uniform(0, 1, 10), rng.uniform(-1, 1, 10)
-        _, _, cache = jet_and_grad(net, t, x, mixed_bar(rng, 10, 2))
-        order = 3 if change == "order" else 2
-        dtype = np.float32 if change == "dtype" else np.float64
-        if change == "n":
-            t, x = t[:6], x[:6]
-        if change == "widths":
-            net = init_siren((2, 9, 6, 1), seed=5)
-        bar = mixed_bar(rng, len(t), order)
-        jet, grad, new = jet_and_grad(net, t, x, bar, out=cache, dtype=dtype)
-        assert new is not cache
-        assert new[0][0].dtype == dtype
-        fresh_jet, fresh_grad, _ = jet_and_grad(net, t, x, bar, dtype=dtype)
-        assert_same_pass((jet, grad), (fresh_jet, fresh_grad))
+        n = 600 if change == "stripes" else 10  # two stripes need 200 points
+        t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
+        # "stripes": made at 2 jet threads, used at 1, then the reverse
+        for made, used in ((2, 1), (1, 2)) if change == "stripes" else ((None, None),):
+            monkeypatch.setattr(siren, "_threads", made)
+            _, _, cache = jet_and_grad(net, t, x, mixed_bar(rng, n, 2))
+            monkeypatch.setattr(siren, "_threads", used)
+            order = 3 if change == "order" else 2
+            dtype = np.float32 if change == "dtype" else np.float64
+            if change == "n":
+                t, x = t[:6], x[:6]
+            if change == "widths":
+                net = init_siren((2, 9, 6, 1), seed=5)
+            bar = mixed_bar(rng, len(t), order)
+            jet, grad, new = jet_and_grad(net, t, x, bar, out=cache, dtype=dtype)
+            assert new is not cache
+            assert new[0][0].dtype == dtype
+            assert len(new.work) == (used or 1)
+            fresh_jet, fresh_grad, _ = jet_and_grad(net, t, x, bar, dtype=dtype)
+            assert_same_pass((jet, grad), (fresh_jet, fresh_grad))
+            # no two stripes share a work buffer
+            for i, mine in enumerate(new.work):
+                for theirs in new.work[i + 1:]:
+                    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+    def test_backward_reads_no_work_buffer_of_the_forward_pass(self, rng, monkeypatch):
+        # everything the backward pass reads of the forward pass is in the
+        # per-block buffers; layer 0's pre-activations are rebuilt
+        monkeypatch.setattr(siren, "_threads", 2)
+        net = init_siren((2, 9, 7, 8, 1), seed=12)
+        n = 1500  # three blocks over two stripes
+        t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
+        for order in (1, 3, 4):
+            bar = mixed_bar(rng, n, order)
+            for dtype in (np.float64, np.float32):
+                expected = jet_and_grad(net, t, x, bar, dtype=dtype)[1]
+                _, cache = forward_jet_with_cache(net, t, x, order, dtype=dtype)
+                assert len(cache.work) == siren.jet_threads()
+                for work in cache.work:
+                    for buffer in work:
+                        buffer.fill(np.nan)
+                assert jet_backward(net, cache, bar).tobytes() == expected.tobytes()
 
     def test_reused_pass_allocates_under_half_a_stack(self, rng):
         n, order, width = 200, 3, 64
@@ -442,23 +483,25 @@ class TestBlocks:
         # as on one core and on two: one jet thread, then two, with numpy's
         # BLAS pool as import leaves it and right after a threaded SVD
         net = init_siren((2, 32, 32, 1), seed=3)
-        n = 2000  # four blocks at the default block size
-        t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
-        bar = mixed_bar(rng, n, 3)
-        passes = {np.float64: [], np.float32: []}
-        for threads in (1, 2):
-            monkeypatch.setattr(siren, "_threads", threads)
-            for after_svd in (False, True):
-                if after_svd:
-                    linalg.svd(rng.standard_normal((300, 120)))
-                for dtype, same in passes.items():
-                    assert linalg.blas_threads()["numpy"] in (None, 1)
-                    jet, grad, cache = jet_and_grad(net, t, x, bar, dtype=dtype)
-                    same.append((jet, grad))
-                    assert len(cache) == 4
-        for same in passes.values():
-            for other in same[1:]:
-                assert_same_pass(same[0], other)
+        # four blocks at the default block size; two blocks on one stripe
+        for n, blocks in ((2000, 4), (150, 2)):
+            t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
+            bar = mixed_bar(rng, n, 3)
+            passes = {np.float64: [], np.float32: []}
+            for threads in (1, 2):
+                monkeypatch.setattr(siren, "_threads", threads)
+                for after_svd in (False, True):
+                    if after_svd:
+                        linalg.svd(rng.standard_normal((300, 120)))
+                    for dtype, same in passes.items():
+                        assert linalg.blas_threads()["numpy"] in (None, 1)
+                        jet, grad, cache = jet_and_grad(net, t, x, bar, dtype=dtype)
+                        same.append((jet, grad))
+                        assert len(cache) == blocks
+                        assert len(cache.work) == (1 if n < 200 else siren.jet_threads())
+            for same in passes.values():
+                for other in same[1:]:
+                    assert_same_pass(same[0], other)
 
     @pytest.mark.parametrize("order", [1, 3, 4])
     def test_blocked_pass_matches_one_block(self, rng, monkeypatch, order):
