@@ -26,19 +26,17 @@ least two blocks once n >= 2), so each block's stacks stay in cache
 instead of streaming from memory. The Jet still covers the whole batch;
 the backward pass takes each block's slice of the jet cotangents and sums
 the blocks' gradients in block order. Blocks are striped over one thread
-per usable core, the calling thread taking the first stripe; a pass over
-fewer than 200 points runs as one stripe, where a second thread costs
-more than it saves. numpy's ufuncs and matmul release the GIL. numpy's
-BLAS pool reads one thread whenever a pass runs (``linalg`` sets it at
-import), so the stripes have the cores to themselves, every block
-computes the same bytes on any thread and output does not depend on the
-core count.
+per usable core, the calling thread taking the first stripe; numpy's
+ufuncs and matmul release the GIL. numpy's BLAS pool reads one thread
+whenever a pass runs (``linalg`` sets it at import), so the stripes have
+the cores to themselves, every block computes the same bytes on any
+thread and output does not depend on the core count.
 
 The cache of ``forward_jet_with_cache`` holds, per block, a list of
-views of one flat buffer with only what ``jet_backward`` reads: the input
-streams, layer 0's sine streams, per further hidden layer its
-pre-activation streams (cos(a_0) in the value slot) and its sine
-streams, and the output streams. The same flat buffer holds one work
+views of one flat buffer (each view starting on a 64-byte boundary) with
+only what ``jet_backward`` reads: the input streams, layer 0's sine
+streams, per further hidden layer its pre-activation streams (cos(a_0)
+in the value slot) and its sine streams, and the output streams. The same flat buffer holds one work
 buffer per stripe, for what no block needs once its pass is done: a
 pre-activation stack and the scratch (a temporary and P_1..P_{K-1}).
 Layer 0's pre-activation stack lives there: the input streams have two
@@ -194,11 +192,11 @@ def forward_jet(net: SirenNet, t, x, max_x_order: int = 3) -> Jet:
     layer of every block reuses them, so no cache of the whole batch is built.
     """
     t_arr, x_arr, bounds = _pass_inputs(t, x, max_x_order)
-    stripes, n, hidden = _stripes(bounds), bounds[0][1], net.widths[1:-1]
+    stripes, n, hidden = min(len(bounds), jet_threads()), bounds[0][1], net.widths[1:-1]
     streams = max_x_order + 2
     sizes = _work_sizes(net.widths, n, max_x_order) + [
         streams * n * max(hidden, default=0), streams * n * 2, streams * n]
-    flats = [_views(np.empty(sum(sizes)), [(size,) for size in sizes]) for _ in range(stripes)]
+    flats = [_carve([(size,) for size in sizes], np.float64) for _ in range(stripes)]
 
     def buffers(i):  # block i runs on stripe i mod stripes
         pre, scratch, sine, c, out = flats[i % stripes]
@@ -223,7 +221,7 @@ def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None, 
     """
     t_arr, x_arr, bounds = _pass_inputs(t, x, max_x_order)
     shapes = [_cache_shapes(net.widths, hi - lo, max_x_order) for lo, hi in bounds]
-    stripes = _stripes(bounds)
+    stripes = min(len(bounds), jet_threads())
     if (isinstance(out, _JetCache) and out[0][0].dtype == dtype and len(out.work) == stripes
             and [[b.shape for b in block] for block in out] == shapes):
         cache = out
@@ -272,19 +270,24 @@ class _JetCache(list):
         cache is one allocation and one free."""
         flat_shapes = [shape for block in shapes for shape in block]
         flat_shapes += [(size,) for size in work_sizes] * stripes
-        views = iter(_views(np.empty(sum(map(math.prod, flat_shapes)), dtype), flat_shapes))
+        views = iter(_carve(flat_shapes, dtype))
         cache = cls([[next(views) for _ in block] for block in shapes])
         cache.work = [[next(views) for _ in work_sizes] for _ in range(stripes)]
         return cache
 
 
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of ``flat``, one per shape."""
-    views, pos = [], 0
+def _carve(shapes, dtype) -> list[np.ndarray]:
+    """Views of one new flat buffer, one per shape, in order, each starting
+    on a 64-byte boundary. Packed end to end instead, the views of a
+    float32 cache over 242 points made both jet passes about 9 % slower
+    (2-core Xeon VM)."""
+    step = 64 // np.dtype(dtype).itemsize
+    flat = np.empty(sum(-(-math.prod(shape) // step) * step for shape in shapes) + step, dtype)
+    views, pos = [], (-flat.ctypes.data // flat.itemsize) % step
     for shape in shapes:
         size = math.prod(shape)
         views.append(flat[pos:pos + size].reshape(shape))
-        pos += size
+        pos += -(-size // step) * step
     return views
 
 
@@ -299,14 +302,6 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     (or none) is one block."""
     size = max(1, math.ceil(n / max(2, math.ceil(n / BLOCK))))
     return [(lo, min(lo + size, n)) for lo in range(0, max(n, 1), size)]
-
-
-def _stripes(bounds) -> int:
-    """Stripes of a pass over the sample blocks ``bounds``: one per jet
-    thread, at most one per block, and one below 200 points. On a 2-core VM
-    two stripes were slower at 47, 91 and 150 points and faster at 242
-    (interleaved runs of 60 training iterations)."""
-    return 1 if bounds[-1][1] < 200 else min(len(bounds), jet_threads())
 
 
 def jet_threads() -> int:

@@ -398,35 +398,60 @@ class TestWorkspace:
         # the second pass did not write through the first pass's jet
         assert np.array_equal(jet0.data, kept)
 
-    @pytest.mark.parametrize("change", ["n", "order", "widths", "dtype", "stripes"])
-    def test_mismatched_cache_is_replaced(self, rng, monkeypatch, change):
-        if change == "stripes" and linalg.blas_threads()["numpy"] is None:
+    @pytest.mark.parametrize("change", ["n", "order", "widths", "dtype"])
+    def test_mismatched_cache_is_replaced(self, rng, change):
+        net = init_siren((2, 9, 7, 1), seed=5)
+        t, x = rng.uniform(0, 1, 10), rng.uniform(-1, 1, 10)
+        _, _, cache = jet_and_grad(net, t, x, mixed_bar(rng, 10, 2))
+        order = 3 if change == "order" else 2
+        dtype = np.float32 if change == "dtype" else np.float64
+        if change == "n":
+            t, x = t[:6], x[:6]
+        if change == "widths":
+            net = init_siren((2, 9, 6, 1), seed=5)
+        bar = mixed_bar(rng, len(t), order)
+        jet, grad, new = jet_and_grad(net, t, x, bar, out=cache, dtype=dtype)
+        assert new is not cache
+        assert new[0][0].dtype == dtype
+        fresh_jet, fresh_grad, _ = jet_and_grad(net, t, x, bar, dtype=dtype)
+        assert_same_pass((jet, grad), (fresh_jet, fresh_grad))
+
+    @pytest.mark.parametrize("made, used", [(2, 1), (1, 2)])
+    def test_cache_of_other_stripe_count_is_replaced(self, rng, monkeypatch, made, used):
+        if linalg.blas_threads()["numpy"] is None:
             pytest.skip("one jet thread where numpy's BLAS pool is not found")
         net = init_siren((2, 9, 7, 1), seed=5)
-        n = 600 if change == "stripes" else 10  # two stripes need 200 points
+        t, x = rng.uniform(0, 1, 10), rng.uniform(-1, 1, 10)  # two blocks
+        bar = mixed_bar(rng, 10, 2)
+        monkeypatch.setattr(siren, "_threads", made)
+        _, _, cache = jet_and_grad(net, t, x, bar)
+        monkeypatch.setattr(siren, "_threads", used)
+        jet, grad, new = jet_and_grad(net, t, x, bar, out=cache)
+        assert new is not cache
+        assert len(new.work) == used
+        assert_same_pass((jet, grad), jet_and_grad(net, t, x, bar)[:2])
+        # no two stripes share a work buffer
+        for i, mine in enumerate(new.work):
+            for theirs in new.work[i + 1:]:
+                assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+    def test_cache_bytes_per_point(self, rng):
+        # per point the blocks keep the input, every hidden layer's sine
+        # stack, the pre-activation stacks of hidden layers 1 and up and the
+        # output: (K + 2)(2 + w_1 + 2 sum_{l>=2} w_l + 1) numbers
+        net = init_siren((2, 128, 128, 128, 1), seed=0)
+        n = 600
         t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
-        # "stripes": made at 2 jet threads, used at 1, then the reverse
-        for made, used in ((2, 1), (1, 2)) if change == "stripes" else ((None, None),):
-            monkeypatch.setattr(siren, "_threads", made)
-            _, _, cache = jet_and_grad(net, t, x, mixed_bar(rng, n, 2))
-            monkeypatch.setattr(siren, "_threads", used)
-            order = 3 if change == "order" else 2
-            dtype = np.float32 if change == "dtype" else np.float64
-            if change == "n":
-                t, x = t[:6], x[:6]
-            if change == "widths":
-                net = init_siren((2, 9, 6, 1), seed=5)
-            bar = mixed_bar(rng, len(t), order)
-            jet, grad, new = jet_and_grad(net, t, x, bar, out=cache, dtype=dtype)
-            assert new is not cache
-            assert new[0][0].dtype == dtype
-            assert len(new.work) == (used or 1)
-            fresh_jet, fresh_grad, _ = jet_and_grad(net, t, x, bar, dtype=dtype)
-            assert_same_pass((jet, grad), (fresh_jet, fresh_grad))
-            # no two stripes share a work buffer
-            for i, mine in enumerate(new.work):
-                for theirs in new.work[i + 1:]:
-                    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+        _, cache = forward_jet_with_cache(net, t, x, 3, dtype=np.float32)
+        assert sum(a.nbytes for block in cache for a in block) == 12_860 * n
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_every_buffer_starts_on_a_cache_line(self, rng, dtype):
+        net = init_siren((2, 9, 7, 1), seed=5)
+        t, x = rng.uniform(0, 1, 11), rng.uniform(-1, 1, 11)
+        _, cache = forward_jet_with_cache(net, t, x, 3, dtype=dtype)
+        buffers = [a for block in cache for a in block] + [a for work in cache.work for a in work]
+        assert [a.ctypes.data % 64 for a in buffers] == [0] * len(buffers)
 
     def test_backward_reads_no_work_buffer_of_the_forward_pass(self, rng, monkeypatch):
         # everything the backward pass reads of the forward pass is in the
@@ -483,25 +508,23 @@ class TestBlocks:
         # as on one core and on two: one jet thread, then two, with numpy's
         # BLAS pool as import leaves it and right after a threaded SVD
         net = init_siren((2, 32, 32, 1), seed=3)
-        # four blocks at the default block size; two blocks on one stripe
-        for n, blocks in ((2000, 4), (150, 2)):
-            t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
-            bar = mixed_bar(rng, n, 3)
-            passes = {np.float64: [], np.float32: []}
-            for threads in (1, 2):
-                monkeypatch.setattr(siren, "_threads", threads)
-                for after_svd in (False, True):
-                    if after_svd:
-                        linalg.svd(rng.standard_normal((300, 120)))
-                    for dtype, same in passes.items():
-                        assert linalg.blas_threads()["numpy"] in (None, 1)
-                        jet, grad, cache = jet_and_grad(net, t, x, bar, dtype=dtype)
-                        same.append((jet, grad))
-                        assert len(cache) == blocks
-                        assert len(cache.work) == (1 if n < 200 else siren.jet_threads())
-            for same in passes.values():
-                for other in same[1:]:
-                    assert_same_pass(same[0], other)
+        n = 2000  # four blocks at the default block size
+        t, x = rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
+        bar = mixed_bar(rng, n, 3)
+        passes = {np.float64: [], np.float32: []}
+        for threads in (1, 2):
+            monkeypatch.setattr(siren, "_threads", threads)
+            for after_svd in (False, True):
+                if after_svd:
+                    linalg.svd(rng.standard_normal((300, 120)))
+                for dtype, same in passes.items():
+                    assert linalg.blas_threads()["numpy"] in (None, 1)
+                    jet, grad, cache = jet_and_grad(net, t, x, bar, dtype=dtype)
+                    same.append((jet, grad))
+                    assert len(cache) == 4
+        for same in passes.values():
+            for other in same[1:]:
+                assert_same_pass(same[0], other)
 
     @pytest.mark.parametrize("order", [1, 3, 4])
     def test_blocked_pass_matches_one_block(self, rng, monkeypatch, order):
