@@ -70,6 +70,7 @@ STR = OptionType("str", str, lambda v: _of(str, v))
 INT_LIST = OptionType("int list", str, _ints)
 THREE_FLOATS = OptionType("3 floats", float, _three_floats, nargs=3)
 OPTIONAL_INT = OptionType("int or null", int, lambda v: v if v is None else _of(int, v))
+OPTIONAL_FLOAT = OptionType("float or null", float, lambda v: v if v is None else FLOAT.cast(v))
 
 
 class Option(NamedTuple):
@@ -86,8 +87,10 @@ OPTIONS = {
     "m": Option("--m", INT, lambda p: p.m, "time points"),
     "domain": Option("--domain", THREE_FLOATS, lambda p: p.domain, "x_min x_max t_max"),
     "init": Option("--init", STR, lambda p: p.init, "named initial condition"),
-    "rtol": Option("--rtol", FLOAT, 1e-8),
-    "name": Option("--name", STR, lambda p: p.spec.name, "output stem (default pde name)"),
+    # sample selection: size for a random sample, t_div and eps for a greedy one
+    "t_div": Option("--t-div", OPTIONAL_INT, None, "time divisions for greedy sampling"),
+    "eps": Option("--eps", OPTIONAL_FLOAT, None, "rank threshold for greedy sampling"),
+    "size": Option("--size", OPTIONAL_INT, None, "random sample count"),
     # training: TrainConfig's fields
     "max_iter": Option("--max-iter", INT, lambda p: p.max_iter),
     "learning_rate": Option("--lr", FLOAT, TrainConfig.learning_rate),
@@ -177,7 +180,7 @@ def _merge_config(args, spec=None) -> dict:
         default = OPTIONS[key].default
         merged[key] = default(source) if callable(default) else default
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
@@ -232,14 +235,16 @@ def _resolve_snapshot(args):
     return load_snapshot(path), path
 
 
-def _select_samples(snapshot, args, seed: int):
-    if args.random:
-        if args.size is None:
-            raise SystemExit("--random needs --size")
-        return random_sample(snapshot, args.size, seed)
-    if args.t_div is None or args.eps is None:
-        raise SystemExit("greedy sampling needs --t-div and --eps (or use --random)")
-    return qdeim_sample(snapshot, QdeimConfig(t_div=args.t_div, eps_thr=args.eps))
+def _select_samples(snapshot, merged: dict):
+    """A set ``size`` draws a random sample with ``seed``; ``t_div`` and ``eps``
+    select a greedy one. Each sampler refuses a bad value before it draws."""
+    t_div, eps, size = merged["t_div"], merged["eps"], merged["size"]
+    if size is not None and t_div is None and eps is None:
+        return random_sample(snapshot, size, merged["seed"])
+    if size is None and t_div is not None and eps is not None:
+        return qdeim_sample(snapshot, QdeimConfig(t_div=t_div, eps_thr=eps))
+    raise ValueError(f"need size alone (random) or t_div and eps (greedy), got "
+                     f"t_div={t_div}, eps={eps}, size={size}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,37 +265,33 @@ def cmd_generate(args) -> int:
     spec = _resolve_spec(args)
     merged = _merge_config(args, spec)
     started = time.time()
-    snapshot = generate_synthetic(spec, **{k: v for k, v in merged.items() if k != "name"})
+    snapshot = generate_synthetic(spec, **merged)
     out_dir = _out_dir(args)
-    out_path = out_dir / f"{merged['name']}.txt"
+    out_path = out_dir / f"{spec.name}.txt"
     save_snapshot(snapshot, out_path)
-    _write_manifest(out_dir, f"{merged['name']}_manifest.json", "generate",
-                    merged, [], started)
+    _write_manifest(out_dir, f"{spec.name}_manifest.json", "generate", merged, [], started)
     print(f"wrote {out_path} ({snapshot.n} x {snapshot.m})")
     return 0
 
 
 def cmd_sample(args) -> int:
     started = time.time()
+    merged = _merge_config(args)
     snapshot, src = _resolve_snapshot(args)
-    seed = _merge_config(args)["seed"]
-    samples = _select_samples(snapshot, args, seed)
+    samples = _select_samples(snapshot, merged)
     out_dir = _out_dir(args)
     out_path = out_dir / "samples.csv"
     samples.export_csv(out_path)
-    config = {"snapshot": str(src), "random": args.random, "t_div": args.t_div,
-              "eps": args.eps, "size": args.size, "seed": seed}
-    _write_manifest(out_dir, "samples_manifest.json", "sample", config,
-                    [src], started)
+    _write_manifest(out_dir, "samples_manifest.json", "sample", merged, [src], started)
     print(f"wrote {out_path} ({len(samples)} samples, "
-          f"source={'random' if args.random else 'greedy'})")
+          f"source={'greedy' if merged['size'] is None else 'random'})")
     return 0
 
 
 def cmd_train(args) -> int:
     started = time.time()
     snapshot, src, spec, merged, cfg = _training_inputs(args)
-    samples = _select_samples(snapshot, args, cfg.seed)
+    samples = _select_samples(snapshot, merged)
     net = init_siren(cfg.widths, omega0=cfg.omega0, seed=cfg.seed)
     result = train(net, samples, spec, snapshot.scales, cfg)
 
@@ -302,9 +303,7 @@ def cmd_train(args) -> int:
         json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")
     save_checkpoint(net, out_dir / "checkpoint.txt")
-    config = {**merged, "snapshot": str(src), "sampler": "random" if args.random else "greedy",
-              "t_div": args.t_div, "eps": args.eps, "size": args.size}
-    _write_manifest(out_dir, "train_manifest.json", "train", config, [src], started)
+    _write_manifest(out_dir, "train_manifest.json", "train", merged, [src], started)
     print(f"final p = {np.round(result.final_p, 6).tolist()}"
           f" after {result.iterations} iterations"
           + (" (diverged)" if result.diverged else ""))
@@ -342,8 +341,8 @@ def cmd_cluster(args) -> int:
     if not records:
         raise ValueError(f"no records in {results_path}")
     merged = _merge_config(args)
-    coefs = range(len(records[0].rel_errors)) if args.coef is None else [args.coef]
-    summaries = {ci: cluster_records(records, ci, **merged) for ci in coefs}
+    summaries = {ci: cluster_records(records, ci, **merged)
+                 for ci in range(len(records[0].rel_errors))}
     out_dir = _out_dir(args)
     payload = {str(ci): {"centroids": s.centroids.tolist(),
                          "inertia": s.inertia, "k": s.k, "n_init": s.n_init}
@@ -357,8 +356,7 @@ def cmd_cluster(args) -> int:
         for ci, s in summaries.items():
             for row in s.centroids:
                 writer.writerow([ci, "%.17g" % row[0], "%.17g" % row[1]])
-    _write_manifest(out_dir, "cluster_manifest.json", "cluster",
-                    {**merged, "results": str(results_path), "coef": args.coef},
+    _write_manifest(out_dir, "cluster_manifest.json", "cluster", merged,
                     [results_path], started)
     print(f"wrote {out_dir / 'centroids.csv'} and centroids.json "
           f"({sum(s.k for s in summaries.values())} centroids)")
@@ -366,7 +364,7 @@ def cmd_cluster(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Path and selection flags: read by the commands that list them, never config keys.
+# Path flags: read by the commands that list them, never config keys.
 FLAGS = {
     "--out-dir": dict(help="output directory (default $PDEGREEDY_OUT or .)"),
     "--config": dict(help="JSON config file; flags override it"),
@@ -374,40 +372,34 @@ FLAGS = {
     "--pde": dict(help="preset name: " + ", ".join(sorted(PRESETS))),
     "--data-dir": dict(help="where <pde>.txt is (default $PDEGREEDY_DATA or data)"),
     "--spec-file": dict(help="custom term library (JSON)"),
-    "--t-div": dict(type=int, help="time divisions for greedy sampling"),
-    "--eps": dict(type=float, help="rank threshold for greedy sampling"),
-    "--random": dict(action="store_true", help="random baseline sampler"),
-    "--size": dict(type=int, help="random sample count"),
     "--results": dict(required=True, help="records.json from a sweep"),
-    "--coef": dict(type=int, help="coefficient index (default: all)"),
 }
 
 
 class Command(NamedTuple):
     run: Callable[[argparse.Namespace], int]
     help: str
-    flags: tuple[str, ...]  # keys of FLAGS; "--config" where the command reads one
+    flags: tuple[str, ...]  # keys of FLAGS besides --out-dir and --config, which all read
     keys: tuple[str, ...]   # keys of OPTIONS
 
 
 _SNAPSHOT_FLAGS = ("--snapshot", "--pde", "--data-dir")
-_SAMPLER_FLAGS = ("--t-div", "--eps", "--random", "--size")
-_RUN_FLAGS = ("--config", *_SNAPSHOT_FLAGS, "--spec-file")
+_RUN_FLAGS = (*_SNAPSHOT_FLAGS, "--spec-file")
+_SAMPLER_KEYS = ("t_div", "eps", "size")
 
 COMMANDS = {
     "generate": Command(cmd_generate, "integrate a preset PDE to a snapshot file",
-                        ("--config", "--pde", "--spec-file"),
-                        ("n", "m", "domain", "init", "seed", "rtol", "name")),
+                        ("--pde", "--spec-file"), ("n", "m", "domain", "init", "seed")),
     "sample": Command(cmd_sample, "select samples from a snapshot",
-                      (*_SNAPSHOT_FLAGS, *_SAMPLER_FLAGS), ("seed",)),
+                      _SNAPSHOT_FLAGS, (*_SAMPLER_KEYS, "seed")),
     "train": Command(cmd_train, "recover coefficients from selected samples",
-                     (*_RUN_FLAGS, *_SAMPLER_FLAGS), TRAIN_KEYS),
+                     _RUN_FLAGS, (*_SAMPLER_KEYS, *TRAIN_KEYS)),
     "sweep": Command(cmd_sweep, "greedy (t_div, eps) sweep", _RUN_FLAGS,
                      ("t_divs", "eps_min", "eps_max", "eps_count", *TRAIN_KEYS, "jobs")),
     "baseline": Command(cmd_baseline, "size-matched random baseline", _RUN_FLAGS,
                         ("min_n", "max_n", "reps", "base_seed", *TRAIN_KEYS, "jobs")),
     "cluster": Command(cmd_cluster, "k-means summary of sweep records",
-                       ("--config", "--results", "--coef"), ("k", "n_init", "seed")),
+                       ("--results",), ("k", "n_init", "seed")),
 }
 
 
@@ -420,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         sub = subs.add_parser(name, help=command.help)
-        for flag in ("--out-dir", *command.flags):
+        for flag in ("--out-dir", "--config", *command.flags):
             sub.add_argument(flag, **FLAGS[flag])
         for key in command.keys:
             opt = OPTIONS[key]

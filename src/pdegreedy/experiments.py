@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +28,8 @@ def eps_grid(eps_min: float, eps_max: float, count: int = 20) -> tuple[float, ..
     """Logarithmically equispaced thresholds, endpoints included."""
     if not 0 < eps_min < eps_max:
         raise ValueError(f"need 0 < eps_min < eps_max, got ({eps_min}, {eps_max})")
+    if count < 2:
+        raise ValueError(f"need count >= 2 to include both endpoints, got {count}")
     return tuple(np.logspace(np.log10(eps_min), np.log10(eps_max), count))
 
 
@@ -97,14 +98,15 @@ def _map_tasks(fn, tasks, jobs: int):
 def _run_sweep(sampler: str, grid, sets, spec: PdeSpec, scales,
                train_cfg: TrainConfig, jobs: int) -> list[ExperimentRecord]:
     """One record per keys in ``grid``, in grid order, for the sample set or
-    the exception its draw raised at the same place in ``sets``.
+    the exception at the same place in ``sets``.
 
     Every set is drawn before the first run, in this process, so no SVD
-    overlaps a run or runs in a worker. A failed draw becomes its error
-    record here. Each distinct set object is trained once, the largest
-    first, so no long run starts last. A repeat (a greedy set ``qdeim_grid``
-    shares between thresholds) takes its source's record under its own keys,
-    with ``wall_time_s`` 0.0 and ``same_as`` the source's ``eps_thr``."""
+    overlaps a run or runs in a worker. An exception (a window ``qdeim_grid``
+    could not factor) becomes its error record here. Each distinct set
+    object is trained once, the largest first, so no long run starts last.
+    A repeat (a greedy set ``qdeim_grid`` shares between thresholds) takes
+    its source's record under its own keys, with ``wall_time_s`` 0.0 and
+    ``same_as`` the source's ``eps_thr``."""
     first = {}    # id of each distinct set -> (the set, the keys it is first drawn at)
     for keys, samples in zip(grid, sets):
         if not isinstance(samples, Exception):
@@ -129,25 +131,13 @@ def _run_sweep(sampler: str, grid, sets, spec: PdeSpec, scales,
     return records
 
 
-def _draws(draw, grid) -> list:
-    """``draw(**keys)`` per keys in ``grid``; a draw that raises gives its
-    exception in place of the samples."""
-    sets = []
-    for keys in grid:
-        try:
-            sets.append(draw(**keys))
-        except Exception as exc:  # the run's record carries it
-            sets.append(exc)
-    return sets
-
-
 def sweep_greedy(s: SnapshotMatrix, spec: PdeSpec, sweep_cfg: SweepConfig,
                  train_cfg: TrainConfig, jobs: int = 1) -> list[ExperimentRecord]:
     """One record per (t_div, eps) pair; 4 x 20 = 80 with the defaults. Each
-    distinct sample set is trained once (see ``_run_sweep``)."""
+    distinct sample set is trained once (see ``_run_sweep``). A bad t_div or
+    eps raises ValueError before any SVD."""
     grid = [{"t_div": t_div, "eps_thr": eps}
             for t_div in sweep_cfg.t_divs for eps in sweep_cfg.eps_values]
-    # a bad (t_div, eps) ends as its record's error
     sets = qdeim_grid(s, sweep_cfg.t_divs, sweep_cfg.eps_values)
     return _run_sweep("greedy", grid, sets, spec, s.scales, train_cfg, jobs)
 
@@ -158,13 +148,14 @@ def sweep_random(s: SnapshotMatrix, spec: PdeSpec, min_n: int, max_n: int,
     """Size-matched random baseline: 11 sizes x repetitions (55 by default).
 
     Seeds are not chosen by the caller per run but derived from base_seed
-    and recorded, so the whole baseline replays exactly.
+    and recorded, so the whole baseline replays exactly. A size outside
+    [1, n*m] raises ValueError before any run.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     sizes = [size for size in sample_size_grid(min_n, max_n) for _ in range(repetitions)]
     grid = [{"size": size, "seed": base_seed + run} for run, size in enumerate(sizes)]
-    return _run_sweep("random", grid, _draws(functools.partial(random_sample, s), grid),
+    return _run_sweep("random", grid, [random_sample(s, **keys) for keys in grid],
                       spec, s.scales, train_cfg, jobs)
 
 

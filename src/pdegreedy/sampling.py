@@ -116,41 +116,35 @@ def qdeim_window(u_window, eps_values) -> list[tuple[list[int], list[int]]]:
 
 def qdeim_grid(s: SnapshotMatrix, t_divs, eps_values) -> list[SampleSet | Exception]:
     """Greedy sample sets over the (t_div, eps) grid, t_div-major: one item
-    per pair, the set or the exception that pair raised.
+    per pair.
 
-    Each t_div's windows are factored once for all thresholds (see
-    ``qdeim_window``). The pivots depend only on the window and its rank, so
-    thresholds that give every window of a t_div the same rank get the same
-    ``SampleSet`` object. A bad threshold fails its own pair; a bad t_div, or
-    a window that cannot be factored, fails every threshold of that t_div.
+    Every pair is checked before the first SVD, so a bad t_div or threshold
+    raises ValueError before any work. Each t_div's windows are then factored
+    once for all thresholds (see ``qdeim_window``). The pivots depend only on
+    the window and its rank, so thresholds that give every window of a t_div
+    the same rank get the same ``SampleSet`` object. A window that cannot be
+    factored fails every threshold of its t_div: their items are its exception.
     """
-    eps_values = tuple(eps_values)
+    eps_values, bounds = tuple(eps_values), {}
+    for t_div in t_divs:  # in grid order, so the first bad pair is the one named
+        bounds[t_div] = subdivide_time(s.m, t_div)
+        for eps_thr in eps_values:
+            QdeimConfig(t_div, eps_thr)
     items, by_ranks = [], {}  # (t_div, per-window ranks) -> the set they select
     for t_div in t_divs:
-        configs = []
-        for eps_thr in eps_values:
-            try:
-                configs.append(QdeimConfig(t_div, eps_thr))
-            except Exception as exc:  # this pair's item
-                configs.append(exc)
-        valid = [c.eps_thr for c in configs if isinstance(c, QdeimConfig)]
         try:
-            bounds = subdivide_time(s.m, t_div) if valid else []
-            windows = [qdeim_window(s.u[:, start:end], valid) for start, end in bounds]
-        except Exception as exc:  # every valid pair's item
-            items += [c if isinstance(c, Exception) else exc for c in configs]
+            windows = [qdeim_window(s.u[:, start:end], eps_values)
+                       for start, end in bounds[t_div]]
+        except Exception as exc:  # the items of every threshold of this t_div
+            items += [exc] * len(eps_values)
             continue
-        pivots = iter(zip(*windows))  # per valid pair, its (spatial, temporal) per window
-        for item in configs:
-            if isinstance(item, QdeimConfig):
-                pairs = next(pivots)
-                key = (t_div, tuple(len(sp) for sp, _ in pairs))
-                if key not in by_ranks:
-                    by_ranks[key] = _pivot_grid(s, [list(sp) for sp, _ in pairs],
-                                                [[start + j for j in tp]
-                                                 for (start, _), (_, tp) in zip(bounds, pairs)])
-                item = by_ranks[key]
-            items.append(item)
+        for pairs in zip(*windows):  # per threshold, its (spatial, temporal) per window
+            key = (t_div, tuple(len(sp) for sp, _ in pairs))
+            if key not in by_ranks:
+                by_ranks[key] = _pivot_grid(s, [list(sp) for sp, _ in pairs],
+                                            [[start + j for j in tp] for (start, _), (_, tp)
+                                             in zip(bounds[t_div], pairs)])
+            items.append(by_ranks[key])
     return items
 
 

@@ -182,7 +182,7 @@ def forward(net: SirenNet, t, x):
     return float(u[0, 0]) if scalar else u[:, 0]
 
 
-def forward_jet(net: SirenNet, t, x, max_x_order: int = 3) -> Jet:
+def forward_jet(net: SirenNet, t, x, max_x_order: int) -> Jet:
     """Exact jet (u, u_x, ..., d^K u/dx^K, u_t) at the given points; a
     scalar (t, x) gives a one-point jet.
 
@@ -207,7 +207,7 @@ def forward_jet(net: SirenNet, t, x, max_x_order: int = 3) -> Jet:
     return _forward_pass(net, t_arr, x_arr, max_x_order, bounds, buffers, np.float64, stripes)
 
 
-def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int = 3, out=None, *,
+def forward_jet_with_cache(net: SirenNet, t, x, max_x_order: int, out=None, *,
                            dtype=np.float64):
     """Jet plus the recorded intermediates needed by jet_backward.
 

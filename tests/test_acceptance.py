@@ -330,7 +330,7 @@ class TestCriterion7Determinism:
                              "--seed", "1", "--out-dir", str(out)])
             assert code == 0
             code = cli_main(["sample", "--snapshot", str(snap_path),
-                             "--random", "--size", "25", "--seed", "9",
+                             "--size", "25", "--seed", "9",
                              "--out-dir", str(out)])
             assert code == 0
         same = all(

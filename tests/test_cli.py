@@ -1,10 +1,11 @@
 import argparse
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from pdegreedy import cli, experiments, training
+from pdegreedy import cli, experiments, sampling, training
 from pdegreedy.cli import main
 from pdegreedy.experiments import ExperimentRecord, export_results
 from pdegreedy.siren import load_checkpoint
@@ -67,7 +68,7 @@ class TestSample:
 
     def test_random_sample_size(self, tmp_path, data_dir, capsys):
         code = run("sample", "--snapshot", data_dir / "burgers.txt",
-                   "--random", "--size", "100", "--seed", "7",
+                   "--size", "100", "--seed", "7",
                    "--out-dir", tmp_path)
         assert code == 0
         assert capsys.readouterr().out.endswith(" (100 samples, source=random)\n")
@@ -76,7 +77,7 @@ class TestSample:
 
     def test_manifest_records_the_seed_it_drew_with(self, tmp_path, data_dir):
         # without --seed the random sampler draws with the default seed, 0
-        common = ("sample", "--snapshot", data_dir / "burgers.txt", "--random", "--size", "20")
+        common = ("sample", "--snapshot", data_dir / "burgers.txt", "--size", "20")
         assert run(*common, "--out-dir", tmp_path / "default") == 0
         assert run(*common, "--seed", "0", "--out-dir", tmp_path / "zero") == 0
         manifest = json.loads((tmp_path / "default" / "samples_manifest.json").read_text())
@@ -94,16 +95,23 @@ class TestSample:
                    "--t-div", "1", "--eps", "1e-2", "--out-dir", tmp_path)
         assert code == 0
 
-    def test_config_refused(self, tmp_path, data_dir, capsys):
-        # sample reads no config keys, so a --config file would be ignored
+    def test_config_refused(self, tmp_path, data_dir):
+        # sample reads the sampler keys and the seed from --config, and refuses a key
+        # it would ignore
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"t_div": 2, "eps": 1e-3}))
+        cfg_path.write_text(json.dumps({"t_div": 2, "eps": 1e-3, "max_iter": 3}))
         with pytest.raises(SystemExit) as err:
             run("sample", "--snapshot", data_dir / "burgers.txt", "--config", cfg_path,
                 "--out-dir", tmp_path / "out")
-        assert err.value.code == 2
-        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert err.value.code == "unknown config keys: max_iter"
         assert not (tmp_path / "out").exists()
+        cfg_path.write_text(json.dumps({"t_div": 2, "eps": 1e-3}))
+        assert run("sample", "--snapshot", data_dir / "burgers.txt", "--config", cfg_path,
+                   "--out-dir", tmp_path / "config") == 0
+        assert run("sample", "--snapshot", data_dir / "burgers.txt", "--t-div", "2",
+                   "--eps", "1e-3", "--out-dir", tmp_path / "flags") == 0
+        assert (tmp_path / "config" / "samples.csv").read_bytes() == \
+            (tmp_path / "flags" / "samples.csv").read_bytes()
 
     def test_spec_file_refused(self, tmp_path, data_dir, capsys):
         # sample reads no spec, so a --spec-file would be ignored
@@ -259,7 +267,7 @@ class TestTrain:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 5}))
         common = ("train", "--snapshot", data_dir / "burgers.txt", "--pde", "burgers",
-                  "--random", "--size", "10", "--max-iter", "3", "--widths", "2,8,1")
+                  "--size", "10", "--max-iter", "3", "--widths", "2,8,1")
         assert run(*common, "--config", cfg_path, "--out-dir", tmp_path / "config") == 0
         assert run(*common, "--seed", "5", "--out-dir", tmp_path / "flag") == 0
         for name in ("trajectory.csv", "checkpoint.txt"):
@@ -312,11 +320,10 @@ class TestSweepBaselineCluster:
         assert len(records) == 55
 
         code = run("cluster", "--results", tmp_path / "records.json",
-                   "--k", "5", "--n-init", "10", "--coef", "0",
-                   "--out-dir", tmp_path)
+                   "--k", "5", "--n-init", "10", "--out-dir", tmp_path)
         assert code == 0
         lines = (tmp_path / "centroids.csv").read_text().splitlines()
-        assert len(lines) == 6
+        assert len(lines) == 1 + 2 * 5  # every coefficient
 
     def test_sweep_and_baseline_honour_train_config(self, tmp_path, data_dir):
         # train settings in --config: each record must equal the matching train run
@@ -341,7 +348,7 @@ class TestSweepBaselineCluster:
                    "--out-dir", tmp_path / "g") == 0
         # the config's seed draws train's random samples; the baseline's first run draws
         # with --base-seed
-        assert run("train", *common, "--random", "--size", "10",
+        assert run("train", *common, "--size", "10",
                    "--out-dir", tmp_path / "r") == 0
         for record, out in ((greedy[0], "g"), (random[0], "r")):
             summary = json.loads((tmp_path / out / "summary.json").read_text())
@@ -394,41 +401,40 @@ class TestSweepBaselineCluster:
     def test_cluster_reads_exported_records(self, tmp_path):
         export_results(_records(4), tmp_path / "records.json")
         assert run("cluster", "--results", tmp_path / "records.json", "--k", "2",
-                   "--n-init", "2", "--coef", "0", "--out-dir", tmp_path) == 0
-        assert len((tmp_path / "centroids.csv").read_text().splitlines()) == 3
+                   "--n-init", "2", "--out-dir", tmp_path) == 0
+        assert len((tmp_path / "centroids.csv").read_text().splitlines()) == 1 + 2 * 2
 
-    # an int payload is that many exported records
-    @pytest.mark.parametrize("payload, coef", [
+    # an int payload is that many exported records; k is 2 where not given
+    @pytest.mark.parametrize("payload, k", [
         (0, None), (4, 5), (4, -1),
         pytest.param({"final_p": [-1.0, 0.1], "iterations": 1}, None, id="train-summary"),
         pytest.param([{"sampler": "greedy"}], None, id="record-without-errors")])
-    def test_cluster_rejects_bad_input(self, tmp_path, capsys, payload, coef):
+    def test_cluster_rejects_bad_input(self, tmp_path, capsys, payload, k):
         if isinstance(payload, int):
             export_results(_records(payload), tmp_path / "records.json")
         else:
             (tmp_path / "records.json").write_text(json.dumps(payload))
-        argv = ["cluster", "--results", tmp_path / "records.json", "--k", "2",
+        argv = ["cluster", "--results", tmp_path / "records.json", "--k", 2 if k is None else k,
                 "--n-init", "2", "--out-dir", tmp_path]
-        assert run(*argv, *(() if coef is None else ("--coef", coef))) == 1
+        assert run(*argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "centroids.csv").exists()
 
 
-# Flags that are not config keys; the last four only for train and sample.
+# The flags that are not config keys: paths only.
 PATH_FLAGS = {"--out-dir", "--config", "--snapshot", "--pde", "--data-dir", "--spec-file",
-              "--results", "--coef", "--t-div", "--eps", "--random", "--size"}
-SAMPLER_FLAGS = {"--t-div", "--eps", "--random", "--size"}
+              "--results"}
+SAMPLER_KEYS = {"t_div", "eps", "size"}
 # One --config value per declared type that the type must refuse.
 WRONG_TYPE = {"int": "3", "float": "1e-3", "str": 3, "int list": [2.5],
-              "3 floats": "-8,8,1", "int or null": 1.5}
+              "3 floats": "-8,8,1", "int or null": 1.5, "float or null": "1e-3"}
 
 
 def _wrong_type_cases():
     for command, entry in cli.COMMANDS.items():
-        if "--config" in entry.flags:
-            for key in entry.keys:
-                value = WRONG_TYPE[cli.OPTIONS[key].type.name]
-                yield pytest.param(command, key, value, id=f"{command}-{key}")
+        for key in entry.keys:
+            value = WRONG_TYPE[cli.OPTIONS[key].type.name]
+            yield pytest.param(command, key, value, id=f"{command}-{key}")
     yield pytest.param("generate", "domain", [1, 2], id="generate-domain-two-values")
     yield pytest.param("train", "omega0", 10 ** 400, id="train-omega0-int-beyond-float")
 
@@ -445,9 +451,9 @@ class TestOptionTable:
             assert registered[cli.OPTIONS[key].flag] == key
         others = set(registered) - {cli.OPTIONS[key].flag for key in keys}
         assert others <= PATH_FLAGS
-        assert "--out-dir" in others
-        sampler = SAMPLER_FLAGS if command in ("train", "sample") else set()
-        assert others & SAMPLER_FLAGS == sampler
+        assert {"--out-dir", "--config"} <= others
+        sampler = SAMPLER_KEYS if command in ("train", "sample") else set()
+        assert set(keys) & SAMPLER_KEYS == sampler
 
     @pytest.mark.parametrize("command, key, value", _wrong_type_cases())
     def test_config_value_of_wrong_type_refused(self, tmp_path, data_dir, capsys,
@@ -465,6 +471,98 @@ class TestOptionTable:
                 argv += ("--t-div", "1", "--eps", "1e-2")
         assert run(command, *argv, "--config", cfg_path, "--out-dir", tmp_path / "out") == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: expected ")
+        assert not (tmp_path / "out").exists()
+
+
+def _outputs(out_dir):
+    """Every output but the manifest, by name; ``wall_time_s`` blanked."""
+    outputs = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name.endswith("_manifest.json"):
+            continue
+        if path.suffix == ".json":
+            data = json.loads(path.read_text())
+            for item in data if isinstance(data, list) else [data]:
+                item.pop("wall_time_s", None)
+            outputs[path.name] = data
+        elif path.name == "records.csv":
+            rows = list(csv.DictReader(path.read_text().splitlines()))
+            outputs[path.name] = [{**row, "wall_time_s": None} for row in rows]
+        else:
+            outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+class TestReplay:
+    # (command, path flags, config flags); each run writes a manifest whose config replays it
+    @pytest.mark.parametrize("command, paths, flags", [
+        ("generate", ("--pde", "burgers"), ("--n", "32", "--m", "9", "--domain", "-8", "8", "1")),
+        ("sample", ("--snapshot", "SNAPSHOT"), ("--size", "50", "--seed", "7")),
+        ("train", ("--snapshot", "SNAPSHOT", "--pde", "burgers"),
+         ("--t-div", "2", "--eps", "1e-3", "--max-iter", "2", "--widths", "2,6,1")),
+        ("sweep", ("--snapshot", "SNAPSHOT", "--pde", "burgers"),
+         ("--t-divs", "2", "--eps-min", "1e-3", "--eps-max", "1e-2", "--eps-count", "2",
+          "--max-iter", "1", "--widths", "2,6,1")),
+        ("baseline", ("--snapshot", "SNAPSHOT", "--pde", "burgers"),
+         ("--min-n", "10", "--max-n", "12", "--reps", "1", "--base-seed", "3",
+          "--max-iter", "1", "--widths", "2,6,1")),
+        ("cluster", ("--results", "RECORDS"), ("--k", "2", "--n-init", "3", "--seed", "4")),
+    ], ids=["generate", "sample", "train", "sweep", "baseline", "cluster"])
+    def test_manifest_config_replays_the_run(self, tmp_path, data_dir, command, paths, flags):
+        export_results(_records(4), tmp_path / "records.json")
+        paths = [{"SNAPSHOT": data_dir / "burgers.txt",
+                  "RECORDS": tmp_path / "records.json"}.get(p, p) for p in paths]
+        assert run(command, *paths, *flags, "--out-dir", tmp_path / "first") == 0
+        [manifest] = (tmp_path / "first").glob("*_manifest.json")
+        config = json.loads(manifest.read_text())["config"]
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run(command, *paths, "--config", tmp_path / "cfg.json",
+                   "--out-dir", tmp_path / "replay") == 0
+        replayed = json.loads((tmp_path / "replay" / manifest.name).read_text())["config"]
+        assert replayed == config
+        assert _outputs(tmp_path / "replay") == _outputs(tmp_path / "first")
+
+
+class TestRefusedBeforeWork:
+    # the small snapshot is 48 x 25, so n*m = 1200
+    @pytest.mark.parametrize("command, flags, message", [
+        ("sweep", ("--t-divs", "0"), "t_div 0 out of range [1, 25]"),
+        ("sweep", ("--t-divs", "2,26"), "t_div 26 out of range [1, 25]"),
+        ("sweep", ("--eps-max", "2"), "eps_thr must lie in (0, 1)"),
+        ("sweep", ("--eps-count", "1"), "need count >= 2"),
+        ("baseline", ("--min-n", "10", "--max-n", "1201"), "size 1201 out of range [1, 1200]"),
+        ("baseline", ("--min-n", "0", "--max-n", "20"), "size 0 out of range [1, 1200]"),
+        ("sample", (), "need size alone (random) or t_div and eps (greedy)"),
+        ("sample", ("--t-div", "2"), "need size alone"),
+        ("sample", ("--eps", "1e-3", "--size", "10"), "need size alone"),
+        ("sample", ("--size", "0"), "size 0 out of range [1, 1200]"),
+        ("sample", ("--size", "1201"), "size 1201 out of range [1, 1200]"),
+        ("sample", ("--t-div", "26", "--eps", "1e-3"), "t_div 26 out of range [1, 25]"),
+        ("train", ("--t-div", "2", "--eps", "1e-3", "--size", "10"), "need size alone"),
+        ("train", ("--t-div", "0", "--eps", "1e-3"), "t_div must be >= 1"),
+        ("train", ("--t-div", "2", "--eps", "1.5"), "eps_thr must lie in (0, 1)"),
+    ], ids=["sweep-t_div-0", "sweep-t_div-above-m", "sweep-eps-max-2", "sweep-eps-count-1",
+            "baseline-max-n-above-nm", "baseline-min-n-0", "sample-no-sampler",
+            "sample-t_div-alone", "sample-eps-and-size", "sample-size-0",
+            "sample-size-above-nm", "sample-t_div-above-m", "train-both-samplers",
+            "train-t_div-0", "train-eps-1.5"])
+    def test_malformed_sampler_input(self, tmp_path, data_dir, capsys, monkeypatch,
+                                     command, flags, message):
+        svds, sets = [], []
+        monkeypatch.setattr(sampling, "svd", lambda a: svds.append(a))
+        real_sample_set = sampling.SampleSet
+        monkeypatch.setattr(sampling, "SampleSet",
+                            lambda *a, **k: sets.append(1) or real_sample_set(*a, **k))
+        argv = [command, "--snapshot", data_dir / "burgers.txt", *flags,
+                "--out-dir", tmp_path / "out"]
+        if command != "sample":
+            argv += ["--pde", "burgers", "--max-iter", "1", "--widths", "2,6,1"]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert svds == []
+        if command != "baseline":  # a baseline draws its sizes in order up to the bad one
+            assert sets == []
         assert not (tmp_path / "out").exists()
 
 
@@ -493,6 +591,6 @@ class TestDeterminism:
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:
             run("sample", "--snapshot", data_dir / "burgers.txt",
-                "--random", "--size", "50", "--seed", "3", "--out-dir", d)
+                "--size", "50", "--seed", "3", "--out-dir", d)
         assert (dirs[0] / "samples.csv").read_bytes() == \
             (dirs[1] / "samples.csv").read_bytes()

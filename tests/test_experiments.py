@@ -4,6 +4,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -105,16 +106,55 @@ class TestDeduplication:
         assert len(records) == 12 and len(calls) == 1 + 2 + 3 + 4
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_bad_t_div_fails_each_eps_in_place(self, small_snapshot, jobs):
-        cfg = SweepConfig(t_divs=(1, 0, 99, 2), eps_values=(1e-2, 1e-4))
+    def test_bad_t_div_fails_each_eps_in_place(self, small_snapshot, monkeypatch, jobs):
+        # t_div 3 and 4 cut 25 columns into windows of under 10, which cannot be factored here
+        monkeypatch.setattr(sampling, "svd", _svd_failing_under_10_columns(sampling.svd))
+        cfg = SweepConfig(t_divs=(1, 3, 4, 2), eps_values=(1e-2, 1e-4))
         records = sweep_greedy(small_snapshot, get_pde_spec("burgers"), cfg,
                                TrainConfig(max_iter=1, widths=FAST_WIDTHS), jobs=jobs)
         assert [(r.t_div, r.eps_thr) for r in records] == \
             [(t, e) for t in cfg.t_divs for e in cfg.eps_values]
         assert [r.error is None for r in records] == [True] * 2 + [False] * 4 + [True] * 2
-        assert all(r.error.startswith("ValueError: t_div must be >= 1") for r in records[2:4])
-        assert all(r.error.startswith("ValueError: t_div 99 out of range") for r in records[4:6])
+        assert all(r.error == "LinAlgError: SVD did not converge" for r in records[2:6])
         assert all(r.n_samples == 0 and r.same_as is None for r in records[2:6])
+
+
+def _svd_failing_under_10_columns(real):
+    def svd(a):
+        if a.shape[1] < 10:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a)
+    return svd
+
+
+class TestRefusedBeforeWork:
+    # the small snapshot is 48 x 25
+    @pytest.mark.parametrize("t_divs, eps_values, message", [
+        ((1, 0), (1e-2,), "t_div 0 out of range [1, 25]"),
+        ((1, 26), (1e-2,), "t_div 26 out of range [1, 25]"),
+        ((1,), (1e-2, 2.0), "eps_thr must lie in (0, 1), got 2.0"),
+    ], ids=["t_div-0", "t_div-above-m", "eps-2"])
+    def test_sweep_greedy(self, small_snapshot, monkeypatch, t_divs, eps_values, message):
+        work = []
+        monkeypatch.setattr(sampling, "svd", lambda a: work.append(a))
+        monkeypatch.setattr(experiments, "_map_tasks", lambda *a: work.append(a))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep_greedy(small_snapshot, get_pde_spec("burgers"),
+                         SweepConfig(t_divs=t_divs, eps_values=eps_values),
+                         TrainConfig(max_iter=1, widths=FAST_WIDTHS))
+        assert work == []
+
+    @pytest.mark.parametrize("min_n, max_n, message", [
+        (10, 1201, "size 1201 out of range [1, 1200]"),
+        (0, 20, "size 0 out of range [1, 1200]"),
+    ], ids=["max-n-above-nm", "min-n-0"])
+    def test_sweep_random(self, small_snapshot, monkeypatch, min_n, max_n, message):
+        runs = []
+        monkeypatch.setattr(experiments, "_map_tasks", lambda *a: runs.append(a))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep_random(small_snapshot, get_pde_spec("burgers"), min_n, max_n,
+                         TrainConfig(max_iter=1, widths=FAST_WIDTHS), repetitions=1)
+        assert runs == []
 
 
 class TestSweepRandom:
@@ -285,6 +325,12 @@ class TestConfigs:
         with pytest.raises(ValueError):
             eps_grid(1e-2, 1e-10)
 
+    @pytest.mark.parametrize("count", [1, 0, -1])
+    def test_eps_grid_refuses_count_below_two(self, count):
+        with pytest.raises(ValueError, match=f"need count >= 2 to include both endpoints, "
+                                             f"got {count}"):
+            eps_grid(1e-3, 1e-2, count)
+
     def test_per_pde_defaults(self):
         ac = SweepConfig(eps_values=eps_grid(*preset("allen-cahn").eps_range))
         assert ac.eps_values[0] == pytest.approx(1e-13)
@@ -297,7 +343,8 @@ class TestConfigs:
     def test_workers_after_a_threaded_pass(self, small_snapshot, monkeypatch, method):
         # the parent's jet threads are running before the workers start
         monkeypatch.setattr(siren, "_threads", 2)
-        siren.forward_jet(init_siren(FAST_WIDTHS), np.linspace(0, 1, 64), np.zeros(64))
+        siren.forward_jet(init_siren(FAST_WIDTHS), np.linspace(0, 1, 64), np.zeros(64),
+                          max_x_order=3)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
         spec = get_pde_spec("burgers")
@@ -378,16 +425,17 @@ class TestPoolWorkers:
         assert _fields(ordered) == _fields(sweep_greedy(small_snapshot, spec, DUPLICATED,
                                                         train_cfg, jobs=1))
 
-    def test_failed_draw_keeps_its_position(self, small_snapshot):
-        # eps_thr = 1.5 is no rank threshold: that draw fails, its neighbours train
+    def test_failed_draw_keeps_its_position(self, small_snapshot, monkeypatch):
+        # t_div 3's windows cannot be factored: that draw fails, its neighbours train
+        monkeypatch.setattr(sampling, "svd", _svd_failing_under_10_columns(sampling.svd))
         spec = get_pde_spec("burgers")
-        cfg = SweepConfig(t_divs=(1,), eps_values=(1e-2, 1.5, 1e-4))
+        cfg = SweepConfig(t_divs=(1, 3, 2), eps_values=(1e-2,))
         train_cfg = TrainConfig(max_iter=1, widths=FAST_WIDTHS)
         parallel = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=2)
-        assert [r.eps_thr for r in parallel] == [1e-2, 1.5, 1e-4]
+        assert [r.t_div for r in parallel] == [1, 3, 2]
         assert [r.error is None for r in parallel] == [True, False, True]
         failed = parallel[1]
-        assert failed.error.startswith("ValueError: eps_thr must lie in (0, 1)")
+        assert failed.error == "LinAlgError: SVD did not converge"
         assert failed.n_samples == 0 and np.all(np.isnan(failed.final_p))
         serial = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=1)
         assert _fields(parallel) == _fields(serial)

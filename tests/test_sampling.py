@@ -1,5 +1,6 @@
 import csv
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -167,14 +168,19 @@ class TestQdeimGrid:
         for a, b in itertools.combinations(range(len(sets)), 2):
             assert (sets[a] is sets[b]) == (pivots[a] == pivots[b])
 
-    def test_failures_keep_their_position(self, small_snapshot):
-        # t_div 0 and 99 > m fail every threshold, eps 1.5 only itself
-        items = list(qdeim_grid(small_snapshot, (0, 2, 99), (1e-2, 1.5)))
-        assert [type(i).__name__ for i in items] == \
-            ["ValueError", "ValueError", "SampleSet", "ValueError", "ValueError", "ValueError"]
-        assert [str(items[i]).split(",")[0] for i in (0, 1, 3, 4, 5)] == [
-            "t_div must be >= 1", "t_div must be >= 1", "eps_thr must lie in (0",
-            "t_div 99 out of range [1", "eps_thr must lie in (0"]
+    def test_failures_keep_their_position(self, small_snapshot, monkeypatch):
+        # a bad pair raises before the first SVD; the error names the first bad
+        # pair in grid order
+        calls = []
+        monkeypatch.setattr(sampling, "svd", lambda a: calls.append(a.shape))
+        for t_divs, eps_values, message in [
+                ((2, 0), (1e-2,), "t_div 0 out of range [1, 25]"),
+                ((2, 99), (1e-2, 1e-4), "t_div 99 out of range [1, 25]"),
+                ((2, 99), (1e-2, 1.5), "eps_thr must lie in (0, 1), got 1.5"),
+                ((99, 2), (1.5,), "t_div 99 out of range [1, 25]")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                qdeim_grid(small_snapshot, t_divs, eps_values)
+        assert calls == []
 
     def test_failed_svd_fails_its_t_div(self, small_snapshot, monkeypatch):
         real = sampling.svd

@@ -102,7 +102,8 @@ class TestParameterVector:
                 assert np.shares_memory(other.params, view), name
             if other is not net:
                 assert not np.shares_memory(other.params, net.params), name
-        jet, cache = forward_jet_with_cache(net, rng.uniform(0, 1, 5), rng.uniform(-1, 1, 5))
+        jet, cache = forward_jet_with_cache(net, rng.uniform(0, 1, 5), rng.uniform(-1, 1, 5),
+                                            max_x_order=3)
         grad = jet_backward(net, cache, Jet(rng.standard_normal(jet.data.shape)))
         assert grad.dtype == np.float64 and grad.shape == net.params.shape
 
