@@ -7,8 +7,8 @@ from .features import (DomainScales, FeatureTerm, PdeSpec, PRESETS, Preset,
                        build_theta, get_pde_spec, load_pde_spec,
                        mse_loss, physical_u_t, preset, relative_error,
                        solve_parameters, term, total_loss)
-from .linalg import (PivotedQr, RankDeficiencyError, SvdConvergenceError,
-                     SvdFactors, pivoted_qr, qr_least_squares, svd)
+from .linalg import (RankDeficiencyError, SvdConvergenceError, SvdFactors, pivoted_qr,
+                     qr_least_squares, svd)
 from .sampling import (QdeimConfig, SampleSet, qdeim_grid, qdeim_sample, qdeim_window,
                        random_sample, sample_size_grid, select_rank)
 from .siren import (Jet, SirenNet, forward, forward_jet, forward_jet_with_cache,

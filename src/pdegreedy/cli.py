@@ -153,11 +153,13 @@ def _numeric_environment() -> dict:
 
 def _write_manifest(out_dir: Path, name: str, command: str, config: dict,
                     inputs: list, started: float) -> None:
+    """``inputs`` are the files read, each recorded with its sha256; None
+    stands for a file not given (a --spec-file of a --pde run)."""
     manifest = {
         "command": command,
         "argv": sys.argv[1:],
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): _sha256(p) for p in inputs if p is not None},
         "version": __version__,
         "environment": _numeric_environment(),
         "started": started,
@@ -182,12 +184,15 @@ def _merge_config(args, spec=None) -> dict:
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except ValueError as exc:  # malformed JSON
+                raise ValueError(f"{args.config}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"{args.config}: expected a JSON object of config keys")
         unknown = set(file_cfg) - set(keys)
         if unknown:
-            raise SystemExit(f"unknown config keys: {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     for key, value in (*file_cfg.items(), *flags.items()):
         typ = OPTIONS[key].type
@@ -199,23 +204,21 @@ def _merge_config(args, spec=None) -> dict:
 
 
 def _training_inputs(args):
-    """Snapshot, its path, spec, merged config and TrainConfig of a training run."""
+    """Snapshot, the files read (its path and any --spec-file), spec, merged
+    config and TrainConfig of a training run."""
     snapshot, src = _resolve_snapshot(args)
     spec = _resolve_spec(args)
     merged = _merge_config(args, spec)
     cfg = TrainConfig(**{key: merged[key] for key in TRAIN_KEYS})
-    return snapshot, src, spec, merged, cfg
+    return snapshot, [src, args.spec_file], spec, merged, cfg
 
 
 def _resolve_spec(args):
     if getattr(args, "spec_file", None):
         return load_pde_spec(args.spec_file)
     if getattr(args, "pde", None):
-        try:
-            return get_pde_spec(args.pde)
-        except KeyError as exc:
-            raise SystemExit(str(exc)) from None
-    raise SystemExit("need --pde or --spec-file")
+        return get_pde_spec(args.pde)
+    raise ValueError("need --pde or --spec-file")
 
 
 def _resolve_snapshot(args):
@@ -225,13 +228,11 @@ def _resolve_snapshot(args):
         data_dir = Path(args.data_dir or os.environ.get("PDEGREEDY_DATA", "data"))
         path = data_dir / f"{args.pde}.txt"
         if not path.exists():
-            raise SystemExit(
+            raise ValueError(
                 f"no snapshot at {path}; pass --snapshot or run "
                 f"'pdegreedy generate --pde {args.pde}' first")
     else:
-        raise SystemExit("need --snapshot (or --pde with a data directory)")
-    if not path.exists():
-        raise SystemExit(f"snapshot file not found: {path}")
+        raise ValueError("need --snapshot (or --pde with a data directory)")
     return load_snapshot(path), path
 
 
@@ -250,12 +251,12 @@ def _select_samples(snapshot, merged: dict):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _write_records(out_dir: Path, records, command: str, merged: dict, src,
+def _write_records(out_dir: Path, records, command: str, merged: dict, inputs,
                    started: float) -> int:
     """CSV and JSON records plus the manifest; exit status 1 if any run failed."""
     export_results(records, out_dir / "records.csv")
     export_results(records, out_dir / "records.json")
-    _write_manifest(out_dir, f"{command}_manifest.json", command, merged, [src], started)
+    _write_manifest(out_dir, f"{command}_manifest.json", command, merged, inputs, started)
     failures = sum(1 for r in records if r.error is not None)
     print(f"wrote {len(records)} records ({failures} failed)")
     return 1 if failures else 0
@@ -269,7 +270,8 @@ def cmd_generate(args) -> int:
     out_dir = _out_dir(args)
     out_path = out_dir / f"{spec.name}.txt"
     save_snapshot(snapshot, out_path)
-    _write_manifest(out_dir, f"{spec.name}_manifest.json", "generate", merged, [], started)
+    _write_manifest(out_dir, f"{spec.name}_manifest.json", "generate", merged,
+                    [args.spec_file], started)
     print(f"wrote {out_path} ({snapshot.n} x {snapshot.m})")
     return 0
 
@@ -290,7 +292,7 @@ def cmd_sample(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.time()
-    snapshot, src, spec, merged, cfg = _training_inputs(args)
+    snapshot, inputs, spec, merged, cfg = _training_inputs(args)
     samples = _select_samples(snapshot, merged)
     net = init_siren(cfg.widths, omega0=cfg.omega0, seed=cfg.seed)
     result = train(net, samples, spec, snapshot.scales, cfg)
@@ -303,7 +305,7 @@ def cmd_train(args) -> int:
         json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")
     save_checkpoint(net, out_dir / "checkpoint.txt")
-    _write_manifest(out_dir, "train_manifest.json", "train", merged, [src], started)
+    _write_manifest(out_dir, "train_manifest.json", "train", merged, inputs, started)
     print(f"final p = {np.round(result.final_p, 6).tolist()}"
           f" after {result.iterations} iterations"
           + (" (diverged)" if result.diverged else ""))
@@ -312,31 +314,29 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.time()
-    snapshot, src, spec, merged, train_cfg = _training_inputs(args)
+    snapshot, inputs, spec, merged, train_cfg = _training_inputs(args)
     sweep_cfg = SweepConfig(
         t_divs=merged["t_divs"],
         eps_values=eps_grid(merged["eps_min"], merged["eps_max"], merged["eps_count"]))
 
     records = sweep_greedy(snapshot, spec, sweep_cfg, train_cfg, jobs=merged["jobs"])
-    return _write_records(_out_dir(args), records, "sweep", merged, src, started)
+    return _write_records(_out_dir(args), records, "sweep", merged, inputs, started)
 
 
 def cmd_baseline(args) -> int:
     started = time.time()
-    snapshot, src, spec, merged, train_cfg = _training_inputs(args)
+    snapshot, inputs, spec, merged, train_cfg = _training_inputs(args)
     if merged["min_n"] is None or merged["max_n"] is None:
-        raise SystemExit("baseline needs --min-n and --max-n")
+        raise ValueError("baseline needs --min-n and --max-n")
     records = sweep_random(
         snapshot, spec, merged["min_n"], merged["max_n"], train_cfg,
         repetitions=merged["reps"], base_seed=merged["base_seed"], jobs=merged["jobs"])
-    return _write_records(_out_dir(args), records, "baseline", merged, src, started)
+    return _write_records(_out_dir(args), records, "baseline", merged, inputs, started)
 
 
 def cmd_cluster(args) -> int:
     started = time.time()
     results_path = Path(args.results)
-    if not results_path.exists():
-        raise SystemExit(f"results file not found: {results_path}")
     records = read_results(results_path)
     if not records:
         raise ValueError(f"no records in {results_path}")

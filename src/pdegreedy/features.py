@@ -112,12 +112,10 @@ def preset(name: str) -> Preset:
 
 
 def get_pde_spec(name: str) -> PdeSpec:
-    try:
-        return PRESETS[name].spec
-    except KeyError:
-        raise KeyError(
-            f"unknown PDE spec {name!r}; presets: {', '.join(sorted(PRESETS))}"
-        ) from None
+    """The named preset's spec; an unknown name raises ValueError listing the presets."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown PDE spec {name!r}; presets: {', '.join(sorted(PRESETS))}")
+    return PRESETS[name].spec
 
 
 def load_pde_spec(path) -> PdeSpec:

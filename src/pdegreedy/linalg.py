@@ -1,4 +1,4 @@
-"""Dense matrix kernels: thin SVD, column-pivoted QR, QR least squares.
+"""Dense matrix kernels: thin SVD, QR pivot order, QR least squares.
 
 numpy and scipy wheels each bundle their own OpenBLAS, each with its own
 thread pool. This module owns both pools. At import it records numpy's
@@ -48,15 +48,6 @@ class SvdFactors:
     left: np.ndarray            # (n, z), orthonormal columns
     singular_values: np.ndarray  # (z,), non-increasing, non-negative
     right_t: np.ndarray         # (z, m), orthonormal rows
-
-
-@dataclass(frozen=True)
-class PivotedQr:
-    """Column-pivoted factorization q @ r = a[:, pivots]."""
-
-    q: np.ndarray       # orthonormal columns
-    r: np.ndarray       # upper triangular, |r[i,i]| non-increasing
-    pivots: np.ndarray  # column indices in greedy selection order
 
 
 @dataclass(frozen=True)
@@ -153,17 +144,17 @@ def svd(a) -> SvdFactors:
     return SvdFactors(left=u, singular_values=s, right_t=vt)
 
 
-def pivoted_qr(a) -> PivotedQr:
-    """QR factorization with greedy column pivoting.
+def pivoted_qr(a) -> np.ndarray:
+    """Column indices of ``a`` in the greedy order of QR with column pivoting.
 
     The first pivot is the column of maximal 2-norm; each later pivot
     maximizes the residual norm after projecting out the columns already
     chosen. Ties resolve to the lowest column index (LAPACK geqp3 scans
-    left to right), so a zero matrix pivots in index order.
+    left to right), so a zero matrix pivots in index order. Only R is
+    computed; Q is never formed.
     """
-    a = _as_matrix(a)
-    q, r, pivots = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    return PivotedQr(q=q, r=r, pivots=pivots)
+    _, pivots = scipy.linalg.qr(_as_matrix(a), mode="r", pivoting=True)
+    return pivots
 
 
 def qr_least_squares(a, b) -> np.ndarray:

@@ -108,8 +108,8 @@ def qdeim_window(u_window, eps_values) -> list[tuple[list[int], list[int]]]:
         if r not in by_rank:
             z_r = factors.left[:, :r]      # (n, r)
             y_r_t = factors.right_t[:r, :]  # (r, m)
-            by_rank[r] = ([int(i) for i in pivoted_qr(z_r.T).pivots[:r]],
-                          [int(j) for j in pivoted_qr(y_r_t).pivots[:r]])
+            by_rank[r] = ([int(i) for i in pivoted_qr(z_r.T)[:r]],
+                          [int(j) for j in pivoted_qr(y_r_t)[:r]])
         pairs.append(by_rank[r])
     return pairs
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -39,9 +40,10 @@ class TestGenerate:
         assert env["blas_threads"]["scipy"] in (None, 1)
 
     def test_unknown_pde_lists_presets(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as err:
-            run("generate", "--pde", "wave", "--out-dir", tmp_path)
-        assert "allen-cahn" in str(err.value)
+        assert run("generate", "--pde", "wave", "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: unknown PDE spec 'wave'; presets: allen-cahn")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stiff_spec_fails_instead_of_hanging(self, tmp_path, capsys):
@@ -85,25 +87,25 @@ class TestSample:
         assert (tmp_path / "default" / "samples.csv").read_bytes() == \
             (tmp_path / "zero" / "samples.csv").read_bytes()
 
-    def test_missing_input_fails(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run("sample", "--snapshot", tmp_path / "absent.txt",
-                "--t-div", "1", "--eps", "1e-3", "--out-dir", tmp_path)
+    def test_missing_input_fails(self, tmp_path, capsys):
+        assert run("sample", "--snapshot", tmp_path / "absent.txt",
+                   "--t-div", "1", "--eps", "1e-3", "--out-dir", tmp_path / "out") == 1
+        assert str(tmp_path / "absent.txt") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_pde_data_dir_lookup(self, tmp_path, data_dir):
         code = run("sample", "--pde", "burgers", "--data-dir", data_dir,
                    "--t-div", "1", "--eps", "1e-2", "--out-dir", tmp_path)
         assert code == 0
 
-    def test_config_refused(self, tmp_path, data_dir):
+    def test_config_refused(self, tmp_path, data_dir, capsys):
         # sample reads the sampler keys and the seed from --config, and refuses a key
         # it would ignore
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"t_div": 2, "eps": 1e-3, "max_iter": 3}))
-        with pytest.raises(SystemExit) as err:
-            run("sample", "--snapshot", data_dir / "burgers.txt", "--config", cfg_path,
-                "--out-dir", tmp_path / "out")
-        assert err.value.code == "unknown config keys: max_iter"
+        assert run("sample", "--snapshot", data_dir / "burgers.txt", "--config", cfg_path,
+                   "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: unknown config keys: max_iter\n"
         assert not (tmp_path / "out").exists()
         cfg_path.write_text(json.dumps({"t_div": 2, "eps": 1e-3}))
         assert run("sample", "--snapshot", data_dir / "burgers.txt", "--config", cfg_path,
@@ -160,12 +162,12 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err == "error: non-finite gradient at adam step 1\n"
 
-    def test_invalid_spec_name(self, tmp_path, data_dir):
-        with pytest.raises(SystemExit) as err:
-            run("train", "--snapshot", data_dir / "burgers.txt",
-                "--pde", "nope", "--t-div", "1", "--eps", "1e-2",
-                "--out-dir", tmp_path)
-        assert "presets" in str(err.value)
+    def test_invalid_spec_name(self, tmp_path, data_dir, capsys):
+        assert run("train", "--snapshot", data_dir / "burgers.txt",
+                   "--pde", "nope", "--t-div", "1", "--eps", "1e-2",
+                   "--out-dir", tmp_path / "out") == 1
+        assert "presets" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_overridden_by_flags(self, tmp_path, data_dir):
         cfg_path = tmp_path / "cfg.json"
@@ -284,13 +286,14 @@ class TestTrain:
             f"error: {cfg_path}: expected a JSON object of config keys\n"
         assert not (tmp_path / "out").exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path, data_dir):
+    def test_unknown_config_key_rejected(self, tmp_path, data_dir, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(SystemExit):
-            run("train", "--snapshot", data_dir / "burgers.txt",
-                "--pde", "burgers", "--t-div", "1", "--eps", "1e-2",
-                "--config", cfg_path, "--out-dir", tmp_path)
+        assert run("train", "--snapshot", data_dir / "burgers.txt",
+                   "--pde", "burgers", "--t-div", "1", "--eps", "1e-2",
+                   "--config", cfg_path, "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: unknown config keys: bogus\n"
+        assert not (tmp_path / "out").exists()
 
 
 def _records(count):
@@ -521,6 +524,70 @@ class TestReplay:
         replayed = json.loads((tmp_path / "replay" / manifest.name).read_text())["config"]
         assert replayed == config
         assert _outputs(tmp_path / "replay") == _outputs(tmp_path / "first")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("generate", ("--n", "32", "--m", "9", "--domain", "-8", "8", "1")),
+        ("train", ("--snapshot", "SNAPSHOT", "--t-div", "2", "--eps", "1e-3")),
+        ("sweep", ("--snapshot", "SNAPSHOT", "--t-divs", "2", "--eps-count", "2")),
+        ("baseline", ("--snapshot", "SNAPSHOT", "--min-n", "10", "--max-n", "12",
+                      "--reps", "1")),
+    ], ids=["generate", "train", "sweep", "baseline"])
+    def test_manifest_records_the_spec_file(self, tmp_path, data_dir, command, flags):
+        spec = tmp_path / "toy.json"
+        spec.write_text(json.dumps({"name": "toy", "terms": [[[0, 1], [1, 1]], [[2, 1]]],
+                                    "true_p": [-1.0, 0.1]}))
+        flags = [data_dir / "burgers.txt" if f == "SNAPSHOT" else f for f in flags]
+        if command != "generate":
+            flags += ["--max-iter", "1", "--widths", "2,6,1"]
+        assert run(command, "--spec-file", spec, *flags, "--out-dir", tmp_path / "out") == 0
+        [manifest] = (tmp_path / "out").glob("*_manifest.json")
+        inputs = json.loads(manifest.read_text())["inputs"]
+        assert inputs[str(spec)] == hashlib.sha256(spec.read_bytes()).hexdigest()
+        snapshot = [] if command == "generate" else [str(data_dir / "burgers.txt")]
+        assert sorted(inputs) == sorted([str(spec), *snapshot])
+
+
+class TestOneExit:
+    # Every refused input ends alike: main returns 1, stderr is one "error: " line,
+    # and no output directory is made. Upper-case tokens stand for paths.
+    @pytest.mark.parametrize("argv, message", [
+        (("generate", "--pde", "wave"), "error: unknown PDE spec 'wave'; presets: allen-cahn"),
+        (("train", "--snapshot", "SNAPSHOT", "--pde", "wave", "--t-div", "1", "--eps", "1e-2"),
+         "error: unknown PDE spec 'wave'; presets: allen-cahn"),
+        (("sample", "--snapshot", "SNAPSHOT", "--config", "UNKNOWN_KEY"),
+         "error: unknown config keys: bogus"),
+        (("train", "--snapshot", "SNAPSHOT", "--pde", "burgers", "--config", "UNKNOWN_KEY"),
+         "error: unknown config keys: bogus"),
+        (("train", "--snapshot", "SNAPSHOT", "--pde", "burgers", "--config", "TRUNCATED"),
+         "error: TRUNCATED: Expecting ',' delimiter"),
+        (("train", "--snapshot", "SNAPSHOT", "--t-div", "1", "--eps", "1e-2"),
+         "error: need --pde or --spec-file"),
+        (("sample", "--size", "10"), "error: need --snapshot"),
+        (("sample", "--pde", "burgers", "--data-dir", "EMPTY", "--size", "10"),
+         "error: no snapshot at EMPTY/burgers.txt; pass --snapshot or run "
+         "'pdegreedy generate --pde burgers' first"),
+        (("sample", "--snapshot", "ABSENT", "--size", "10"),
+         "error: [Errno 2] No such file or directory: 'ABSENT'"),
+        (("baseline", "--snapshot", "SNAPSHOT", "--pde", "burgers", "--max-n", "20"),
+         "error: baseline needs --min-n and --max-n"),
+        (("cluster", "--results", "ABSENT"),
+         "error: [Errno 2] No such file or directory: 'ABSENT'"),
+    ], ids=["generate-unknown-pde", "train-unknown-pde", "sample-unknown-key",
+            "train-unknown-key", "malformed-config", "train-no-spec", "sample-no-snapshot",
+            "empty-data-dir", "missing-snapshot", "baseline-no-min-n", "cluster-no-results"])
+    def test_refused_input(self, tmp_path, data_dir, capsys, argv, message):
+        paths = {"SNAPSHOT": data_dir / "burgers.txt", "UNKNOWN_KEY": tmp_path / "unknown.json",
+                 "TRUNCATED": tmp_path / "truncated.json", "EMPTY": tmp_path / "empty",
+                 "ABSENT": tmp_path / "absent.json"}
+        paths["UNKNOWN_KEY"].write_text(json.dumps({"bogus": 1}))
+        paths["TRUNCATED"].write_text('{"max_iter": 3\n')
+        paths["EMPTY"].mkdir()
+        for token, path in paths.items():
+            message = message.replace(token, str(path))
+        assert run(*[paths.get(a, a) for a in argv], "--out-dir", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.endswith("\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestRefusedBeforeWork:

@@ -39,7 +39,7 @@ class TestSpecs:
         assert burgers.true_p == (-1.0, 0.1)
 
     def test_unknown_name_lists_presets(self):
-        with pytest.raises(KeyError, match="allen-cahn"):
+        with pytest.raises(ValueError, match="^unknown PDE spec 'wave'; presets: allen-cahn"):
             get_pde_spec("wave")
         assert preset("wave") == Preset()  # a custom spec runs the defaults
 

@@ -99,38 +99,25 @@ class TestTruncate:
 
 class TestPivotedQr:
     def test_dominant_first_column(self):
-        assert pivoted_qr(np.array([[2.0, 0.0], [0.0, 1.0]])).pivots.tolist() == [0, 1]
+        assert pivoted_qr(np.array([[2.0, 0.0], [0.0, 1.0]])).tolist() == [0, 1]
 
     def test_row_vector_argmax(self):
-        f = pivoted_qr(np.array([[1.0, -3.0, 2.0]]))
-        assert f.pivots[0] == 1
+        assert pivoted_qr(np.array([[1.0, -3.0, 2.0]]))[0] == 1
 
     def test_zero_matrix_index_order(self):
-        assert pivoted_qr(np.zeros((3, 4))).pivots.tolist() == [0, 1, 2, 3]
-
-    def test_factorization_invariants(self, rng):
-        a = rng.standard_normal((6, 4))
-        f = pivoted_qr(a)
-        permuted = a[:, f.pivots]
-        assert (np.linalg.norm(f.q @ f.r - permuted)
-                < 1e-10 * np.linalg.norm(a))
-        diag = np.abs(np.diag(f.r))
-        assert np.all(np.diff(diag) <= 1e-12 * diag[0])
-        assert np.linalg.norm(f.q.T @ f.q - np.eye(f.q.shape[1])) < 1e-10
+        assert pivoted_qr(np.zeros((3, 4))).tolist() == [0, 1, 2, 3]
 
     def test_greedy_property_vs_oracle(self, rng):
         for _ in range(40):
             rows = rng.integers(1, 9)
             cols = rng.integers(1, 13)
             a = rng.standard_normal((rows, cols))
-            f = pivoted_qr(a)
             oracle = greedy_pivot_oracle(a)
-            assert f.pivots[:len(oracle)].tolist() == oracle
+            assert pivoted_qr(a)[:len(oracle)].tolist() == oracle
 
     def test_greedy_prefix_on_3x5(self, rng):
         a = rng.standard_normal((3, 5))
-        f = pivoted_qr(a)
-        assert f.pivots[:3].tolist() == greedy_pivot_oracle(a)
+        assert pivoted_qr(a)[:3].tolist() == greedy_pivot_oracle(a)
 
 
 class TestQrLeastSquares:

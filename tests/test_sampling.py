@@ -9,7 +9,7 @@ from scipy import stats
 
 from pdegreedy import PRESETS, sampling
 from pdegreedy.experiments import eps_grid
-from pdegreedy.linalg import svd
+from pdegreedy.linalg import pivoted_qr, svd
 from pdegreedy.sampling import (QdeimConfig, SampleSet, qdeim_grid, qdeim_sample, qdeim_window,
                                 random_sample, sample_size_grid, select_rank)
 from pdegreedy.snapshots import SnapshotMatrix, subdivide_time
@@ -135,13 +135,27 @@ def _set_bytes(ss: SampleSet):
 class TestQdeimGrid:
     @pytest.mark.parametrize("pde", sorted(PRESETS))
     def test_equals_per_config_sampler(self, request, pde):
+        # the reference factors every window of every config afresh, with no
+        # sharing of SVDs, ranks or sets
         snapshot = request.getfixturevalue(f"{pde.replace('-', '_')}_snapshot")
         t_divs, eps_values = (1, 3, 4), eps_grid(*PRESETS[pde].eps_range, 6)
-        grid = list(qdeim_grid(snapshot, t_divs, eps_values))
+        grid = qdeim_grid(snapshot, t_divs, eps_values)
         assert len(grid) == len(t_divs) * len(eps_values)
-        configs = [QdeimConfig(t, e) for t in t_divs for e in eps_values]
-        for cfg, ss in zip(configs, grid):
-            assert _set_bytes(ss) == _set_bytes(qdeim_sample(snapshot, cfg))
+        configs = [(t, e) for t in t_divs for e in eps_values]
+        for (t_div, eps_thr), ss in zip(configs, grid):
+            spatial, temporal, points = [], [], []
+            for w, (start, end) in enumerate(subdivide_time(snapshot.m, t_div)):
+                factors = svd(snapshot.u[:, start:end])
+                r = select_rank(factors.singular_values, eps_thr)
+                spatial.append(pivoted_qr(factors.left[:, :r].T)[:r].tolist())
+                temporal.append((start + pivoted_qr(factors.right_t[:r])[:r]).tolist())
+                points += [(w, i, j) for i in spatial[-1] for j in temporal[-1]]  # spatial-major
+            window_id, x_idx, t_idx = np.array(points).T
+            reference = SampleSet(
+                t_norm=snapshot.t_norm[t_idx], x_norm=snapshot.x_norm[x_idx],
+                u=snapshot.u[x_idx, t_idx], window_id=window_id, x_idx=x_idx, t_idx=t_idx,
+                spatial_pivots=spatial, temporal_pivots=temporal)
+            assert _set_bytes(ss) == _set_bytes(reference)
 
     def test_one_svd_per_window_one_qr_pair_per_rank(self, small_snapshot, monkeypatch):
         calls = {"svd": 0, "pivoted_qr": 0}
