@@ -176,7 +176,7 @@ def _merge_config(args, spec=None) -> dict:
     """The command's keys: flags > --config file > defaults; the merged dict
     is what runs. Defaults that depend on the PDE come from its preset."""
     keys = COMMANDS[args.command].keys
-    source = None if spec is None else dataclasses.replace(preset(spec.name), spec=spec)
+    source = None if spec is None else preset(spec.name)
     merged = {}
     for key in keys:
         default = OPTIONS[key].default

@@ -88,7 +88,9 @@ def _record(task) -> ExperimentRecord:
 
 
 def _map_tasks(fn, tasks, jobs: int):
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
         return [fn(t) for t in tasks]
     # one compute thread per worker: jobs workers use jobs cores
     with ProcessPoolExecutor(max_workers=jobs, initializer=jets_on_calling_thread) as pool:
@@ -97,36 +99,28 @@ def _map_tasks(fn, tasks, jobs: int):
 
 def _run_sweep(sampler: str, grid, sets, spec: PdeSpec, scales,
                train_cfg: TrainConfig, jobs: int) -> list[ExperimentRecord]:
-    """One record per keys in ``grid``, in grid order, for the sample set or
-    the exception at the same place in ``sets``.
+    """One record per keys in ``grid``, in grid order, for the sample set at
+    the same place in ``sets``.
 
     Every set is drawn before the first run, in this process, so no SVD
-    overlaps a run or runs in a worker. An exception (a window ``qdeim_grid``
-    could not factor) becomes its error record here. Each distinct set
-    object is trained once, the largest first, so no long run starts last.
-    A repeat (a greedy set ``qdeim_grid`` shares between thresholds) takes
-    its source's record under its own keys, with ``wall_time_s`` 0.0 and
-    ``same_as`` the source's ``eps_thr``."""
+    overlaps a run or runs in a worker. Each distinct set object is trained
+    once, the largest first, so no long run starts last. A repeat (a greedy
+    set ``qdeim_grid`` shares between thresholds) takes its source's record
+    under its own keys, with ``wall_time_s`` 0.0 and ``same_as`` the source's
+    ``eps_thr``."""
     first = {}    # id of each distinct set -> (the set, the keys it is first drawn at)
     for keys, samples in zip(grid, sets):
-        if not isinstance(samples, Exception):
-            first.setdefault(id(samples), (samples, keys))
+        first.setdefault(id(samples), (samples, keys))
     runs = sorted(first.values(), key=lambda run: -len(run[0]))
     trained = _map_tasks(_record, [(sampler, samples, keys, spec, scales, train_cfg)
                                    for samples, keys in runs], jobs)
     by_set = {id(samples): record for (samples, _), record in zip(runs, trained)}
-    nan = tuple(np.full(len(spec.terms), np.nan))
     records = []
     for keys, samples in zip(grid, sets):
-        if isinstance(samples, Exception):
-            record = ExperimentRecord(sampler=sampler, pde=spec.name, n_samples=0,
-                                      rel_errors=nan, final_p=nan, wall_time_s=0.0,
-                                      error=f"{type(samples).__name__}: {samples}", **keys)
-        else:
-            record = by_set[id(samples)]
-            if first[id(samples)][1] is not keys:
-                record = dataclasses.replace(record, **keys, wall_time_s=0.0,
-                                             same_as=record.eps_thr)
+        record = by_set[id(samples)]
+        if first[id(samples)][1] is not keys:
+            record = dataclasses.replace(record, **keys, wall_time_s=0.0,
+                                         same_as=record.eps_thr)
         records.append(record)
     return records
 

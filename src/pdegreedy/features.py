@@ -120,7 +120,8 @@ def get_pde_spec(name: str) -> PdeSpec:
 
 def load_pde_spec(path) -> PdeSpec:
     """Custom spec from JSON: {"name", "terms": [[[order, power], ...], ...],
-    "true_p": optional list}. A malformed file raises ValueError naming it."""
+    "true_p": null or a list of finite numbers}. A malformed file raises
+    ValueError naming it."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -132,9 +133,14 @@ def load_pde_spec(path) -> PdeSpec:
                 raise ValueError(f"term {i} must be a list of [order, power] pairs, "
                                  f"got {factors!r}")
         terms = tuple(term(*factors) for factors in raw["terms"])
-        true_p = tuple(raw["true_p"]) if raw.get("true_p") is not None else None
-        return PdeSpec(name=raw.get("name", "custom"), terms=terms, true_p=true_p)
-    except (TypeError, ValueError) as exc:
+        true_p = raw.get("true_p")
+        if true_p is not None and not (isinstance(true_p, list) and all(
+                type(v) in (int, float) and np.isfinite(float(v)) for v in true_p)):
+            raise ValueError(f'"true_p" must be null or a list of finite numbers, '
+                             f'got {true_p!r}')
+        return PdeSpec(name=raw.get("name", "custom"), terms=terms,
+                       true_p=None if true_p is None else tuple(true_p))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -114,38 +114,36 @@ def qdeim_window(u_window, eps_values) -> list[tuple[list[int], list[int]]]:
     return pairs
 
 
-def qdeim_grid(s: SnapshotMatrix, t_divs, eps_values) -> list[SampleSet | Exception]:
-    """Greedy sample sets over the (t_div, eps) grid, t_div-major: one item
+def qdeim_grid(s: SnapshotMatrix, t_divs, eps_values) -> list[SampleSet]:
+    """Greedy sample sets over the (t_div, eps) grid, t_div-major: one set
     per pair.
 
-    Every pair is checked before the first SVD, so a bad t_div or threshold
-    raises ValueError before any work. Each t_div's windows are then factored
-    once for all thresholds (see ``qdeim_window``). The pivots depend only on
-    the window and its rank, so thresholds that give every window of a t_div
-    the same rank get the same ``SampleSet`` object. A window that cannot be
-    factored fails every threshold of its t_div: their items are its exception.
+    Every pair and window is checked before the first SVD, so a bad t_div or
+    threshold, or an all-zero window, raises ValueError before any work. Each
+    t_div's windows are then factored once for all thresholds (see
+    ``qdeim_window``). The pivots depend only on the window and its rank, so
+    thresholds that give every window of a t_div the same rank get the same
+    ``SampleSet`` object.
     """
     eps_values, bounds = tuple(eps_values), {}
     for t_div in t_divs:  # in grid order, so the first bad pair is the one named
         bounds[t_div] = subdivide_time(s.m, t_div)
         for eps_thr in eps_values:
             QdeimConfig(t_div, eps_thr)
-    items, by_ranks = [], {}  # (t_div, per-window ranks) -> the set they select
+        for start, end in bounds[t_div]:
+            if not s.u[:, start:end].any():
+                raise ValueError(f"t_div {t_div}: columns {start}:{end} are all zero")
+    sets, by_ranks = [], {}  # (t_div, per-window ranks) -> the set they select
     for t_div in t_divs:
-        try:
-            windows = [qdeim_window(s.u[:, start:end], eps_values)
-                       for start, end in bounds[t_div]]
-        except Exception as exc:  # the items of every threshold of this t_div
-            items += [exc] * len(eps_values)
-            continue
+        windows = [qdeim_window(s.u[:, start:end], eps_values) for start, end in bounds[t_div]]
         for pairs in zip(*windows):  # per threshold, its (spatial, temporal) per window
             key = (t_div, tuple(len(sp) for sp, _ in pairs))
             if key not in by_ranks:
                 by_ranks[key] = _pivot_grid(s, [list(sp) for sp, _ in pairs],
                                             [[start + j for j in tp] for (start, _), (_, tp)
                                              in zip(bounds[t_div], pairs)])
-            items.append(by_ranks[key])
-    return items
+            sets.append(by_ranks[key])
+    return sets
 
 
 def qdeim_sample(s: SnapshotMatrix, cfg: QdeimConfig) -> SampleSet:
@@ -153,8 +151,6 @@ def qdeim_sample(s: SnapshotMatrix, cfg: QdeimConfig) -> SampleSet:
     x temporal pivot grid, spatial-major (each spatial pivot runs over every
     temporal pivot)."""
     [samples] = qdeim_grid(s, (cfg.t_div,), (cfg.eps_thr,))
-    if isinstance(samples, Exception):
-        raise samples
     return samples
 
 

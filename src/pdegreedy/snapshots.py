@@ -261,7 +261,7 @@ def generate_synthetic(spec: PdeSpec, n: int, m: int, domain, init: str = "gauss
         raise ValueError(f"unknown initial condition {init!r}; "
                          f"options: {', '.join(sorted(INITIAL_CONDITIONS))}")
     x_min, x_max, t_max = (float(v) for v in domain)
-    if not (x_max > x_min and t_max > 0):
+    if not (np.isfinite([x_min, x_max, t_max]).all() and x_max > x_min and t_max > 0):
         raise ValueError(f"bad domain {domain}")
     if n < 2 or m < 2:
         raise ValueError(f"need at least 2 grid points in x and t, got n={n}, m={m}")

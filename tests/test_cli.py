@@ -196,7 +196,9 @@ class TestTrain:
     @pytest.mark.parametrize("spec, fault", [
         ({"name": "bad"}, '"terms"'),
         ({"terms": [[[0]]]}, "term 0"),
-    ], ids=["no-terms", "short-factor"])
+        ({"terms": [[[0, 1]], [[1, 1]]], "true_p": "ab"}, '"true_p" must be'),
+        ({"terms": [[[0, 1]], [[1, 1]]], "true_p": [True, 1]}, '"true_p" must be'),
+    ], ids=["no-terms", "short-factor", "true_p-string", "true_p-bool"])
     def test_malformed_spec_file_reported(self, tmp_path, data_dir, capsys, spec, fault):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -572,16 +574,38 @@ class TestOneExit:
          "error: baseline needs --min-n and --max-n"),
         (("cluster", "--results", "ABSENT"),
          "error: [Errno 2] No such file or directory: 'ABSENT'"),
+        (("generate", "--spec-file", "STRING_TRUE_P"),
+         "error: STRING_TRUE_P: \"true_p\" must be null or a list of finite numbers, got 'a'"),
+        (("generate", "--pde", "burgers", "--config", "INFINITE_DOMAIN"),
+         "error: bad domain (0.0, 1.0, inf)"),
+        (("sweep", "--snapshot", "SNAPSHOT", "--pde", "burgers", "--t-divs", "1",
+          "--eps-count", "2", "--max-iter", "1", "--jobs", "0"),
+         "error: jobs must be >= 1, got 0"),
+        (("baseline", "--snapshot", "SNAPSHOT", "--pde", "burgers", "--min-n", "10",
+          "--max-n", "20", "--reps", "1", "--max-iter", "1", "--jobs", "-1"),
+         "error: jobs must be >= 1, got -1"),
+        (("sweep", "--snapshot", "ZERO", "--pde", "burgers", "--eps-count", "2",
+          "--max-iter", "1"), "error: t_div 1: columns 0:12 are all zero"),
     ], ids=["generate-unknown-pde", "train-unknown-pde", "sample-unknown-key",
             "train-unknown-key", "malformed-config", "train-no-spec", "sample-no-snapshot",
-            "empty-data-dir", "missing-snapshot", "baseline-no-min-n", "cluster-no-results"])
+            "empty-data-dir", "missing-snapshot", "baseline-no-min-n", "cluster-no-results",
+            "generate-string-true_p", "generate-infinite-domain", "sweep-jobs-0",
+            "baseline-jobs-minus-1", "sweep-zero-snapshot"])
     def test_refused_input(self, tmp_path, data_dir, capsys, argv, message):
         paths = {"SNAPSHOT": data_dir / "burgers.txt", "UNKNOWN_KEY": tmp_path / "unknown.json",
                  "TRUNCATED": tmp_path / "truncated.json", "EMPTY": tmp_path / "empty",
-                 "ABSENT": tmp_path / "absent.json"}
+                 "ABSENT": tmp_path / "absent.json", "STRING_TRUE_P": tmp_path / "spec.json",
+                 "INFINITE_DOMAIN": tmp_path / "domain.json",
+                 "ZERO": tmp_path / "zero" / "burgers.txt"}
         paths["UNKNOWN_KEY"].write_text(json.dumps({"bogus": 1}))
         paths["TRUNCATED"].write_text('{"max_iter": 3\n')
         paths["EMPTY"].mkdir()
+        paths["STRING_TRUE_P"].write_text(json.dumps({"terms": [[[0, 1]]], "true_p": "a"}))
+        paths["INFINITE_DOMAIN"].write_text('{"domain": [0, 1, Infinity]}')
+        if "ZERO" in argv:
+            assert run("generate", "--pde", "burgers", "--init", "zero", "--n", "32",
+                       "--m", "12", "--out-dir", paths["ZERO"].parent) == 0
+            capsys.readouterr()
         for token, path in paths.items():
             message = message.replace(token, str(path))
         assert run(*[paths.get(a, a) for a in argv], "--out-dir", tmp_path / "out") == 1

@@ -14,6 +14,7 @@ from pdegreedy import experiments, sampling, siren
 from pdegreedy.experiments import (SweepConfig, cluster_records, eps_grid, export_results,
                                    kmeans, lloyd, read_results, sweep_greedy, sweep_random)
 from pdegreedy.features import get_pde_spec, preset
+from pdegreedy.linalg import SvdConvergenceError
 from pdegreedy.sampling import QdeimConfig, qdeim_sample
 from pdegreedy.siren import init_siren
 from pdegreedy.training import TrainConfig, train
@@ -106,23 +107,23 @@ class TestDeduplication:
         assert len(records) == 12 and len(calls) == 1 + 2 + 3 + 4
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_bad_t_div_fails_each_eps_in_place(self, small_snapshot, monkeypatch, jobs):
-        # t_div 3 and 4 cut 25 columns into windows of under 10, which cannot be factored here
+    def test_failed_svd_ends_the_sweep_before_any_run(self, small_snapshot, monkeypatch, jobs):
+        # t_div 3 cuts 25 columns into windows of under 10, which cannot be factored here
         monkeypatch.setattr(sampling, "svd", _svd_failing_under_10_columns(sampling.svd))
-        cfg = SweepConfig(t_divs=(1, 3, 4, 2), eps_values=(1e-2, 1e-4))
-        records = sweep_greedy(small_snapshot, get_pde_spec("burgers"), cfg,
-                               TrainConfig(max_iter=1, widths=FAST_WIDTHS), jobs=jobs)
-        assert [(r.t_div, r.eps_thr) for r in records] == \
-            [(t, e) for t in cfg.t_divs for e in cfg.eps_values]
-        assert [r.error is None for r in records] == [True] * 2 + [False] * 4 + [True] * 2
-        assert all(r.error == "LinAlgError: SVD did not converge" for r in records[2:6])
-        assert all(r.n_samples == 0 and r.same_as is None for r in records[2:6])
+        runs = []
+        monkeypatch.setattr(experiments, "train", lambda *a: runs.append(a))
+        cfg = SweepConfig(t_divs=(1, 3, 2), eps_values=(1e-2, 1e-4))
+        with pytest.raises(SvdConvergenceError, match="on a 48x8 matrix"):
+            sweep_greedy(small_snapshot, get_pde_spec("burgers"), cfg,
+                         TrainConfig(max_iter=1, widths=FAST_WIDTHS), jobs=jobs)
+        assert runs == []
 
 
 def _svd_failing_under_10_columns(real):
     def svd(a):
         if a.shape[1] < 10:
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise SvdConvergenceError(f"SVD iteration did not converge on a "
+                                      f"{a.shape[0]}x{a.shape[1]} matrix")
         return real(a)
     return svd
 
@@ -425,17 +426,13 @@ class TestPoolWorkers:
         assert _fields(ordered) == _fields(sweep_greedy(small_snapshot, spec, DUPLICATED,
                                                         train_cfg, jobs=1))
 
-    def test_failed_draw_keeps_its_position(self, small_snapshot, monkeypatch):
-        # t_div 3's windows cannot be factored: that draw fails, its neighbours train
+    def test_failed_draw_starts_no_pool(self, small_snapshot, monkeypatch):
+        # every set is drawn before the pool: a draw that fails leaves no worker behind
         monkeypatch.setattr(sampling, "svd", _svd_failing_under_10_columns(sampling.svd))
-        spec = get_pde_spec("burgers")
+        pools = []
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
         cfg = SweepConfig(t_divs=(1, 3, 2), eps_values=(1e-2,))
-        train_cfg = TrainConfig(max_iter=1, widths=FAST_WIDTHS)
-        parallel = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=2)
-        assert [r.t_div for r in parallel] == [1, 3, 2]
-        assert [r.error is None for r in parallel] == [True, False, True]
-        failed = parallel[1]
-        assert failed.error == "LinAlgError: SVD did not converge"
-        assert failed.n_samples == 0 and np.all(np.isnan(failed.final_p))
-        serial = sweep_greedy(small_snapshot, spec, cfg, train_cfg, jobs=1)
-        assert _fields(parallel) == _fields(serial)
+        with pytest.raises(SvdConvergenceError):
+            sweep_greedy(small_snapshot, get_pde_spec("burgers"), cfg,
+                         TrainConfig(max_iter=1, widths=FAST_WIDTHS), jobs=2)
+        assert pools == []

@@ -9,7 +9,7 @@ from scipy import stats
 
 from pdegreedy import PRESETS, sampling
 from pdegreedy.experiments import eps_grid
-from pdegreedy.linalg import pivoted_qr, svd
+from pdegreedy.linalg import SvdConvergenceError, pivoted_qr, svd
 from pdegreedy.sampling import (QdeimConfig, SampleSet, qdeim_grid, qdeim_sample, qdeim_window,
                                 random_sample, sample_size_grid, select_rank)
 from pdegreedy.snapshots import SnapshotMatrix, subdivide_time
@@ -196,19 +196,31 @@ class TestQdeimGrid:
                 qdeim_grid(small_snapshot, t_divs, eps_values)
         assert calls == []
 
-    def test_failed_svd_fails_its_t_div(self, small_snapshot, monkeypatch):
+    def test_all_zero_window_refused_before_any_svd(self, small_snapshot, monkeypatch):
+        # columns 17:25 are the last window of t_div 3 (and lie inside t_div 4's 19:25)
+        u = small_snapshot.u.copy()
+        u[:, 17:25] = 0.0
+        zeroed = SnapshotMatrix(u=u, x_phys=small_snapshot.x_phys, t_phys=small_snapshot.t_phys)
+        calls = []
+        monkeypatch.setattr(sampling, "svd", lambda a: calls.append(a.shape))
+        with pytest.raises(ValueError, match=re.escape("t_div 3: columns 17:25 are all zero")):
+            qdeim_grid(zeroed, (1, 2, 3, 4), (1e-2, 1e-4))
+        assert calls == []
+
+    def test_failed_svd_raises(self, small_snapshot, monkeypatch):
         real = sampling.svd
 
         def svd_fails_on_narrow_windows(a):
             if a.shape[1] < 10:
-                raise np.linalg.LinAlgError("SVD did not converge")
+                raise SvdConvergenceError(f"SVD iteration did not converge on a "
+                                          f"{a.shape[0]}x{a.shape[1]} matrix")
             return real(a)
 
         monkeypatch.setattr(sampling, "svd", svd_fails_on_narrow_windows)
-        items = list(qdeim_grid(small_snapshot, (1, 3), (1e-2, 1e-4)))
-        assert [isinstance(i, SampleSet) for i in items] == [True, True, False, False]
-        assert items[2] is items[3]
-        with pytest.raises(np.linalg.LinAlgError):
+        assert len(qdeim_grid(small_snapshot, (1, 2), (1e-2, 1e-4))) == 4
+        with pytest.raises(SvdConvergenceError, match="on a 48x8 matrix"):
+            qdeim_grid(small_snapshot, (1, 3), (1e-2, 1e-4))
+        with pytest.raises(SvdConvergenceError):
             qdeim_sample(small_snapshot, QdeimConfig(t_div=3, eps_thr=1e-2))
 
 

@@ -202,6 +202,16 @@ class TestGenerator:
         with pytest.raises(ValueError, match="need at least 2 grid points"):
             generate_synthetic(get_pde_spec("burgers"), n, m, (-1, 1, 1.0))
 
+    @pytest.mark.parametrize("domain", [(0, 1, np.inf), (-np.inf, 1, 1.0), (0, np.inf, 1.0)],
+                             ids=["t_max-inf", "x_min-inf", "x_max-inf"])
+    def test_infinite_domain_rejected(self, domain, monkeypatch):
+        # refused before the integrator is called, with no warning from the grid
+        monkeypatch.setattr(snapshots, "solve_ivp", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bad domain"):
+                generate_synthetic(get_pde_spec("burgers"), 16, 9, domain)
+
     def test_requires_true_coefficients(self):
         from pdegreedy.features import PdeSpec, term
         spec = PdeSpec(name="no-p", terms=(term((0, 1)),))
