@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -119,9 +120,9 @@ def get_pde_spec(name: str) -> PdeSpec:
 
 
 def load_pde_spec(path) -> PdeSpec:
-    """Custom spec from JSON: {"name", "terms": [[[order, power], ...], ...],
-    "true_p": null or a list of finite numbers}. A malformed file raises
-    ValueError naming it."""
+    """Custom spec from JSON: {"name": a plain file name, "terms": [[[order,
+    power], ...], ...], "true_p": null or a list of finite numbers}. A
+    malformed file raises ValueError naming it."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -138,8 +139,10 @@ def load_pde_spec(path) -> PdeSpec:
                 type(v) in (int, float) and np.isfinite(float(v)) for v in true_p)):
             raise ValueError(f'"true_p" must be null or a list of finite numbers, '
                              f'got {true_p!r}')
-        return PdeSpec(name=raw.get("name", "custom"), terms=terms,
-                       true_p=None if true_p is None else tuple(true_p))
+        name = raw.get("name", "custom")  # names the output files, so no directories
+        if not (isinstance(name, str) and name not in ("", ".", "..") and Path(name).name == name):
+            raise ValueError(f'"name" must be a plain file name, got {name!r}')
+        return PdeSpec(name=name, terms=terms, true_p=None if true_p is None else tuple(true_p))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -574,8 +574,8 @@ def _backward_block(block, work, kernel, bar, factorials, order, out):
     for layer in range(len(kernel) - 1, -1, -1):
         # bs: cotangents of this layer's pre-activation streams, c: its input
         c = inputs[layer]
-        flat = bs.reshape(-1, bs.shape[-1])
-        np.matmul(flat.T, c.reshape(-1, c.shape[-1]), out=d_weights[layer])
+        flat, c_flat = bs.reshape(-1, bs.shape[-1]), c.reshape(-1, c.shape[-1])
+        np.matmul(flat.T, c_flat, out=d_weights[layer])
         bs[0].sum(axis=0, out=d_biases[layer])
         if layer == 0:
             break
@@ -585,7 +585,10 @@ def _backward_block(block, work, kernel, bar, factorials, order, out):
             np.cos(a[0], out=a[0])
         tmp = _take(scratch, (n, w.shape[1]))
         _sine_reverse_coeffs(a, c, order, _top_stream(layer - 1, order), tmp)
-        np.matmul(flat, w, out=c.reshape(-1, c.shape[-1]))
+        if layer == len(kernel) - 1:  # one output: the product is an outer product
+            np.multiply(flat, w, out=c_flat)
+        else:
+            np.matmul(flat, w, out=c_flat)
         _sine_cotangents(c, a, order, tmp)
         bs = c
 

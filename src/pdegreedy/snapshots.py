@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 from scipy.integrate import solve_ivp
 
 from .features import DomainScales, PdeSpec
@@ -252,8 +253,10 @@ def generate_synthetic(spec: PdeSpec, n: int, m: int, domain, init: str = "gauss
     single-derivative terms, so dispersive operators such as u_xxx do not
     constrain the step size. A right-hand-side call takes one batched inverse
     FFT, one FFT and one exponential (two if lin has a real part), with the
-    bytes of one inverse FFT per derivative order. More than RHS_CALL_BUDGET
-    calls while tau gains under 1/100 of an interval raise IntegrationBlowupError.
+    bytes of one inverse FFT per derivative order. It calls numpy's pocketfft
+    gufuncs directly, into work arrays made once per generation; only its
+    result is a new array. More than RHS_CALL_BUDGET calls while tau gains
+    under 1/100 of an interval raise IntegrationBlowupError.
     """
     if spec.true_p is None:
         raise ValueError(f"spec {spec.name!r} has no true coefficients to integrate")
@@ -281,14 +284,23 @@ def generate_synthetic(spec: PdeSpec, n: int, m: int, domain, init: str = "gauss
             nonlinear.append((float(coef), tm.factors))
 
     orders = sorted({order for _, factors in nonlinear for order, _ in factors})
-    ik_pows = np.array([ik ** order for order in orders]).reshape(len(orders), k.size)
-    products = [(coef, [(orders.index(order), power) for order, power in factors])
-                for coef, factors in nonlinear]
+    ik_pows = np.array([ik ** order for order in orders], complex).reshape(len(orders), k.size)
     # exp(-lin tau) is the conjugate of exp(lin tau) when lin is imaginary (KdV)
     imaginary = not lin.real.any()
 
     dealias = np.ones_like(k)
     dealias[(2 * k.size) // 3:] = 0.0
+
+    # Work arrays of this generation. The right-hand side writes every ufunc
+    # into them and calls the pocketfft gufuncs numpy.fft dispatches to, with
+    # the factors numpy.fft passes (1/n back, 1 forward).
+    neg_lin = -lin
+    growth, spectra, total_hat = np.empty_like(lin), np.empty_like(ik_pows), np.empty_like(lin)
+    derivs = np.empty((len(orders), n))  # one row per order in `orders`
+    prod, powered, total = np.empty(n), np.empty(n), np.empty(n)
+    products = [(coef, [(derivs[orders.index(order)], power) for order, power in factors])
+                for coef, factors in nonlinear]
+    rfft = _pocketfft_umath.rfft_n_even if n % 2 == 0 else _pocketfft_umath.rfft_n_odd
 
     def rhs(tau, v):
         nonlocal calls, mark  # calls since tau last passed mark
@@ -296,16 +308,23 @@ def generate_synthetic(spec: PdeSpec, n: int, m: int, domain, init: str = "gauss
         if calls > RHS_CALL_BUDGET:
             raise IntegrationBlowupError(t[j] + tau, f"more than {RHS_CALL_BUDGET} right-hand-"
                                          "side evaluations in 1/100 of an output interval")
-        growth = np.exp(lin * tau)
-        derivs = np.fft.irfft(growth * v * ik_pows, n)  # one row per order in `orders`
-        total = np.zeros(n)
+        np.exp(np.multiply(lin, tau, out=growth), out=growth)
+        np.multiply(np.multiply(growth, v, out=spectra), ik_pows, out=spectra)
+        _pocketfft_umath.irfft(spectra, 1.0 / n, out=derivs)
+        total.fill(0.0)
         for coef, factors in products:
-            prod = coef
-            for row, power in factors:
-                prod = prod * (derivs[row] if power == 1 else derivs[row] ** power)
-            total += prod
-        decay = growth.conj() if imaginary else np.exp(-lin * tau)
-        return decay * (dealias * np.fft.rfft(total))
+            prod.fill(coef)
+            for d, power in factors:
+                if power == 2:  # d ** 2 is np.square, which np.power need not match
+                    d = np.square(d, out=powered)
+                elif power != 1:
+                    d = np.power(d, power, out=powered)
+                np.multiply(prod, d, out=prod)
+            np.add(total, prod, out=total)
+        decay = np.conjugate(growth, out=growth) if imaginary else np.exp(
+            np.multiply(neg_lin, tau, out=growth), out=growth)
+        # a fresh array: DOP853 keeps the stage values it is handed
+        return decay * np.multiply(dealias, rfft(total, 1.0, out=total_hat), out=total_hat)
 
     rng = np.random.default_rng(seed)
     u0 = INITIAL_CONDITIONS[init](x, x_min, x_max, rng)

@@ -578,6 +578,8 @@ class TestOneExit:
          "error: STRING_TRUE_P: \"true_p\" must be null or a list of finite numbers, got 'a'"),
         (("generate", "--pde", "burgers", "--config", "INFINITE_DOMAIN"),
          "error: bad domain (0.0, 1.0, inf)"),
+        (("generate", "--spec-file", "ESCAPING_NAME", "--n", "8", "--m", "4"),
+         "error: ESCAPING_NAME: \"name\" must be a plain file name, got '../escaped'"),
         (("sweep", "--snapshot", "SNAPSHOT", "--pde", "burgers", "--t-divs", "1",
           "--eps-count", "2", "--max-iter", "1", "--jobs", "0"),
          "error: jobs must be >= 1, got 0"),
@@ -589,29 +591,32 @@ class TestOneExit:
     ], ids=["generate-unknown-pde", "train-unknown-pde", "sample-unknown-key",
             "train-unknown-key", "malformed-config", "train-no-spec", "sample-no-snapshot",
             "empty-data-dir", "missing-snapshot", "baseline-no-min-n", "cluster-no-results",
-            "generate-string-true_p", "generate-infinite-domain", "sweep-jobs-0",
-            "baseline-jobs-minus-1", "sweep-zero-snapshot"])
+            "generate-string-true_p", "generate-infinite-domain", "generate-escaping-name",
+            "sweep-jobs-0", "baseline-jobs-minus-1", "sweep-zero-snapshot"])
     def test_refused_input(self, tmp_path, data_dir, capsys, argv, message):
         paths = {"SNAPSHOT": data_dir / "burgers.txt", "UNKNOWN_KEY": tmp_path / "unknown.json",
                  "TRUNCATED": tmp_path / "truncated.json", "EMPTY": tmp_path / "empty",
                  "ABSENT": tmp_path / "absent.json", "STRING_TRUE_P": tmp_path / "spec.json",
-                 "INFINITE_DOMAIN": tmp_path / "domain.json",
+                 "INFINITE_DOMAIN": tmp_path / "domain.json", "ESCAPING_NAME": tmp_path / "name.json",
                  "ZERO": tmp_path / "zero" / "burgers.txt"}
         paths["UNKNOWN_KEY"].write_text(json.dumps({"bogus": 1}))
         paths["TRUNCATED"].write_text('{"max_iter": 3\n')
         paths["EMPTY"].mkdir()
         paths["STRING_TRUE_P"].write_text(json.dumps({"terms": [[[0, 1]]], "true_p": "a"}))
         paths["INFINITE_DOMAIN"].write_text('{"domain": [0, 1, Infinity]}')
+        paths["ESCAPING_NAME"].write_text(
+            json.dumps({"name": "../escaped", "terms": [[[0, 1]]], "true_p": [0.1]}))
         if "ZERO" in argv:
             assert run("generate", "--pde", "burgers", "--init", "zero", "--n", "32",
                        "--m", "12", "--out-dir", paths["ZERO"].parent) == 0
             capsys.readouterr()
         for token, path in paths.items():
             message = message.replace(token, str(path))
+        before = sorted(tmp_path.rglob("*"))
         assert run(*[paths.get(a, a) for a in argv], "--out-dir", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and err.endswith("\n") and err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written, in --out-dir or beside it
 
 
 class TestRefusedBeforeWork:

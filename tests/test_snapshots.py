@@ -297,11 +297,11 @@ def reference_generate(spec, n, m, domain, init, seed=0, rtol=1e-8):
     return np.column_stack(cols), nfev
 
 
-def _reduced(name):
-    # a quarter of the preset's points over a tenth of its time span
+def _reduced(name, n=None):
+    # a quarter of the preset's points (or n points) over a tenth of its time span
     p = PRESETS[name]
     x_min, x_max, t_max = p.domain
-    return p.spec, p.n // 4, 11, (x_min, x_max, t_max / 10), p.init
+    return p.spec, n or p.n // 4, 11, (x_min, x_max, t_max / 10), p.init
 
 
 class TestGeneratorOracle:
@@ -310,13 +310,15 @@ class TestGeneratorOracle:
 
     @pytest.mark.parametrize("case", [
         _reduced("kdv"), _reduced("burgers"), _reduced("allen-cahn"),
+        # an odd point count takes the other forward transform
+        _reduced("kdv", n=127),
         # no nonlinear term: nothing to transform back
         (PdeSpec(name="linear", terms=(term((2, 1)), term((3, 1))), true_p=(0.05, -0.5)),
          64, 11, (-8.0, 8.0, 1.0), "gaussian"),
         # a squared factor, next to a purely imaginary linear operator
         (PdeSpec(name="mkdv", terms=(term((0, 2), (1, 1)), term((3, 1))), true_p=(-1.0, -0.1)),
          64, 11, (-8.0, 8.0, 1.0), "gaussian"),
-    ], ids=["kdv", "burgers", "allen-cahn", "no-nonlinear-term", "u2-u_x"])
+    ], ids=["kdv", "burgers", "allen-cahn", "kdv-odd-n", "no-nonlinear-term", "u2-u_x"])
     def test_bytes_and_nfev_match_reference(self, case, monkeypatch):
         spec, n, m, domain, init = case
         nfev = []
