@@ -586,7 +586,12 @@ def _backward_block(block, work, kernel, bar, factorials, order, out):
         tmp = _take(scratch, (n, w.shape[1]))
         _sine_reverse_coeffs(a, c, order, _top_stream(layer - 1, order), tmp)
         if layer == len(kernel) - 1:  # one output: the product is an outer product
-            np.multiply(flat, w, out=c_flat)
+            # at numpy's default ufunc buffer the broadcast multiply allocates
+            # 8192 items per input on every call; a buffer of a few rows
+            # lets it run unbuffered (within errstate, which restores it)
+            with np.errstate():
+                np.setbufsize(128)
+                np.multiply(flat, w, out=c_flat)
         else:
             np.matmul(flat, w, out=c_flat)
         _sine_cotangents(c, a, order, tmp)
