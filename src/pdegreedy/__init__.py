@@ -17,7 +17,7 @@ from .snapshots import (IntegrationBlowupError, SnapshotMatrix, SnapshotParseErr
                         generate_synthetic, load_snapshot, save_snapshot,
                         subdivide_time)
 from .training import (AdamState, TrainConfig, TrainResult, adam_step, cyclic_lr,
-                       summary_dict, train, write_trajectory_csv)
+                       train, write_trajectory_csv)
 from .experiments import (ClusterSummary, ExperimentRecord, SweepConfig,
                           cluster_records, eps_grid, export_results, kmeans,
-                          lloyd, read_results, sweep_greedy, sweep_random)
+                          lloyd, read_results, run_record, sweep_greedy, sweep_random)

@@ -19,13 +19,13 @@ import scipy
 
 from . import __version__
 from .experiments import (SweepConfig, cluster_records, eps_grid, export_results,
-                          read_results, sweep_greedy, sweep_random)
+                          read_results, run_record, sweep_greedy, sweep_random)
 from .features import PRESETS, get_pde_spec, load_pde_spec, preset
 from .linalg import blas_threads
 from .sampling import QdeimConfig, qdeim_sample, random_sample
 from .siren import init_siren, save_checkpoint
 from .snapshots import generate_synthetic, load_snapshot, save_snapshot
-from .training import TrainConfig, summary_dict, train, write_trajectory_csv
+from .training import TrainConfig, train, write_trajectory_csv
 
 # A view of PRESETS under the name benchmarks/bench_workloads.py imports.
 GENERATE_DEFAULTS = {name: dict(n=p.n, m=p.m, domain=p.domain, init=p.init)
@@ -237,13 +237,16 @@ def _resolve_snapshot(args):
 
 
 def _select_samples(snapshot, merged: dict):
-    """A set ``size`` draws a random sample with ``seed``; ``t_div`` and ``eps``
+    """The sampler's name, its settings as a record's keys, and the samples:
+    a set ``size`` draws a random sample with ``seed``; ``t_div`` and ``eps``
     select a greedy one. Each sampler refuses a bad value before it draws."""
     t_div, eps, size = merged["t_div"], merged["eps"], merged["size"]
     if size is not None and t_div is None and eps is None:
-        return random_sample(snapshot, size, merged["seed"])
+        keys = {"size": size, "seed": merged["seed"]}
+        return "random", keys, random_sample(snapshot, **keys)
     if size is None and t_div is not None and eps is not None:
-        return qdeim_sample(snapshot, QdeimConfig(t_div=t_div, eps_thr=eps))
+        keys = {"t_div": t_div, "eps_thr": eps}
+        return "greedy", keys, qdeim_sample(snapshot, QdeimConfig(**keys))
     raise ValueError(f"need size alone (random) or t_div and eps (greedy), got "
                      f"t_div={t_div}, eps={eps}, size={size}")
 
@@ -280,36 +283,35 @@ def cmd_sample(args) -> int:
     started = time.time()
     merged = _merge_config(args)
     snapshot, src = _resolve_snapshot(args)
-    samples = _select_samples(snapshot, merged)
+    sampler, _, samples = _select_samples(snapshot, merged)
     out_dir = _out_dir(args)
     out_path = out_dir / "samples.csv"
     samples.export_csv(out_path)
     _write_manifest(out_dir, "samples_manifest.json", "sample", merged, [src], started)
-    print(f"wrote {out_path} ({len(samples)} samples, "
-          f"source={'greedy' if merged['size'] is None else 'random'})")
+    print(f"wrote {out_path} ({len(samples)} samples, source={sampler})")
     return 0
 
 
 def cmd_train(args) -> int:
     started = time.time()
     snapshot, inputs, spec, merged, cfg = _training_inputs(args)
-    samples = _select_samples(snapshot, merged)
+    sampler, keys, samples = _select_samples(snapshot, merged)
     net = init_siren(cfg.widths, omega0=cfg.omega0, seed=cfg.seed)
     result = train(net, samples, spec, snapshot.scales, cfg)
+    record = run_record(sampler, keys, samples, spec, result)
 
     out_dir = _out_dir(args)
     write_trajectory_csv(result, out_dir / "trajectory.csv")
-    summary = summary_dict(result, spec)
-    summary["n_samples"] = len(samples)
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+        json.dump({**dataclasses.asdict(record), "term_labels": list(spec.labels)}, fh,
+                  indent=1, sort_keys=True)
         fh.write("\n")
     save_checkpoint(net, out_dir / "checkpoint.txt")
     _write_manifest(out_dir, "train_manifest.json", "train", merged, inputs, started)
     print(f"final p = {np.round(result.final_p, 6).tolist()}"
           f" after {result.iterations} iterations"
-          + (" (diverged)" if result.diverged else ""))
-    return 1 if result.diverged else 0
+          + ("" if result.error is None else f" ({result.error})"))
+    return 0 if result.outcome == "ok" else 1
 
 
 def cmd_sweep(args) -> int:
@@ -426,7 +428,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

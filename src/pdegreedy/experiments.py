@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,11 +13,11 @@ import numpy as np
 
 from .features import PRESETS, PdeSpec, Preset, relative_error
 # qdeim_sample is bound here for the probes of benchmarks/bench_workloads.py; sweeps use qdeim_grid.
-from .sampling import qdeim_grid, qdeim_sample, random_sample, sample_size_grid
+from .sampling import SampleSet, qdeim_grid, qdeim_sample, random_sample, sample_size_grid
 # DEFAULT_OMEGA0 and DEFAULT_WIDTHS are imported from here by benchmarks/bench_workloads.py.
 from .siren import DEFAULT_OMEGA0, DEFAULT_WIDTHS, init_siren, jets_on_calling_thread
 from .snapshots import SnapshotMatrix
-from .training import TrainConfig, train
+from .training import TrainConfig, TrainResult, train
 
 # A view of PRESETS under the name benchmarks/bench_workloads.py imports.
 DEFAULT_EPS_RANGES = {name: p.eps_range for name, p in PRESETS.items()}
@@ -52,39 +51,47 @@ class ExperimentRecord:
     sampler: str                       # greedy | random
     pde: str
     n_samples: int
-    rel_errors: tuple[float, ...]      # NaN where truth is zero or run failed
-    final_p: tuple[float, ...]
+    rel_errors: tuple[float, ...]      # NaN where truth is zero or no iteration completed
+    final_p: tuple[float, ...]         # the last completed iteration's
     wall_time_s: float
     t_div: int | None = None
     eps_thr: float | None = None
     size: int | None = None
     seed: int | None = None
-    error: str | None = None
+    error: str | None = None           # None exactly when outcome is ok
     same_as: float | None = None       # a repeated greedy set: its first eps_thr
+    iterations: int | None = None      # completed iterations; None in older files
+    outcome: str | None = None         # TrainResult.outcome; None in older files
+
+
+def run_record(sampler: str, keys: dict, samples: SampleSet, spec: PdeSpec,
+               run: TrainResult | Exception) -> ExperimentRecord:
+    """The record of one training run on ``samples``, drawn under the
+    sampler settings ``keys``. ``run`` is what ``train`` returned, or the
+    exception it raised: that is recorded as a run of outcome ``error``
+    that completed no iteration, in 0.0 s."""
+    if isinstance(run, Exception):
+        run = TrainResult(np.empty((0, len(spec.terms))), np.empty((0, 3)), np.empty(0), 0.0,
+                          outcome="error", error=f"{type(run).__name__}: {run}")
+    errs = (relative_error(spec.true_p, run.final_p) if spec.true_p is not None
+            else np.full(len(spec.terms), np.nan))
+    return ExperimentRecord(
+        sampler=sampler, pde=spec.name, n_samples=len(samples),
+        rel_errors=tuple(float(e) for e in errs), final_p=tuple(float(v) for v in run.final_p),
+        wall_time_s=run.wall_time, error=run.error, iterations=run.iterations,
+        outcome=run.outcome, **keys)
 
 
 def _record(task) -> ExperimentRecord:
-    """One run: train a fresh net on the drawn samples and record the outcome
-    under the sampler settings ``keys``. A failed run becomes the record's
-    error; the sweep goes on."""
+    """One run: train a fresh net on the drawn samples. A run that raised
+    is recorded too; the sweep goes on."""
     sampler, samples, keys, spec, scales, train_cfg = task
-    nan = tuple(np.full(len(spec.terms), np.nan))
-    started = time.perf_counter()
     net = init_siren(train_cfg.widths, omega0=train_cfg.omega0, seed=train_cfg.seed)
     try:
-        result = train(net, samples, spec, scales, train_cfg)
+        run = train(net, samples, spec, scales, train_cfg)
     except Exception as exc:
-        errs = final_p = nan
-        detail = f"{type(exc).__name__}: {exc}"
-    else:
-        errs = (relative_error(spec.true_p, result.final_p)
-                if spec.true_p is not None else nan)
-        final_p, detail = result.final_p, "diverged" if result.diverged else None
-    return ExperimentRecord(
-        sampler=sampler, pde=spec.name, n_samples=len(samples),
-        rel_errors=tuple(float(e) for e in errs),
-        final_p=tuple(float(v) for v in final_p),
-        wall_time_s=time.perf_counter() - started, error=detail, **keys)
+        run = exc
+    return run_record(sampler, keys, samples, spec, run)
 
 
 def _map_tasks(fn, tasks, jobs: int):

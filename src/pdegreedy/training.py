@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import (DomainScales, PdeSpec, build_theta, composite_loss_and_bar,
-                       physical_u_t, relative_error, solve_parameters, total_loss)
+                       physical_u_t, solve_parameters, total_loss)
+from .linalg import RankDeficiencyError
 from .sampling import SampleSet
 from .siren import (DEFAULT_OMEGA0, DEFAULT_WIDTHS, SirenNet, check_network,
                     forward_jet_with_cache, jet_backward)
@@ -53,11 +54,18 @@ class TrainResult:
     loss_history: np.ndarray   # (iterations, 3): mse, deri, total
     lr_history: np.ndarray     # (iterations,)
     wall_time: float
-    diverged: bool = False
+    outcome: str = "ok"        # ok | diverged | rank_deficient | nonfinite_grad, or error
+    error: str | None = None   # what ended the run early (or train raised); None when ok
+
+    @property
+    def diverged(self) -> bool:
+        return self.outcome == "diverged"
 
     @property
     def final_p(self) -> np.ndarray:
-        return self.p_trajectory[-1]
+        """The last completed iteration's coefficients; NaN if none completed."""
+        return (self.p_trajectory[-1] if len(self.p_trajectory)
+                else np.full(self.p_trajectory.shape[1], np.nan))
 
     @property
     def iterations(self) -> int:
@@ -126,16 +134,21 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
     updated in place. The jet passes run on float32 Taylor streams; the
     jets they return, the library, the solve, the losses, the gradient
     and Adam are float64.
+
+    The loss diverging (its row kept), a rank loss in the solve or a
+    non-finite gradient ends the run with the rows so far; ``outcome``
+    says which. A set with fewer samples than terms raises ValueError.
     """
-    if len(samples) == 0:
-        raise ValueError("empty sample set")
+    if len(samples) < len(spec.terms):
+        raise ValueError(f"{len(samples)} samples for {len(spec.terms)} terms: "
+                         "need at least one sample per term")
     order = max(1, spec.max_x_order)  # the jet's input stack needs its x slot
     t, x, u_data = samples.t_norm, samples.x_norm, samples.u
 
     state = AdamState.like(net.params)
 
     p_rows, loss_rows, lrs = [], [], []
-    diverged = False
+    outcome, error = "ok", None
     cache = None  # one float32 jet workspace, reused by every iteration
     started = time.perf_counter()
     for it in range(cfg.max_iter):
@@ -143,7 +156,11 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
                                              dtype=np.float32)
         theta = build_theta(jets, spec, scales)
         u_t = physical_u_t(jets, scales)
-        p_vec = solve_parameters(theta, u_t)
+        try:
+            p_vec = solve_parameters(theta, u_t)
+        except RankDeficiencyError as exc:
+            outcome, error = "rank_deficient", f"{type(exc).__name__}: {exc}"
+            break
         mse, deri, bar = composite_loss_and_bar(
             jets, u_data, theta, u_t, spec, scales, p_vec, cfg.mu1, cfg.mu2)
         total = total_loss(mse, deri, cfg.mu1, cfg.mu2)
@@ -153,17 +170,22 @@ def train(net: SirenNet, samples: SampleSet, spec: PdeSpec, scales: DomainScales
         loss_rows.append((mse, deri, total))
         lrs.append(lr)
         if not np.isfinite(total) or abs(total) > DIVERGENCE_LIMIT:
-            diverged = True
+            outcome, error = "diverged", "diverged"
             break
 
-        adam_step(net.params, jet_backward(net, cache, bar), state, lr)
+        grads = jet_backward(net, cache, bar)
+        try:
+            adam_step(net.params, grads, state, lr)
+        except FloatingPointError as exc:
+            outcome, error = "nonfinite_grad", f"{type(exc).__name__}: {exc}"
+            break
 
     return TrainResult(
         wall_time=time.perf_counter() - started,
-        p_trajectory=np.array(p_rows),
-        loss_history=np.array(loss_rows),
+        p_trajectory=np.array(p_rows).reshape(-1, len(spec.terms)),
+        loss_history=np.array(loss_rows).reshape(-1, 3),
         lr_history=np.array(lrs),
-        diverged=diverged,
+        outcome=outcome, error=error,
     )
 
 
@@ -181,17 +203,3 @@ def write_trajectory_csv(result: TrainResult, path) -> None:
                 [i, "%.17g" % result.lr_history[i]]
                 + ["%.17g" % v for v in result.loss_history[i]]
                 + ["%.17g" % v for v in result.p_trajectory[i]])
-
-
-def summary_dict(result: TrainResult, spec: PdeSpec) -> dict:
-    out = {
-        "final_p": [float(v) for v in result.final_p],
-        "iterations": result.iterations,
-        "diverged": result.diverged,
-        "wall_time_s": result.wall_time,
-    }
-    if spec.true_p is not None:
-        errs = relative_error(spec.true_p, result.final_p)
-        out["rel_errors"] = [None if np.isnan(e) else float(e) for e in errs]
-        out["term_labels"] = list(spec.labels)
-    return out

@@ -148,10 +148,14 @@ class TestTrain:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["iterations"] == 1
         assert len(summary["final_p"]) == 2
+        assert (summary["outcome"], summary["error"]) == ("ok", None)
+        assert (summary["sampler"], summary["t_div"], summary["eps_thr"]) == ("greedy", 2, 1e-3)
+        assert summary["term_labels"] == ["u*u_x", "u_xx"]
         net = load_checkpoint(tmp_path / "checkpoint.txt")
         assert net.widths == (2, 8, 8, 1)
 
     def test_nonfinite_gradient_reported(self, tmp_path, data_dir, capsys, monkeypatch):
+        # the run ends at the bad gradient and writes what it has: one completed row
         def nan_backward(net, cache, bar):
             return np.full(net.params.size, np.nan)
 
@@ -160,7 +164,15 @@ class TestTrain:
                    "--pde", "burgers", "--t-div", "2", "--eps", "1e-3",
                    "--max-iter", "3", "--widths", "2,8,1", "--out-dir", tmp_path)
         assert code == 1
-        assert capsys.readouterr().err == "error: non-finite gradient at adam step 1\n"
+        assert capsys.readouterr().err == ""
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 2  # header + the iteration before the bad step
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["outcome"], summary["iterations"]) == ("nonfinite_grad", 1)
+        assert summary["error"] == "FloatingPointError: non-finite gradient at adam step 1"
+        assert summary["final_p"] == [float(v) for v in lines[1].split(",")[5:]]
+        assert load_checkpoint(tmp_path / "checkpoint.txt").widths == (2, 8, 1)
+        assert (tmp_path / "train_manifest.json").exists()
 
     def test_invalid_spec_name(self, tmp_path, data_dir, capsys):
         assert run("train", "--snapshot", data_dir / "burgers.txt",
@@ -564,6 +576,8 @@ class TestOneExit:
          "error: TRUNCATED: Expecting ',' delimiter"),
         (("train", "--snapshot", "SNAPSHOT", "--t-div", "1", "--eps", "1e-2"),
          "error: need --pde or --spec-file"),
+        (("train", "--snapshot", "SNAPSHOT", "--pde", "kdv", "--t-div", "1", "--eps", "0.5"),
+         "error: 1 samples for 2 terms: need at least one sample per term"),
         (("sample", "--size", "10"), "error: need --snapshot"),
         (("sample", "--pde", "burgers", "--data-dir", "EMPTY", "--size", "10"),
          "error: no snapshot at EMPTY/burgers.txt; pass --snapshot or run "
@@ -589,7 +603,8 @@ class TestOneExit:
         (("sweep", "--snapshot", "ZERO", "--pde", "burgers", "--eps-count", "2",
           "--max-iter", "1"), "error: t_div 1: columns 0:12 are all zero"),
     ], ids=["generate-unknown-pde", "train-unknown-pde", "sample-unknown-key",
-            "train-unknown-key", "malformed-config", "train-no-spec", "sample-no-snapshot",
+            "train-unknown-key", "malformed-config", "train-no-spec", "train-undersized-set",
+            "sample-no-snapshot",
             "empty-data-dir", "missing-snapshot", "baseline-no-min-n", "cluster-no-results",
             "generate-string-true_p", "generate-infinite-domain", "generate-escaping-name",
             "sweep-jobs-0", "baseline-jobs-minus-1", "sweep-zero-snapshot"])

@@ -10,11 +10,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from pdegreedy import experiments, sampling, siren
+from pdegreedy import experiments, sampling, siren, training
 from pdegreedy.experiments import (SweepConfig, cluster_records, eps_grid, export_results,
-                                   kmeans, lloyd, read_results, sweep_greedy, sweep_random)
-from pdegreedy.features import get_pde_spec, preset
-from pdegreedy.linalg import SvdConvergenceError
+                                   kmeans, lloyd, read_results, run_record, sweep_greedy,
+                                   sweep_random)
+from pdegreedy.features import get_pde_spec, preset, relative_error
+from pdegreedy.linalg import RankDeficiencyError, SvdConvergenceError
 from pdegreedy.sampling import QdeimConfig, qdeim_sample
 from pdegreedy.siren import init_siren
 from pdegreedy.training import TrainConfig, train
@@ -58,14 +59,62 @@ class TestSweepGreedy:
         direct = train(net, samples, spec, small_snapshot.scales, train_cfg)
         np.testing.assert_array_equal(np.array(record.final_p), direct.final_p)
 
-    def test_failures_recorded_not_raised(self, small_snapshot):
-        spec = get_pde_spec("kdv")  # wrong physics for this data, still runs
+    @pytest.mark.parametrize("outcome, iterations", [
+        ("nonfinite_grad", 1), ("rank_deficient", 2), ("diverged", 2)])
+    def test_failures_recorded_not_raised(self, small_snapshot, monkeypatch, outcome,
+                                          iterations):
+        # each failure ends its run at a fixed iteration; the record keeps the rows so far
+        if outcome == "nonfinite_grad":
+            monkeypatch.setattr(training, "jet_backward",
+                                lambda net, cache, bar: np.full(net.params.size, np.nan))
+        elif outcome == "rank_deficient":
+            calls, solve = [], training.solve_parameters
+
+            def third_call_fails(theta, u_t):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise RankDeficiencyError(1, 1e-16)
+                return solve(theta, u_t)
+            monkeypatch.setattr(training, "solve_parameters", third_call_fails)
+        results = []
+        monkeypatch.setattr(experiments, "train",
+                            lambda *a: results.append(train(*a)) or results[-1])
+        cfg = (TrainConfig(max_iter=50, learning_rate=1e7, step_size_up=1, widths=(2, 8, 1))
+               if outcome == "diverged" else TrainConfig(max_iter=5, widths=FAST_WIDTHS))
+        [record] = sweep_greedy(small_snapshot, get_pde_spec("burgers"),
+                                SweepConfig(t_divs=(2,), eps_values=(1e-3,)), cfg, jobs=1)
+        [result] = results
+        assert (record.outcome, record.iterations) == (outcome, iterations)
+        assert record.error == result.error and record.error.startswith(
+            {"nonfinite_grad": "FloatingPointError: non-finite gradient at adam step 1",
+             "rank_deficient": "RankDeficiencyError: ", "diverged": "diverged"}[outcome])
+        assert len(result.p_trajectory) == len(result.loss_history) == iterations
+        assert record.final_p == tuple(result.p_trajectory[-1])
+
+    def test_undersized_set_recorded_as_error(self, small_snapshot):
+        # KdV's 2 terms on the 1 sample that eps 0.5 keeps: refused before any pass
         cfg = SweepConfig(t_divs=(1,), eps_values=(0.5,))
-        train_cfg = TrainConfig(max_iter=1, widths=(2, 2, 1))
-        records = sweep_greedy(small_snapshot, spec, cfg, train_cfg)
-        assert len(records) == 1  # a tiny rank can underdetermine the solve
-        if records[0].error is not None:
-            assert np.all(np.isnan(records[0].rel_errors))
+        [record] = sweep_greedy(small_snapshot, get_pde_spec("kdv"), cfg,
+                                TrainConfig(max_iter=1, widths=(2, 2, 1)))
+        assert (record.outcome, record.iterations, record.n_samples) == ("error", 0, 1)
+        assert record.wall_time_s == 0.0
+        assert record.error == ("ValueError: 1 samples for 2 terms: "
+                                "need at least one sample per term")
+        assert np.all(np.isnan(record.rel_errors)) and np.all(np.isnan(record.final_p))
+
+
+class TestRunRecord:
+    def test_summary_fields(self, small_snapshot):
+        spec = get_pde_spec("burgers")
+        samples = qdeim_sample(small_snapshot, QdeimConfig(t_div=2, eps_thr=1e-3))
+        result = train(init_siren((2, 8, 1), seed=0), samples, spec, small_snapshot.scales,
+                       TrainConfig(max_iter=2))
+        record = run_record("greedy", {"t_div": 2, "eps_thr": 1e-3}, samples, spec, result)
+        assert (record.outcome, record.error, record.iterations) == ("ok", None, 2)
+        assert (record.t_div, record.eps_thr, record.size, record.seed) == (2, 1e-3, None, None)
+        assert record.n_samples == len(samples) and record.wall_time_s == result.wall_time
+        assert record.final_p == tuple(result.final_p)
+        assert record.rel_errors == tuple(relative_error(spec.true_p, result.final_p))
 
 
 DUPLICATED = SweepConfig(t_divs=(3, 4), eps_values=(1e-14, 1e-12, 1e-4))  # 1e-12 repeats 1e-14
@@ -307,15 +356,19 @@ class TestPersistence:
 
 
     def test_records_without_same_as_load(self, greedy_records, tmp_path):
-        # records.json as written before sweeps marked repeated sets
-        payload = [dataclasses.asdict(r) for r in greedy_records[:3]]
-        for raw in payload:
-            del raw["same_as"]
-        path = tmp_path / "records.json"
-        path.write_text(json.dumps(payload))
-        back = read_results(path)
-        assert [r.same_as for r in back] == [None] * 3
-        assert [r.eps_thr for r in back] == [r.eps_thr for r in greedy_records[:3]]
+        # records.json as written before sweeps marked repeated sets, and as
+        # written before records carried their iteration count and outcome
+        for absent in (("same_as",), ("iterations", "outcome")):
+            payload = [dataclasses.asdict(r) for r in greedy_records[:3]]
+            for raw in payload:
+                for key in absent:
+                    del raw[key]
+            path = tmp_path / "records.json"
+            path.write_text(json.dumps(payload))
+            back = read_results(path)
+            for key in absent:
+                assert [getattr(r, key) for r in back] == [None] * 3
+            assert [r.eps_thr for r in back] == [r.eps_thr for r in greedy_records[:3]]
 
 
 class TestConfigs:

@@ -9,8 +9,9 @@ from pdegreedy.features import get_pde_spec, load_pde_spec
 from pdegreedy.sampling import QdeimConfig, qdeim_sample, random_sample
 from pdegreedy.siren import (_layer_views, forward_jet, forward_jet_with_cache, init_siren,
                              jet_backward)
+from pdegreedy.linalg import RankDeficiencyError
 from pdegreedy.training import (BETA1, BETA2, EPS, AdamState, TrainConfig, adam_step,
-                                cyclic_lr, summary_dict, train, write_trajectory_csv)
+                                cyclic_lr, train, write_trajectory_csv)
 
 
 class TestCyclicLr:
@@ -228,6 +229,7 @@ class TestTrain:
         cfg = TrainConfig(max_iter=50, learning_rate=1e7, step_size_up=1)
         result = train(net, samples, spec, snapshot.scales, cfg)
         assert result.diverged
+        assert (result.outcome, result.error) == ("diverged", "diverged")
         assert result.iterations < 50
         assert result.iterations == len(result.p_trajectory) == len(result.loss_history)
         np.testing.assert_array_equal(result.final_p, result.p_trajectory[-1])
@@ -257,16 +259,43 @@ class TestTrain:
         assert result.iterations == 3
         assert np.all(np.isfinite(result.final_p))
 
-    def test_empty_samples_rejected(self, toy_problem):
+    def test_empty_samples_rejected(self, toy_problem, monkeypatch):
+        # an empty set, and a set with fewer samples than terms, are refused
+        # before the first pass
         snapshot, spec, samples = toy_problem
         empty = random_sample(snapshot, 1, seed=0)
         sliced = type(empty)(
             t_norm=empty.t_norm[:0], x_norm=empty.x_norm[:0], u=empty.u[:0],
             window_id=empty.window_id[:0], x_idx=empty.x_idx[:0],
             t_idx=empty.t_idx[:0])
+        passes = []
+        monkeypatch.setattr(training, "forward_jet_with_cache",
+                            lambda *a, **k: passes.append(1))
         net = init_siren((2, 8, 1), seed=0)
-        with pytest.raises(ValueError):
-            train(net, sliced, spec, snapshot.scales, TrainConfig(max_iter=1))
+        for undersized, n in ((sliced, 0), (empty, 1)):
+            with pytest.raises(ValueError, match=f"^{n} samples for 2 terms: need at least "
+                                                 "one sample per term$"):
+                train(net, undersized, spec, snapshot.scales, TrainConfig(max_iter=1))
+        assert passes == []
+
+    def test_rank_loss_at_first_solve_keeps_no_row(self, toy_problem, monkeypatch, tmp_path):
+        snapshot, spec, samples = toy_problem
+
+        def rank_lost(theta, u_t):
+            raise RankDeficiencyError(1, 0.0)
+        monkeypatch.setattr(training, "solve_parameters", rank_lost)
+        net = init_siren((2, 8, 1), seed=0)
+        before = net.params.copy()
+        result = train(net, samples, spec, snapshot.scales, TrainConfig(max_iter=5))
+        assert result.outcome == "rank_deficient"
+        assert result.error.startswith("RankDeficiencyError: ")
+        assert result.iterations == 0 and result.p_trajectory.shape == (0, len(spec.terms))
+        assert result.loss_history.shape == (0, 3) and result.lr_history.shape == (0,)
+        assert np.all(np.isnan(result.final_p)) and len(result.final_p) == len(spec.terms)
+        np.testing.assert_array_equal(net.params, before)
+        write_trajectory_csv(result, tmp_path / "trajectory.csv")
+        assert (tmp_path / "trajectory.csv").read_text().splitlines() == [
+            "iteration,lr,mse,deri,total,p1,p2"]
 
 
 class TestExports:
@@ -281,13 +310,3 @@ class TestExports:
         assert rows[0] == ["iteration", "lr", "mse", "deri", "total", "p1", "p2"]
         assert len(rows) == 4
         np.testing.assert_allclose(float(rows[1][2]), result.loss_history[0, 0])
-
-    def test_summary_dict(self, toy_problem):
-        snapshot, spec, samples = toy_problem
-        net = init_siren((2, 8, 1), seed=0)
-        result = train(net, samples, spec, snapshot.scales, TrainConfig(max_iter=2))
-        summary = summary_dict(result, spec)
-        assert summary["iterations"] == 2
-        assert len(summary["final_p"]) == len(spec.terms)
-        assert summary["term_labels"] == list(spec.labels)
-        assert len(summary["rel_errors"]) == len(spec.terms)
