@@ -19,7 +19,7 @@ import scipy
 
 from . import __version__
 from .experiments import (SweepConfig, cluster_records, eps_grid, export_results,
-                          read_results, run_record, sweep_greedy, sweep_random)
+                          read_results, record_json, run_record, sweep_greedy, sweep_random)
 from .features import PRESETS, get_pde_spec, load_pde_spec, preset
 from .linalg import blas_threads
 from .sampling import QdeimConfig, qdeim_sample, random_sample
@@ -257,8 +257,7 @@ def _select_samples(snapshot, merged: dict):
 def _write_records(out_dir: Path, records, command: str, merged: dict, inputs,
                    started: float) -> int:
     """CSV and JSON records plus the manifest; exit status 1 if any run failed."""
-    export_results(records, out_dir / "records.csv")
-    export_results(records, out_dir / "records.json")
+    export_results(records, out_dir)
     _write_manifest(out_dir, f"{command}_manifest.json", command, merged, inputs, started)
     failures = sum(1 for r in records if r.error is not None)
     print(f"wrote {len(records)} records ({failures} failed)")
@@ -303,8 +302,8 @@ def cmd_train(args) -> int:
     out_dir = _out_dir(args)
     write_trajectory_csv(result, out_dir / "trajectory.csv")
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump({**dataclasses.asdict(record), "term_labels": list(spec.labels)}, fh,
-                  indent=1, sort_keys=True)
+        json.dump({**record_json(record), "term_labels": list(spec.labels)}, fh,
+                  indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
     save_checkpoint(net, out_dir / "checkpoint.txt")
     _write_manifest(out_dir, "train_manifest.json", "train", merged, inputs, started)

@@ -229,10 +229,13 @@ def kmeans(points, k: int, n_init: int = 100, seed: int = 0) -> ClusterSummary:
 
 def cluster_records(records: list[ExperimentRecord], coef_index: int, k: int = 20,
                     n_init: int = 100, seed: int = 0) -> ClusterSummary:
-    """Cluster the (sample count, relative error) pairs of one coefficient."""
-    if not records:
-        raise ValueError("no records to cluster")
-    n_coefs = len(records[0].rel_errors)
+    """Cluster the (sample count, relative error) pairs of one coefficient
+    over records of one PDE, which must all have the same coefficient count."""
+    kinds = sorted({(rec.pde, len(rec.rel_errors)) for rec in records})
+    if len(kinds) != 1:
+        raise ValueError("need records of one PDE and coefficient count, got " + (", ".join(
+            f"{pde} (coefficients: {n})" for pde, n in kinds) or "no records"))
+    n_coefs = kinds[0][1]
     if not 0 <= coef_index < n_coefs:
         raise ValueError(f"coefficient index {coef_index} outside 0..{n_coefs - 1}")
     rows = [(rec.n_samples, rec.rel_errors[coef_index]) for rec in records
@@ -245,51 +248,48 @@ def cluster_records(records: list[ExperimentRecord], coef_index: int, k: int = 2
 # ---------------------------------------------------------------------------
 # persistence
 
-CSV_FIELDS = ["sampler", "pde", "t_div", "eps_thr", "size", "seed",
-              "n_samples", "coef_index", "rel_error", "wall_time_s", "same_as"]
+def record_json(rec: ExperimentRecord) -> dict:
+    """``rec`` as a JSON object, with a non-finite coefficient or relative
+    error written as ``null``: those two fields alone can hold a NaN."""
+    raw = dataclasses.asdict(rec)
+    for key in ("rel_errors", "final_p"):
+        raw[key] = [v if np.isfinite(v) else None for v in raw[key]]
+    return raw
 
 
-def export_results(records: list[ExperimentRecord], path) -> None:
-    """By the path's suffix: ``.csv`` writes one row per (record, coefficient),
-    ``.json`` a lossless record dump. Any other suffix raises ValueError."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-            writer.writeheader()
-            for rec in records:
-                for ci, err in enumerate(rec.rel_errors):
-                    writer.writerow({
-                        "sampler": rec.sampler, "pde": rec.pde,
-                        "t_div": "" if rec.t_div is None else rec.t_div,
-                        "eps_thr": "" if rec.eps_thr is None else "%.17g" % rec.eps_thr,
-                        "size": "" if rec.size is None else rec.size,
-                        "seed": "" if rec.seed is None else rec.seed,
-                        "n_samples": rec.n_samples,
-                        "coef_index": ci,
-                        "rel_error": "%.17g" % err,
-                        "wall_time_s": "%.6f" % rec.wall_time_s,
-                        "same_as": "" if rec.same_as is None else "%.17g" % rec.same_as,
-                    })
-    elif suffix == ".json":
-        payload = [dataclasses.asdict(rec) for rec in records]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    else:
-        raise ValueError(f"{path}: results are written to a .csv or .json file")
+def export_results(records: list[ExperimentRecord], out_dir) -> None:
+    """Write ``records.csv`` and ``records.json`` into ``out_dir``. A CSV row per
+    (record, coefficient) holds the record's fields, with that coefficient's
+    ``rel_errors`` and ``final_p``, then ``coef_index``; None is "", a float %.17g."""
+    with open(Path(out_dir) / "records.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in dataclasses.fields(ExperimentRecord)] + ["coef_index"])
+        for rec in records:
+            for ci, (err, p) in enumerate(zip(rec.rel_errors, rec.final_p)):
+                row = dataclasses.astuple(dataclasses.replace(rec, rel_errors=err, final_p=p))
+                writer.writerow(["" if v is None else "%.17g" % v if isinstance(v, float) else v
+                                 for v in (*row, ci)])
+    with open(Path(out_dir) / "records.json", "w") as fh:
+        json.dump([record_json(rec) for rec in records], fh, indent=1, sort_keys=True,
+                  allow_nan=False)
+        fh.write("\n")
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(np.nan if v is None else float(v) for v in values)
 
 
 def read_results(path) -> list[ExperimentRecord]:
-    """Load a JSON export back into records. A file that is not a list of
+    """Load a JSON export back into records, with NaN for a ``null`` (or, in an
+    older file, ``NaN``) coefficient or error. A file that is not a list of
     records raises ValueError naming it."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
             if not isinstance(payload, list):
                 raise TypeError(f"top level is a {type(payload).__name__}")
-            return [ExperimentRecord(**{**raw, "rel_errors": tuple(map(float, raw["rel_errors"])),
-                                        "final_p": tuple(map(float, raw["final_p"]))})
+            return [ExperimentRecord(**{**raw, "rel_errors": _floats(raw["rel_errors"]),
+                                        "final_p": _floats(raw["final_p"])})
                     for raw in payload]
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"{path}: not a list of experiment records "

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -153,6 +154,24 @@ class TestTrain:
         assert summary["term_labels"] == ["u*u_x", "u_xx"]
         net = load_checkpoint(tmp_path / "checkpoint.txt")
         assert net.widths == (2, 8, 8, 1)
+
+    def test_unknown_true_coefficients_written_as_null(self, tmp_path, data_dir):
+        # Burgers' terms with no true coefficients: every relative error is NaN
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "burgers-unknown", "terms": [[[0, 1], [1, 1]],
+                                                                         [[2, 1]]],
+                                    "true_p": None}))
+        assert run("train", "--snapshot", data_dir / "burgers.txt", "--spec-file", spec,
+                   "--t-div", "2", "--eps", "1e-3", "--max-iter", "1", "--widths", "2,8,1",
+                   "--out-dir", tmp_path / "out") == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert (summary["outcome"], summary["rel_errors"]) == ("ok", [None, None])
+        assert all(np.isfinite(summary["final_p"]))
 
     def test_nonfinite_gradient_reported(self, tmp_path, data_dir, capsys, monkeypatch):
         # the run ends at the bad gradient and writes what it has: one completed row
@@ -416,7 +435,7 @@ class TestSweepBaselineCluster:
         assert len(rows) == 1 + sum(len(c["centroids"]) for c in payload.values())
 
     def test_cluster_reads_exported_records(self, tmp_path):
-        export_results(_records(4), tmp_path / "records.json")
+        export_results(_records(4), tmp_path)
         assert run("cluster", "--results", tmp_path / "records.json", "--k", "2",
                    "--n-init", "2", "--out-dir", tmp_path) == 0
         assert len((tmp_path / "centroids.csv").read_text().splitlines()) == 1 + 2 * 2
@@ -428,7 +447,7 @@ class TestSweepBaselineCluster:
         pytest.param([{"sampler": "greedy"}], None, id="record-without-errors")])
     def test_cluster_rejects_bad_input(self, tmp_path, capsys, payload, k):
         if isinstance(payload, int):
-            export_results(_records(payload), tmp_path / "records.json")
+            export_results(_records(payload), tmp_path)
         else:
             (tmp_path / "records.json").write_text(json.dumps(payload))
         argv = ["cluster", "--results", tmp_path / "records.json", "--k", 2 if k is None else k,
@@ -480,7 +499,7 @@ class TestOptionTable:
         if command == "generate":
             argv = ("--pde", "burgers")
         elif command == "cluster":
-            export_results(_records(4), tmp_path / "records.json")
+            export_results(_records(4), tmp_path)
             argv = ("--results", tmp_path / "records.json")
         else:
             argv = ("--snapshot", data_dir / "burgers.txt", "--pde", "burgers")
@@ -526,7 +545,7 @@ class TestReplay:
         ("cluster", ("--results", "RECORDS"), ("--k", "2", "--n-init", "3", "--seed", "4")),
     ], ids=["generate", "sample", "train", "sweep", "baseline", "cluster"])
     def test_manifest_config_replays_the_run(self, tmp_path, data_dir, command, paths, flags):
-        export_results(_records(4), tmp_path / "records.json")
+        export_results(_records(4), tmp_path)
         paths = [{"SNAPSHOT": data_dir / "burgers.txt",
                   "RECORDS": tmp_path / "records.json"}.get(p, p) for p in paths]
         assert run(command, *paths, *flags, "--out-dir", tmp_path / "first") == 0
@@ -602,18 +621,22 @@ class TestOneExit:
          "error: jobs must be >= 1, got -1"),
         (("sweep", "--snapshot", "ZERO", "--pde", "burgers", "--eps-count", "2",
           "--max-iter", "1"), "error: t_div 1: columns 0:12 are all zero"),
+        (("cluster", "--results", "MIXED_PDES", "--k", "1", "--n-init", "1"),
+         "error: need records of one PDE and coefficient count, got "
+         "allen-cahn (coefficients: 1), burgers (coefficients: 2)"),
     ], ids=["generate-unknown-pde", "train-unknown-pde", "sample-unknown-key",
             "train-unknown-key", "malformed-config", "train-no-spec", "train-undersized-set",
             "sample-no-snapshot",
             "empty-data-dir", "missing-snapshot", "baseline-no-min-n", "cluster-no-results",
             "generate-string-true_p", "generate-infinite-domain", "generate-escaping-name",
-            "sweep-jobs-0", "baseline-jobs-minus-1", "sweep-zero-snapshot"])
+            "sweep-jobs-0", "baseline-jobs-minus-1", "sweep-zero-snapshot",
+            "cluster-mixed-pdes"])
     def test_refused_input(self, tmp_path, data_dir, capsys, argv, message):
         paths = {"SNAPSHOT": data_dir / "burgers.txt", "UNKNOWN_KEY": tmp_path / "unknown.json",
                  "TRUNCATED": tmp_path / "truncated.json", "EMPTY": tmp_path / "empty",
                  "ABSENT": tmp_path / "absent.json", "STRING_TRUE_P": tmp_path / "spec.json",
                  "INFINITE_DOMAIN": tmp_path / "domain.json", "ESCAPING_NAME": tmp_path / "name.json",
-                 "ZERO": tmp_path / "zero" / "burgers.txt"}
+                 "ZERO": tmp_path / "zero" / "burgers.txt", "MIXED_PDES": tmp_path / "mixed.json"}
         paths["UNKNOWN_KEY"].write_text(json.dumps({"bogus": 1}))
         paths["TRUNCATED"].write_text('{"max_iter": 3\n')
         paths["EMPTY"].mkdir()
@@ -621,6 +644,10 @@ class TestOneExit:
         paths["INFINITE_DOMAIN"].write_text('{"domain": [0, 1, Infinity]}')
         paths["ESCAPING_NAME"].write_text(
             json.dumps({"name": "../escaped", "terms": [[[0, 1]]], "true_p": [0.1]}))
+        allen_cahn = ExperimentRecord(sampler="random", pde="allen-cahn", n_samples=10,
+                                      rel_errors=(0.1,), final_p=(1.0,), wall_time_s=0.0)
+        paths["MIXED_PDES"].write_text(
+            json.dumps([dataclasses.asdict(r) for r in (*_records(3), allen_cahn)]))
         if "ZERO" in argv:
             assert run("generate", "--pde", "burgers", "--init", "zero", "--n", "32",
                        "--m", "12", "--out-dir", paths["ZERO"].parent) == 0

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import itertools
@@ -326,36 +327,67 @@ class TestKmeans:
         assert summary.centroids.shape == (20, 2)
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture(scope="module")
+def failed_record(small_snapshot):
+    """A run that raised: NaN coefficients and relative errors."""
+    samples = qdeim_sample(small_snapshot, QdeimConfig(t_div=1, eps_thr=0.5))
+    return run_record("greedy", {"t_div": 1, "eps_thr": 0.5}, samples, get_pde_spec("burgers"),
+                      ValueError("1 samples for 2 terms: need at least one sample per term"))
+
+
 class TestPersistence:
-    def test_csv_row_count_and_schema(self, greedy_records, tmp_path):
-        path = tmp_path / "records.csv"
-        export_results(greedy_records, path)
-        lines = path.read_text().splitlines()
+    def test_csv_row_count_and_schema(self, greedy_records, failed_record, tmp_path):
+        export_results([*greedy_records, failed_record], tmp_path)
+        lines = (tmp_path / "records.csv").read_text().splitlines()
         n_coefs = len(greedy_records[0].rel_errors)
-        assert lines[0] == ("sampler,pde,t_div,eps_thr,size,seed,"
-                            "n_samples,coef_index,rel_error,wall_time_s,same_as")
-        assert len(lines) - 1 == 80 * n_coefs
+        assert lines[0] == ("sampler,pde,n_samples,rel_errors,final_p,wall_time_s,t_div,"
+                            "eps_thr,size,seed,error,same_as,iterations,outcome,coef_index")
+        assert len(lines) - 1 == 81 * n_coefs
+        rows = list(csv.DictReader(lines))
+        assert {(row["outcome"], row["error"]) for row in rows[:-n_coefs]} == {("ok", "")}
+        for ci, row in enumerate(rows[-n_coefs:]):
+            assert (row["outcome"], row["iterations"], row["coef_index"]) == ("error", "0", str(ci))
+            assert row["error"] == failed_record.error
+            assert (row["rel_errors"], row["final_p"]) == ("nan", "nan")
+        first = greedy_records[0]
+        assert rows[1]["final_p"] == "%.17g" % first.final_p[1]
+        assert rows[1]["wall_time_s"] == "%.17g" % first.wall_time_s
+        assert (rows[0]["size"], rows[0]["seed"]) == ("", "")
 
-    def test_other_suffix_refused(self, greedy_records, tmp_path):
-        path = tmp_path / "records.txt"
-        with pytest.raises(ValueError, match="records.txt"):
-            export_results(greedy_records, path)
-        assert not path.exists()
+    def test_columns_follow_the_record(self, greedy_records, tmp_path, monkeypatch):
+        @dataclasses.dataclass
+        class Extended(experiments.ExperimentRecord):
+            theta_cond: float | None = None
 
-    def test_json_round_trip(self, greedy_records, tmp_path):
-        path = tmp_path / "records.json"
-        export_results(greedy_records, path)
-        back = read_results(path)
-        assert len(back) == len(greedy_records)
-        for a, b in zip(greedy_records, back):
+        monkeypatch.setattr(experiments, "ExperimentRecord", Extended)
+        record = Extended(**dataclasses.asdict(greedy_records[0]), theta_cond=12.5)
+        export_results([record], tmp_path)
+        header, row = (tmp_path / "records.csv").read_text().splitlines()[:2]
+        assert header.endswith(",outcome,theta_cond,coef_index")
+        assert row.endswith(",ok,12.5,0")
+
+    def test_json_round_trip(self, greedy_records, failed_record, tmp_path):
+        records = [*greedy_records, failed_record]
+        export_results(records, tmp_path)
+        text = (tmp_path / "records.json").read_text()
+        assert _strict_json(text)[-1]["final_p"] == [None, None]
+        back = read_results(tmp_path / "records.json")
+        assert len(back) == len(records)
+        for a, b in zip(records, back):
             assert a.sampler == b.sampler and a.t_div == b.t_div
             assert a.n_samples == b.n_samples and a.error == b.error
             np.testing.assert_array_equal(np.array(a.final_p), np.array(b.final_p))
             np.testing.assert_allclose(np.array(a.rel_errors),
                                        np.array(b.rel_errors), equal_nan=True)
+        assert np.isnan(back[-1].final_p).all() and np.isnan(back[-1].rel_errors).all()
 
-
-    def test_records_without_same_as_load(self, greedy_records, tmp_path):
+    def test_records_without_same_as_load(self, greedy_records, failed_record, tmp_path):
         # records.json as written before sweeps marked repeated sets, and as
         # written before records carried their iteration count and outcome
         for absent in (("same_as",), ("iterations", "outcome")):
@@ -369,6 +401,12 @@ class TestPersistence:
             for key in absent:
                 assert [getattr(r, key) for r in back] == [None] * 3
             assert [r.eps_thr for r in back] == [r.eps_thr for r in greedy_records[:3]]
+        # and as written before a NaN was written as null: a bare NaN token
+        path.write_text(json.dumps([dataclasses.asdict(failed_record)]))
+        assert "NaN" in path.read_text()
+        [back] = read_results(path)
+        assert back.error == failed_record.error
+        assert np.isnan(back.final_p).all() and np.isnan(back.rel_errors).all()
 
 
 class TestConfigs:
