@@ -6,10 +6,10 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import _pocketfft_umath
-from scipy.integrate import solve_ivp
 
 from .features import DomainScales, PdeSpec
 
@@ -203,6 +203,143 @@ def _read_csv(path):
 
 
 # ---------------------------------------------------------------------------
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5). The tableau is
+# scipy/integrate/_ivp/dop853_coefficients.py's, literal for literal; row 12
+# of _A holds the weights B of the 8th-order solution.
+
+_C = np.array([0.0,
+               0.526001519587677318785587544488e-01,
+               0.789002279381515978178381316732e-01,
+               0.118350341907227396726757197510,
+               0.281649658092772603273242802490,
+               0.333333333333333333333333333333,
+               0.25,
+               0.307692307692307692307692307692,
+               0.651282051282051282051282051282,
+               0.6,
+               0.857142857142857142857142857142,
+               1.0])
+_A = np.zeros((13, 12))
+for _row, _entries in {
+    1: {0: 5.26001519587677318785587544488e-2},
+    2: {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    3: {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    4: {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+        3: 9.24834003261792003115737966543e-1},
+    5: {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+        4: 1.25467687566822425016691814123e-1},
+    6: {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+        4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    7: {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+        4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+        6: 8.27378916381402288758473766002e-3},
+    8: {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+        4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+        6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    9: {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+        4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+        6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+        8: -2.03312017085086261358222928593e-2},
+    10: {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+         4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+         6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+         8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    11: {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+         4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+         6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+         8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+         10: 6.43392746015763530355970484046e-1},
+    12: {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+         6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+         8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+         10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+}.items():
+    _A[_row, list(_entries)] = list(_entries.values())
+del _row, _entries
+_B = _A[12]
+# the 5th- and 3rd-order error estimators, over the 12 stages and f(t + h)
+_E3 = np.zeros(13)
+_E3[:-1] = _B
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
+_E5 = np.zeros(13)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
+
+
+class Integration(NamedTuple):
+    y: np.ndarray  # the state where stepping ended
+    nfev: int      # right-hand-side calls
+    success: bool
+    message: str
+
+
+def _rms(v):
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
+def solve_ivp(fun, t_bound, y, rtol, atol) -> Integration:
+    """Integrate y' = fun(t, y) from t = 0 to t_bound > 0 with adaptive DOP853.
+
+    Every operation is the one scipy's solve_ivp(method="DOP853") performs,
+    in its order, so the end state and nfev match scipy's byte for byte. fun
+    must return a new array: the stepper keeps f(t, y) from step to step.
+    """
+    f = fun(0.0, y)
+    # the first step: Hairer, Norsett & Wanner's estimate with RMS norms
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
+    d2 = _rms((fun(h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, t_bound)
+
+    t, nfev = 0.0, 2
+    K = np.empty((13, y.size), dtype=y.dtype)  # the 12 stages, then f(t + h)
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return Integration(y, nfev, False,
+                                   "Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 12):
+                dy = np.dot(K[:s].T, _A[s, :s]) * h
+                K[s] = fun(t + _C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            K[-1] = f_new = fun(t + h, y_new)
+            nfev += 12
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+            if err5 == 0 and err3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale))
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** (-1 / 8))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** (-1 / 8))
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return Integration(y, nfev, True, "")
+
+
+# ---------------------------------------------------------------------------
 # synthetic data: pseudospectral method of lines on a periodic domain
 
 def _two_soliton(x, x_min, x_max, rng):
@@ -249,9 +386,10 @@ def generate_synthetic(spec: PdeSpec, n: int, m: int, domain, init: str = "gauss
     """Integrate du/dt = sum_j p_j term_j(u, u_x, ...) on a periodic grid.
 
     Spatial derivatives are spectral; time stepping is adaptive explicit
-    (DOP853) on an integrating-factor transform that absorbs the linear
-    single-derivative terms, so dispersive operators such as u_xxx do not
-    constrain the step size. A right-hand-side call takes one batched inverse
+    DOP853 (solve_ivp above, scipy's steps byte for byte without importing
+    scipy.integrate) on an integrating-factor transform that absorbs the
+    linear single-derivative terms, so dispersive operators such as u_xxx do
+    not constrain the step size. A right-hand-side call takes one batched inverse
     FFT, one FFT and one exponential (two if lin has a real part), with the
     bytes of one inverse FFT per derivative order. It calls numpy's pocketfft
     gufuncs directly, into work arrays made once per generation; only its
@@ -338,11 +476,10 @@ def generate_synthetic(spec: PdeSpec, n: int, m: int, domain, init: str = "gauss
         for j in range(m - 1):
             dt = t[j + 1] - t[j]
             calls, mark = 0, 0.0
-            sol = solve_ivp(rhs, (0.0, dt), u_hat.astype(complex), method="DOP853",
-                            rtol=RTOL, atol=1e-10)
+            sol = solve_ivp(rhs, dt, u_hat, RTOL, 1e-10)
             if not sol.success:
                 raise IntegrationBlowupError(t[j + 1], sol.message)
-            u_hat = np.exp(lin * dt) * sol.y[:, -1]
+            u_hat = np.exp(lin * dt) * sol.y
             u = np.fft.irfft(u_hat, n)
             if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOWUP_LIMIT:
                 raise IntegrationBlowupError(t[j + 1])

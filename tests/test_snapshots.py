@@ -13,6 +13,7 @@ from pdegreedy.features import PdeSpec, preset, term
 from pdegreedy.snapshots import (IntegrationBlowupError, SnapshotMatrix,
                                  SnapshotParseError, generate_synthetic,
                                  load_snapshot, save_snapshot, subdivide_time)
+from test_linalg import run_fresh
 
 
 def tiny_snapshot():
@@ -322,9 +323,10 @@ class TestGeneratorOracle:
     def test_bytes_and_nfev_match_reference(self, case, monkeypatch):
         spec, n, m, domain, init = case
         nfev = []
+        stepper = snapshots.solve_ivp
 
         def counted(*args, **kwargs):
-            sol = solve_ivp(*args, **kwargs)
+            sol = stepper(*args, **kwargs)
             nfev.append(sol.nfev)
             return sol
 
@@ -333,3 +335,55 @@ class TestGeneratorOracle:
         u, ref_nfev = reference_generate(spec, n, m, domain, init)
         assert s.u.tobytes() == u.tobytes()
         assert sum(nfev) == ref_nfev
+
+
+def nan_after_start(t, y):
+    # finite at t = 0 only: every step is rejected until it underflows
+    return (np.nan if t > 0 else 1.0) * y
+
+
+class TestStepper:
+    """snapshots.solve_ivp against scipy's DOP853 outside the generator."""
+
+    @pytest.mark.parametrize("fun, t_bound", [
+        (lambda t, y: -0.5 * y + 1j * np.sin(3.0 * t) * y, 2.0),
+        (lambda t, y: y * y, 0.9),  # y' = y^2 from 1: stiffens towards t = 1
+        (lambda t, y: np.zeros_like(y), 1.0),  # zero error norm: the step grows tenfold
+    ], ids=["oscillator", "near-pole", "constant"])
+    def test_end_state_and_nfev_match_scipy(self, fun, t_bound):
+        y0 = np.array([1.0 + 0.5j, 0.25 - 1j, 0.0j])
+        sol = snapshots.solve_ivp(fun, t_bound, y0, 1e-8, 1e-10)
+        ref = solve_ivp(fun, (0.0, t_bound), y0, method="DOP853", rtol=1e-8, atol=1e-10)
+        assert sol.success and ref.success
+        assert sol.y.tobytes() == ref.y[:, -1].tobytes()
+        assert sol.nfev == ref.nfev
+
+    def test_step_size_underflow_matches_scipy(self):
+        y0 = np.array([1.0 + 0j, -2.0 + 0j])
+        with np.errstate(invalid="ignore"):
+            sol = snapshots.solve_ivp(nan_after_start, 1.0, y0, 1e-8, 1e-10)
+            ref = solve_ivp(nan_after_start, (0.0, 1.0), y0, method="DOP853",
+                            rtol=1e-8, atol=1e-10)
+        assert not sol.success and not ref.success
+        assert sol.message == ref.message == "Required step size is less than spacing between numbers."
+        assert sol.nfev == ref.nfev == 5522
+        assert sol.y.tobytes() == y0.tobytes()
+
+    def test_step_size_underflow_ends_generation(self, monkeypatch):
+        stepper = snapshots.solve_ivp
+
+        def nan_rhs(fun, *args):
+            return stepper(lambda tau, v: nan_after_start(tau, fun(tau, v)), *args)
+
+        monkeypatch.setattr(snapshots, "solve_ivp", nan_rhs)
+        with pytest.raises(IntegrationBlowupError,
+                           match="near t = 0.125: Required step size is less than spacing"):
+            generate_synthetic(get_pde_spec("burgers"), 32, 9, (-8.0, 8.0, 1.0))
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # the generator steps DOP853 itself; scipy.integrate's package init loads
+    # scipy.optimize, sparse, spatial and special, about 24 MB resident
+    out = run_fresh("import sys, pdegreedy.cli\n"
+                    "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    assert out.strip() == "[]"
