@@ -15,13 +15,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .experiments import (SweepConfig, cluster_records, eps_grid, export_results,
                           read_results, record_json, run_record, sweep_greedy, sweep_random)
 from .features import PRESETS, get_pde_spec, load_pde_spec, preset
-from .linalg import blas_threads
+from .linalg import blas_build, blas_threads
 from .sampling import QdeimConfig, qdeim_sample, random_sample
 from .siren import init_siren, save_checkpoint
 from .snapshots import generate_synthetic, load_snapshot, save_snapshot
@@ -132,21 +131,12 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _blas_build(module) -> str | None:
-    try:
-        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.26 and scipy < 1.11 have no dict mode
-        return None
-    return f"{blas.get('name')} {blas.get('version')}"
-
-
 def _numeric_environment() -> dict:
-    """Library versions, BLAS builds and live BLAS thread counts: numpy's
-    pool size changes the SVD's bits and so the greedy samples."""
+    """numpy's version, BLAS build and live BLAS thread counts: the pool
+    size changes the SVD's bits and so the greedy samples."""
     return {
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas": {"numpy": _blas_build(np), "scipy": _blas_build(scipy)},
+        "blas": {"numpy": blas_build()},
         "blas_threads": blas_threads(),
     }
 

@@ -1,28 +1,26 @@
 """Dense matrix kernels: thin SVD, QR pivot order, QR least squares.
 
-numpy and scipy wheels each bundle their own OpenBLAS, each with its own
-thread pool. This module owns both pools. At import it records numpy's
-pool size as the SVD's size, then sets both pools to one thread, so every
-other numpy and scipy call (the QRs, the jet passes' GEMMs) runs on the
-calling thread. ``svd`` raises numpy's pool to the recorded size for the
-LAPACK call only: the SVD's bits, and with them the greedy pivots, depend
-on that size. Afterwards the pool is back at one thread and its idle
-workers, which would spin on the cores for about 0.1 s, are stopped.
-Importing this module therefore sets numpy's pool to one thread for the
-whole process.
+Every kernel runs on the OpenBLAS bundled with numpy, and nothing comes
+from scipy: ``pivoted_qr`` calls that library's LAPACK ``dgeqp3`` through
+ctypes, and importing this module raises ImportError where numpy's BLAS
+exports none. At import the module records the library's thread pool size
+as the SVD's size, then sets the pool to one thread for the whole process,
+so every other call (the QRs, the jet passes' GEMMs) runs on the calling
+thread. ``svd`` raises the pool to the recorded size for the LAPACK call
+only: the SVD's bits, and with them the greedy pivots, depend on that
+size. Afterwards the pool is back at one thread and its idle workers,
+which would spin on the cores for about 0.1 s, are stopped.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
-import scipy.linalg
+from numpy.linalg import _umath_linalg
 
 
 class SvdConvergenceError(RuntimeError):
@@ -58,12 +56,12 @@ class _BlasPool:
     shutdown: Callable[[], int] | None
 
 
-def _num_threads_symbol(lib: ctypes.CDLL, verb: str, argtypes, restype):
-    """OpenBLAS's `int get()` / `void set(int)`, under any of the names
-    that scipy-openblas (LP64 or ILP64) and plain OpenBLAS builds export."""
+def _symbol(lib: ctypes.CDLL, name: str, argtypes, restype):
+    """``name`` under any of the names that scipy-openblas (ILP64 or LP64)
+    and plain OpenBLAS builds export; an ILP64 name ends in ``64_``."""
     for prefix in ("scipy_", ""):
         for suffix in ("64_", ""):
-            fn = getattr(lib, f"{prefix}openblas_{verb}_num_threads{suffix}", None)
+            fn = getattr(lib, f"{prefix}{name}{suffix}", None)
             if fn is not None:
                 fn.argtypes, fn.restype = argtypes, restype
                 return fn
@@ -78,8 +76,8 @@ def _bundled_openblas(module) -> _BlasPool | None:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        get = _num_threads_symbol(lib, "get", [], ctypes.c_int)
-        set_ = _num_threads_symbol(lib, "set", [ctypes.c_int], None)
+        get = _symbol(lib, "openblas_get_num_threads", [], ctypes.c_int)
+        set_ = _symbol(lib, "openblas_set_num_threads", [ctypes.c_int], None)
         if get is not None and set_ is not None:
             shutdown = getattr(lib, "blas_thread_shutdown_", None)
             if shutdown is not None:
@@ -88,27 +86,33 @@ def _bundled_openblas(module) -> _BlasPool | None:
     return None
 
 
+def blas_build() -> str:
+    """Name and version of the BLAS build numpy reports."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
 _NUMPY_BLAS = _bundled_openblas(np)
-_SCIPY_BLAS = _bundled_openblas(scipy)
-if _SCIPY_BLAS is not None and _NUMPY_BLAS is not None \
-        and os.path.samefile(_SCIPY_BLAS.path, _NUMPY_BLAS.path):
-    _SCIPY_BLAS = None
 # the size the sampler's SVD has always run at
 _SVD_THREADS = None if _NUMPY_BLAS is None else _NUMPY_BLAS.get()
-for _pool in (_NUMPY_BLAS, _SCIPY_BLAS):
-    if _pool is not None:
-        _pool.set(1)
+if _NUMPY_BLAS is not None:
+    _NUMPY_BLAS.set(1)
+
+# dgeqp3(m, n, a, lda, jpvt, tau, work, lwork, info), every argument by
+# reference; a symbol lookup in numpy.linalg's extension also searches the
+# BLAS/LAPACK library it is linked to
+_DGEQP3 = _symbol(ctypes.CDLL(_umath_linalg.__file__), "dgeqp3_",
+                  [ctypes.c_void_p] * 9, None)
+if _DGEQP3 is None:
+    raise ImportError(f"pdegreedy.linalg needs LAPACK dgeqp3 from numpy's BLAS build "
+                      f"({blas_build()}), which exports none")
+_LAPACK_INT = ctypes.c_int64 if _DGEQP3.__name__.endswith("64_") else ctypes.c_int32
 
 
 def blas_threads() -> dict:
-    """Live thread counts of numpy's and scipy's bundled OpenBLAS pools,
-    and the size numpy's pool takes inside ``svd``.
-
-    An entry is None where that library is not found; scipy's is also None
-    when scipy shares numpy's library.
-    """
+    """Live thread count of numpy's bundled OpenBLAS pool, and the size
+    the pool takes inside ``svd``; None where the library is not found."""
     return {"numpy": None if _NUMPY_BLAS is None else _NUMPY_BLAS.get(),
-            "scipy": None if _SCIPY_BLAS is None else _SCIPY_BLAS.get(),
             "svd": _SVD_THREADS}
 
 
@@ -153,8 +157,24 @@ def pivoted_qr(a) -> np.ndarray:
     left to right), so a zero matrix pivots in index order. Only R is
     computed; Q is never formed.
     """
-    _, pivots = scipy.linalg.qr(_as_matrix(a), mode="r", pivoting=True)
-    return pivots
+    a = np.array(_as_matrix(a), order="F")  # dgeqp3 overwrites a column-major copy
+    rows, cols = (_LAPACK_INT(size) for size in a.shape)
+    pivots = np.zeros(a.shape[1], _LAPACK_INT)  # a nonzero entry would pin its column first
+    tau = np.empty(min(a.shape))
+    info = _LAPACK_INT(0)
+
+    def dgeqp3(work, lwork):
+        _DGEQP3(ctypes.byref(rows), ctypes.byref(cols), a.ctypes.data, ctypes.byref(rows),
+                pivots.ctypes.data, tau.ctypes.data, work.ctypes.data,
+                ctypes.byref(_LAPACK_INT(lwork)), ctypes.byref(info))
+        if info.value != 0:
+            raise RuntimeError(f"dgeqp3 returned info = {info.value}")
+
+    query = np.empty(1)
+    dgeqp3(query, -1)  # writes the optimal workspace size to query[0]
+    work = np.empty(int(query[0]))
+    dgeqp3(work, work.size)
+    return pivots.astype(np.intp) - 1  # LAPACK's pivots are 1-based
 
 
 def qr_least_squares(a, b) -> np.ndarray:
@@ -170,7 +190,7 @@ def qr_least_squares(a, b) -> np.ndarray:
         raise ValueError(f"system is underdetermined: {n} rows < {k} cols")
     if b.shape[0] != n:
         raise ValueError(f"rhs length {b.shape[0]} != {n} rows")
-    q, r = scipy.linalg.qr(a, mode="economic")
+    q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
     if diag[0] == 0.0:
         raise RankDeficiencyError(0, 0.0)
@@ -178,4 +198,9 @@ def qr_least_squares(a, b) -> np.ndarray:
     bad = np.nonzero(ratios < 1e-12)[0]
     if bad.size:
         raise RankDeficiencyError(int(bad[0]), float(ratios[bad[0]]))
-    return scipy.linalg.solve_triangular(r, q.T @ b)
+    # q comes in C order, and there q.T @ b runs another GEMV with other bits
+    y = np.asfortranarray(q).T @ b
+    x = np.empty(k)
+    for i in range(k - 1, -1, -1):
+        x[i] = (y[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
+    return x

@@ -36,9 +36,10 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert manifest["config"]["n"] == 32
         env = manifest["environment"]
-        assert set(env["blas_threads"]) == {"numpy", "scipy", "svd"}
+        assert set(env) == {"numpy", "blas", "blas_threads"}
+        assert set(env["blas"]) == {"numpy"}
+        assert set(env["blas_threads"]) == {"numpy", "svd"}
         assert env["blas_threads"]["numpy"] in (None, 1)  # pinned where found
-        assert env["blas_threads"]["scipy"] in (None, 1)
 
     def test_unknown_pde_lists_presets(self, tmp_path, capsys):
         assert run("generate", "--pde", "wave", "--out-dir", tmp_path / "out") == 1

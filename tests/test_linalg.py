@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pdegreedy import experiments, linalg, siren
 from pdegreedy.linalg import (RankDeficiencyError, pivoted_qr,
@@ -120,6 +121,56 @@ class TestPivotedQr:
         assert pivoted_qr(a)[:3].tolist() == greedy_pivot_oracle(a)
 
 
+class TestScipyOracle:
+    """Bits equal to scipy.linalg's QR routines, which the kernels replace."""
+
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (1, 7), (7, 1), (30, 60), (60, 30)])
+    def test_pivots_random(self, rng, shape):
+        for _ in range(20):
+            a = rng.standard_normal(shape)
+            assert np.array_equal(pivoted_qr(a), scipy_pivots(a))
+
+    def test_pivots_orthogonal_all_ties(self):
+        # every column norm is 1, so rounding alone orders the pivots
+        for n in (2, 5, 16, 40):
+            q = np.linalg.svd(np.random.default_rng(n).standard_normal((n, n)))[0]
+            assert np.array_equal(pivoted_qr(q), scipy_pivots(q))
+
+    def test_pivots_repeated_columns(self, rng):
+        for _ in range(20):
+            base = rng.standard_normal((12, 4))
+            a = base[:, rng.integers(0, 4, 10)]
+            assert np.array_equal(pivoted_qr(a), scipy_pivots(a))
+
+    @pytest.mark.parametrize("cols", range(2, 10))
+    def test_least_squares_bytes(self, rng, cols):
+        for _ in range(25):
+            a = rng.standard_normal((rng.integers(cols, 400), cols))
+            b = rng.standard_normal(a.shape[0])
+            q, r = scipy.linalg.qr(a, mode="economic")
+            expected = scipy.linalg.solve_triangular(r, q.T @ b)
+            assert qr_least_squares(a, b).tobytes() == expected.tobytes()
+
+
+def test_import_without_dgeqp3_names_numpy_blas():
+    out = run_fresh("import ctypes\n"
+                    "class NoDgeqp3(ctypes.CDLL):\n"
+                    "    def __getattr__(self, name):\n"
+                    "        if 'dgeqp3' in name:\n"
+                    "            raise AttributeError(name)\n"
+                    "        return super().__getattr__(name)\n"
+                    "ctypes.CDLL = NoDgeqp3\n"
+                    "try:\n"
+                    "    import pdegreedy.linalg\n"
+                    "except ImportError as exc:\n"
+                    "    print(exc)\n")
+    assert out.startswith("pdegreedy.linalg needs LAPACK dgeqp3 from numpy's BLAS build (")
+
+
+def scipy_pivots(a):
+    return scipy.linalg.qr(a, mode="r", pivoting=True)[1]
+
+
 class TestQrLeastSquares:
     def test_identity(self, rng):
         b = rng.standard_normal(4)
@@ -194,14 +245,13 @@ needs_numpy_pool = pytest.mark.skipif(
 
 
 class TestBlasPools:
-    def test_import_sets_both_pools_to_one_thread(self):
+    def test_import_sets_the_pool_to_one_thread(self):
         # a fresh interpreter reads numpy's pool before pdegreedy is imported
         out = run_fresh("import ctypes, json, numpy\n"
                         f"before = {NUMPY_POOL_EXPR}\n"
                         "import pdegreedy\n"
                         "print(json.dumps([before, pdegreedy.linalg.blas_threads()]))\n")
         before, after = json.loads(out)
-        assert after.pop("scipy") in (1, None)  # None: no separate scipy library
         assert after == {"numpy": None if before is None else 1, "svd": before}
 
     @needs_numpy_pool

@@ -1,3 +1,4 @@
+import json
 import tempfile
 import warnings
 from fractions import Fraction
@@ -381,9 +382,20 @@ class TestStepper:
             generate_synthetic(get_pde_spec("burgers"), 32, 9, (-8.0, 8.0, 1.0))
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # the generator steps DOP853 itself; scipy.integrate's package init loads
-    # scipy.optimize, sparse, spatial and special, about 24 MB resident
-    out = run_fresh("import sys, pdegreedy.cli\n"
-                    "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
-    assert out.strip() == "[]"
+def test_cli_runs_without_scipy(tmp_path):
+    # an interpreter where any scipy import raises: the CLI loads no scipy
+    # module, and generate, sample and train each exit 0
+    data, flags = tmp_path / "data", ["--pde", "burgers", "--t-div", "2", "--eps", "1e-3"]
+    commands = [["generate", "--pde", "burgers", "--n", "64", "--m", "21", "--out-dir", data],
+                ["sample", *flags, "--data-dir", data, "--out-dir", tmp_path / "sample"],
+                ["train", *flags, "--data-dir", data, "--max-iter", "2",
+                 "--out-dir", tmp_path / "train"]]
+    out = run_fresh("import json, sys\n"
+                    "sys.modules['scipy'] = None\n"
+                    "from pdegreedy.cli import main\n"
+                    "loaded = sorted(m for m, module in sys.modules.items()\n"
+                    "                if m.split('.')[0] == 'scipy' and module)\n"
+                    f"codes = [main(argv) for argv in {[[str(a) for a in c] for c in commands]!r}]\n"
+                    "print(json.dumps([loaded, codes]))\n")
+    assert json.loads(out.splitlines()[-1]) == [[], [0, 0, 0]]
+    assert (tmp_path / "train" / "summary.json").is_file()
